@@ -88,13 +88,17 @@ def _parse_set(g: Graph, text: str) -> VertexSet:
     return VertexSet(g.n, ids)
 
 
+def _budget_ms(args) -> int:
+    """``--budget-ms``, else ``MVIS_BUDGET_MS``, else 0 (unlimited)."""
+    if args.budget_ms is not None:
+        return args.budget_ms
+    return int(os.environ.get("MVIS_BUDGET_MS", "0"))
+
+
 def _solve_opts(args) -> SolveOptions:
-    time_ms = args.budget_ms
-    if time_ms is None:
-        time_ms = int(os.environ.get("MVIS_BUDGET_MS", "0"))
     return SolveOptions(
         node_budget=args.budget_nodes,
-        time_budget_ms=time_ms,
+        time_budget_ms=_budget_ms(args),
         parallel=args.parallel,
     )
 
@@ -162,10 +166,15 @@ def cmd_solve(args) -> int:
             "graph": g.name or args.graph,
             "variant": args.variant,
             "incomplete": True,
+            "value_certified": inc.value_certified,
             "value_lower_bound": inc.lower_bound,
-            "witness": inc.witness.ids(),
+            "witness": None if inc.value_certified else inc.witness.ids(),
             "stats": _stats_dict(inc.stats),
         }
+        if inc.value_certified:
+            # Out of budget in the witness phase: the value is exact, but
+            # the lex-least witness is unknown.
+            payload["value"] = inc.lower_bound
         _emit(payload, args.json)
         return EXIT_INCOMPLETE
     payload = {
@@ -243,6 +252,7 @@ def _stats_dict(stats) -> dict:
     return {
         "nodes": stats.nodes_explored,
         "prunes": stats.prunes,
+        "bound_prunes": stats.bound_prunes,
         "elapsed_ms": round(stats.elapsed_ms, 2),
     }
 
@@ -281,20 +291,25 @@ def _verify_instance(task: tuple) -> dict:
     }
     try:
         res = solve(g, variant, opts)
+        value, witness, stats = res.value, res.witness.ids(), res.stats
     except Incomplete as inc:
-        record.update(
-            incomplete=True,
-            solved_lower_bound=inc.lower_bound,
-            agree=None,
-            stats=_stats_dict(inc.stats),
-        )
-        return record
+        if not inc.value_certified:
+            record.update(
+                incomplete=True,
+                solved_lower_bound=inc.lower_bound,
+                agree=None,
+                stats=_stats_dict(inc.stats),
+            )
+            return record
+        # The budget ran out in the witness phase: the value is exact and
+        # is compared, but there is no lex-least witness.
+        value, witness, stats = inc.lower_bound, None, inc.stats
     record.update(
         incomplete=False,
-        solved=res.value,
-        witness=res.witness.ids(),
-        agree=ora.agrees_with(res.value),
-        stats=_stats_dict(res.stats),
+        solved=value,
+        witness=witness,
+        agree=ora.agrees_with(value),
+        stats=_stats_dict(stats),
     )
     built = _witness_for(spec, variant)
     if built is not None:
@@ -319,7 +334,7 @@ def _verify_tasks(args) -> list[tuple]:
             return
         tasks.append(
             (spec, variant, (val.kind, val.value, val.source),
-             args.budget_nodes, args.budget_ms or 0)
+             args.budget_nodes, _budget_ms(args))
         )
 
     if "cycles" in scope:

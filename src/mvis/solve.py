@@ -2,13 +2,27 @@
 
 The hereditary variants (mutual, outer, total) use depth-first inclusion
 search: any partial set violating the variant prunes its whole subtree, and
-``|current| + |remaining| <= best`` bound-prunes the rest. The dual variant
-is not hereditary, so it branches include/exclude per vertex tracking the
-decided-in set I and decided-out set E; a subtree dies as soon as two
-same-side decided vertices are not I-visible, a condition that is monotone
-in I and therefore sound. Unit forcing derived from that same condition
-(a blocked pair must end up split across I and E) is applied eagerly; it
-only removes nodes whose descendants would all die anyway.
+an upper bound on the best completion bound-prunes the rest. The dual
+variant is not hereditary, so it branches include/exclude per vertex
+tracking the decided-in set I and decided-out set E; a subtree dies as soon
+as two same-side decided vertices are not I-visible, a condition that is
+monotone in I and therefore sound. Unit forcing derived from that same
+condition (a blocked pair must end up split across I and E) is applied
+eagerly; it only removes nodes whose descendants would all die anyway.
+
+The upper bound is a convex-partition bound. If H is convex in G (every
+geodesic between two vertices of H stays in H) and X is a variant-set of G,
+then X intersect H is a variant-set of the subgraph H, because the pairs of
+H keep exactly their geodesics; so |X intersect H| <= mu(H). This holds for
+all four variants. Before searching, :func:`convex_partition` splits the
+searched vertices into disjoint convex parts H_i of at most
+:data:`PART_LIMIT` vertices, each with capacity c_i = mu(H_i) computed by an
+exact solve of the part. Every node then bounds its best completion by the
+sum over parts of min(c_i, |(X + open) intersect H_i|), where X is the set
+so far (decided-in, for dual) and open the vertices still addable
+(undecided, for dual). It plays the role of the colouring bound of
+max-clique branch-and-bound; on a grid the parts are geodesic lines of
+capacity 2.
 
 All searches run in two phases: first the exact value, then the
 lexicographically least maximum witness, rebuilt greedily one vertex at a
@@ -18,7 +32,9 @@ time with decision searches.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import (
     Graph,
@@ -26,6 +42,7 @@ from .graphs import (
     VertexSet,
     all_pairs_distances,
     as_vertex_set,
+    build_graph,
     graph_stats,
     induced_subgraph,
     is_convex,
@@ -44,21 +61,25 @@ class IncompleteCover(GraphError):
 
 
 class Incomplete(Exception):
-    """A search budget was exhausted before the exact value was certified.
+    """A search budget was exhausted before the solve finished.
 
-    ``lower_bound`` and ``witness`` describe the best set found so far; they
-    are never an exact answer.
+    ``lower_bound`` and ``witness`` describe the best set found so far. When
+    ``value_certified`` is set the budget ran out in the witness phase:
+    ``lower_bound`` is then the exact value, but ``witness`` is only some
+    maximum set, not the lexicographically least one.
     """
 
     def __init__(self, variant: str, lower_bound: int, witness: VertexSet,
-                 stats: "SearchStats"):
+                 stats: "SearchStats", value_certified: bool = False):
+        what = "exact value" if value_certified else "best so far"
         super().__init__(
-            f"budget exhausted solving {variant}: best so far {lower_bound}"
+            f"budget exhausted solving {variant}: {what} {lower_bound}"
         )
         self.variant = variant
         self.lower_bound = lower_bound
         self.witness = witness
         self.stats = stats
+        self.value_certified = value_certified
 
 
 @dataclass
@@ -81,8 +102,12 @@ class SolveOptions:
 
 @dataclass
 class SearchStats:
+    """Search counters. ``bound_prunes`` counts the prunes, included in
+    ``prunes``, that only the convex-partition bound made."""
+
     nodes_explored: int = 0
     prunes: int = 0
+    bound_prunes: int = 0
     elapsed_ms: float = 0.0
 
 
@@ -102,7 +127,7 @@ class _BudgetExceeded(Exception):
 class _Budget:
     """Node/time budget shared across the phases of one solve call."""
 
-    __slots__ = ("nodes", "node_budget", "deadline", "t0", "_timecheck")
+    __slots__ = ("nodes", "node_budget", "deadline", "t0")
 
     def __init__(self, opts: SolveOptions):
         self.nodes = 0
@@ -113,18 +138,16 @@ class _Budget:
             if opts.time_budget_ms
             else 0.0
         )
-        self._timecheck = 0
 
     def tick(self) -> None:
+        """Count a node. The clock is read on the first node and every
+        2048th after it, so time spent before the search counts too."""
         self.nodes += 1
         if self.node_budget and self.nodes > self.node_budget:
             raise _BudgetExceeded
-        if self.deadline:
-            self._timecheck += 1
-            if self._timecheck >= 2048:
-                self._timecheck = 0
-                if time.monotonic() > self.deadline:
-                    raise _BudgetExceeded
+        if (self.deadline and self.nodes & 2047 == 1
+                and time.monotonic() > self.deadline):
+            raise _BudgetExceeded
 
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.t0) * 1000.0
@@ -136,18 +159,209 @@ def _branch_order(g: Graph, candidates: list[int]) -> list[int]:
 
 
 # --------------------------------------------------------------------------
+# Convex-partition bound
+# --------------------------------------------------------------------------
+
+#: Most vertices in one part of a convex partition. Each part's capacity is
+#: an exact solve of the part, so parts stay small.
+PART_LIMIT = 12
+
+
+class ConvexPartition:
+    """Disjoint convex parts with their capacities, and the bound they give.
+
+    ``parts`` holds (vertex mask, capacity) pairs, only for parts whose
+    capacity is below their size; every other vertex counts in full.
+    """
+
+    __slots__ = ("parts", "free")
+
+    def __init__(self, parts: list[tuple[int, int]], full: int):
+        self.parts = parts
+        covered = 0
+        for h, _ in parts:
+            covered |= h
+        self.free = full & ~covered
+
+    def bound(self, mask: int) -> int:
+        """Upper bound on |X| for variant-sets X of the graph inside ``mask``."""
+        b = (mask & self.free).bit_count()
+        for h, c in self.parts:
+            k = (mask & h).bit_count()
+            b += c if c < k else k
+        return b
+
+
+@lru_cache(maxsize=4096)
+def _capacity(variant: str, n: int, edge_bits: int) -> int:
+    """The variant's number of the connected graph on ``n`` vertices whose
+    edge (u, w), u < w, is bit ``u * n + w`` of ``edge_bits``."""
+    edges = [divmod(i, n) for i in range(n * n) if (edge_bits >> i) & 1]
+    return solve(build_graph(n, edges), variant).value
+
+
+def _part_capacity(g: Graph, variant: str, part: int) -> int:
+    """The variant's number of the subgraph induced by the mask ``part``,
+    memoised on its edge list relabelled in ascending id order."""
+    ids = [v for v in range(g.n) if (part >> v) & 1]
+    k = len(ids)
+    new_id = {v: i for i, v in enumerate(ids)}
+    edge_bits = 0
+    for u in ids:
+        base = new_id[u] * k
+        for w in g.adj[u]:
+            if u < w and (part >> w) & 1:
+                edge_bits |= 1 << (base + new_id[w])
+    return _capacity(variant, k, edge_bits)
+
+
+def _hull_with(h: int, w: int, room: int, limit: int, interior: list[int],
+               n: int) -> int:
+    """Convex hull of the convex mask ``h`` plus vertex ``w``; 0 as soon as
+    the hull leaves ``room`` or grows past ``limit`` vertices.
+
+    Only pairs with a newly added end can bring in more vertices, since the
+    pairs inside ``h`` already have their intervals in ``h``.
+    """
+    new = 1 << w
+    while new:
+        h |= new
+        if h.bit_count() > limit:
+            return 0
+        acc = 0
+        while new:
+            low = new & -new
+            a = low.bit_length() - 1
+            new ^= low
+            rest = h ^ low
+            while rest:
+                lb = rest & -rest
+                b = lb.bit_length() - 1
+                rest ^= lb
+                acc |= interior[a * n + b if a < b else b * n + a]
+        new = acc & ~h
+        if new & ~room:
+            return 0
+    return h
+
+
+def convex_partition(g: Graph, variant: str, searched: int | None = None,
+                     pv: PairVisibility | None = None) -> ConvexPartition:
+    """Greedy partition of the ``searched`` vertex mask into convex parts.
+
+    Each round grows a hull from every edge inside the vertices not yet
+    used: each step adds the neighbouring vertex with the smallest new hull
+    (lowest id on ties), while the hull stays unused and has at most
+    :data:`PART_LIMIT` vertices. Of all hulls met on the way, the round
+    keeps the one with the lowest capacity per vertex (then the larger,
+    then the lower mask). Rounds stop when no hull has capacity below its
+    size. Parts are proper subsets, so computing their capacities with
+    :func:`solve` terminates.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    room = full if searched is None else searched
+    limit = min(PART_LIMIT, n - 1)
+    if limit < 3:
+        return ConvexPartition([], full)
+    interior = (pv or PairVisibility(g)).interior
+    adj = g.adjacency_masks()
+    caps: dict[int, int] = {}
+
+    def score(h: int):
+        size = h.bit_count()
+        if size < 3:
+            return None
+        cap = caps.get(h)
+        if cap is None:
+            cap = caps[h] = _part_capacity(g, variant, h)
+        return (cap / size, -size, h, cap) if cap < size else None
+
+    def step(h: int) -> tuple[int, int]:
+        """The next hull grown from ``h`` (or 0), and the union of ``h``
+        with every hull tried that fit in ``room``."""
+        touched = h
+        frontier = 0
+        m = h
+        while m:
+            low = m & -m
+            frontier |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier &= room & ~h
+        size = h.bit_count()
+        nxt = 0
+        most = limit
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            h2 = _hull_with(h, low.bit_length() - 1, room, most, interior, n)
+            if h2:
+                touched |= h2
+                nxt = h2
+                most = h2.bit_count() - 1
+                if most == size:
+                    break
+        return nxt, touched
+
+    # grown[h] = (best key among h and the hulls grown from it, union of
+    # every hull those steps tried that fit). Growth paths from different
+    # seeds merge, so this is shared. Removing a part from ``room`` only
+    # turns tried hulls into misfits, so an entry whose union misses the
+    # part still holds in the next round.
+    grown: dict[int, tuple] = {}
+
+    def grow(h: int):
+        path = []
+        while h and h not in grown:
+            nxt, touched = step(h)
+            path.append((h, touched))
+            h = nxt
+        best, seen = grown[h] if h else (None, 0)
+        for h, touched in reversed(path):
+            key = score(h)
+            if key is not None and (best is None or key < best):
+                best = key
+            seen |= touched
+            grown[h] = (best, seen)
+        return best
+
+    parts: list[tuple[int, int]] = []
+    while True:
+        best = None
+        m = room
+        while m:
+            low = m & -m
+            m ^= low
+            nbrs = adj[low.bit_length() - 1] & room & ~(2 * low - 1)
+            while nbrs:
+                lw = nbrs & -nbrs
+                nbrs ^= lw
+                key = grow(low | lw)
+                if key is not None and (best is None or key < best):
+                    best = key
+        if best is None:
+            return ConvexPartition(parts, full)
+        part = best[2]
+        parts.append((part, best[3]))
+        room &= ~part
+        grown = {h: e for h, e in grown.items() if not e[1] & part}
+
+
+# --------------------------------------------------------------------------
 # Hereditary variants: mutual, outer, total
 # --------------------------------------------------------------------------
 
 
 class _HereditarySearch:
     def __init__(self, g: Graph, variant: str, pv: PairVisibility,
-                 candidates: list[int], budget: _Budget, stats: SearchStats):
+                 candidates: list[int], bound: Callable[[int], int] | None,
+                 budget: _Budget, stats: SearchStats):
         self.g = g
         self.n = g.n
         self.variant = variant
         self.pv = pv
         self.candidates = candidates
+        self.bound = bound
         self.order = _branch_order(g, candidates)
         self.budget = budget
         self.stats = stats
@@ -209,6 +423,7 @@ class _HereditarySearch:
         stats = self.stats
         tick = self.budget.tick
         feasible_add = self._feasible_add
+        bound = self.bound
 
         def dfs(cands: list[int], xm: int, count: int) -> None:
             tick()
@@ -219,6 +434,14 @@ class _HereditarySearch:
                 self.best = count
                 self.best_mask = xm
                 return
+            if bound:
+                om = xm
+                for u in cands:
+                    om |= 1 << u
+                if bound(om) <= self.best:
+                    stats.prunes += 1
+                    stats.bound_prunes += 1
+                    return
             v = cands[0]
             rest = cands[1:]
             xm2 = xm | (1 << v)
@@ -241,6 +464,7 @@ class _HereditarySearch:
         stats = self.stats
         tick = self.budget.tick
         feasible_add = self._feasible_add
+        bound = self.bound
 
         def dfs(cands: list[int], xm: int, count: int) -> bool:
             tick()
@@ -249,6 +473,14 @@ class _HereditarySearch:
             if count + len(cands) < target:
                 stats.prunes += 1
                 return False
+            if bound:
+                om = xm
+                for u in cands:
+                    om |= 1 << u
+                if bound(om) < target:
+                    stats.prunes += 1
+                    stats.bound_prunes += 1
+                    return False
             v = cands[0]
             xm2 = xm | (1 << v)
             kept = [
@@ -304,11 +536,13 @@ class _DualSearch:
     pairs kill the node; one-sided ones force the undecided endpoint.
     """
 
-    def __init__(self, g: Graph, pv: PairVisibility, budget: _Budget,
+    def __init__(self, g: Graph, pv: PairVisibility,
+                 bound: Callable[[int], int] | None, budget: _Budget,
                  stats: SearchStats):
         self.g = g
         self.n = g.n
         self.pv = pv
+        self.bound = bound
         self.budget = budget
         self.stats = stats
         self.order = _branch_order(g, list(range(g.n)))
@@ -404,6 +638,7 @@ class _DualSearch:
         stats = self.stats
         tick = self.budget.tick
         order = self.order
+        bound = self.bound
 
         def dfs(im: int, em: int, start: int) -> None:
             tick()
@@ -416,6 +651,10 @@ class _DualSearch:
                 if self._full_dual_ok(im):
                     self.best = icount
                     self.best_mask = im
+                return
+            if bound and bound(im | und) <= self.best:
+                stats.prunes += 1
+                stats.bound_prunes += 1
                 return
             i = start
             while (1 << order[i]) & ~und:
@@ -449,6 +688,7 @@ class _DualSearch:
         stats = self.stats
         tick = self.budget.tick
         order = self.order
+        bound = self.bound
 
         def dfs(im: int, em: int, start: int) -> bool:
             tick()
@@ -459,6 +699,10 @@ class _DualSearch:
                 return False
             if not und:
                 return icount == target and self._full_dual_ok(im)
+            if bound and bound(im | und) < target:
+                stats.prunes += 1
+                stats.bound_prunes += 1
+                return False
             i = start
             while (1 << order[i]) & ~und:
                 i += 1
@@ -510,18 +754,26 @@ def solve(g: Graph, variant: str, opts: SolveOptions | None = None) -> SolveResu
     stats = SearchStats()
     pv = PairVisibility(g)
 
+    candidates = list(range(g.n))
+    if variant == "total" and opts.candidate_filter:
+        candidates = [v for v in candidates if is_bypass_candidate(g, v)]
+    searched = sum(1 << v for v in candidates)
+    partition = convex_partition(g, variant, searched, pv)
+    # Without a part below its size the bound equals the plain count.
+    bound = partition.bound if partition.parts else None
     if variant == "dual":
         search: _DualSearch | _HereditarySearch = _DualSearch(
-            g, pv, budget, stats
+            g, pv, bound, budget, stats
         )
     else:
-        candidates = list(range(g.n))
-        if variant == "total" and opts.candidate_filter:
-            candidates = [v for v in candidates if is_bypass_candidate(g, v)]
-        search = _HereditarySearch(g, variant, pv, candidates, budget, stats)
+        search = _HereditarySearch(
+            g, variant, pv, candidates, bound, budget, stats
+        )
 
+    value_certified = False
     try:
         search.run_value()
+        value_certified = True
         witness_mask = search.lex_least_witness(search.best)
     except _BudgetExceeded:
         stats.nodes_explored = budget.nodes
@@ -531,6 +783,7 @@ def solve(g: Graph, variant: str, opts: SolveOptions | None = None) -> SolveResu
             search.best,
             VertexSet.from_mask(g.n, search.best_mask),
             stats,
+            value_certified,
         ) from None
     stats.nodes_explored = budget.nodes
     stats.elapsed_ms = budget.elapsed_ms()

@@ -12,6 +12,8 @@ import random
 from mvis import Graph, VertexSet, build_graph, classify_set
 from mvis.graphs import all_pairs_distances
 
+VARIANTS = ("mutual", "total", "outer", "dual")
+
 
 def all_geodesics(g: Graph, u: int, v: int) -> list[list[int]]:
     """Every shortest u,v-path, by descent along the distance gradient."""
@@ -83,6 +85,40 @@ def brute_max_witnesses(g: Graph, variant: str) -> list[tuple[int, ...]]:
             elif vs.card == best:
                 sets.append(tuple(vs.ids()))
     return sets
+
+
+def brute_max_witnesses_all(g: Graph) -> dict[str, list[tuple[int, ...]]]:
+    """All maximum sets of each variant, as sorted id tuples, from one
+    enumeration with one classify_set call per subset."""
+    best = dict.fromkeys(VARIANTS, 0)
+    sets: dict[str, list[tuple[int, ...]]] = {v: [()] for v in VARIANTS}
+    for mask in range(1, 1 << g.n):
+        vs = VertexSet.from_mask(g.n, mask)
+        rep = classify_set(g, vs)
+        for variant in VARIANTS:
+            if not rep.holds(variant):
+                continue
+            if vs.card > best[variant]:
+                best[variant] = vs.card
+                sets[variant] = [tuple(vs.ids())]
+            elif vs.card == best[variant]:
+                sets[variant].append(tuple(vs.ids()))
+    return sets
+
+
+def brute_max_all(g: Graph) -> dict[str, int]:
+    """Exhaustive maxima of all four variants from one enumeration; a subset
+    no larger than every maximum so far is not classified."""
+    best = dict.fromkeys(VARIANTS, 0)
+    for mask in range(1 << g.n):
+        vs = VertexSet.from_mask(g.n, mask)
+        if vs.card <= min(best.values()):
+            continue
+        rep = classify_set(g, vs)
+        for variant in VARIANTS:
+            if vs.card > best[variant] and rep.holds(variant):
+                best[variant] = vs.card
+    return best
 
 
 def random_connected_graph(n: int, rng: random.Random, p: float = 0.4) -> Graph:

@@ -4,8 +4,10 @@ import pytest
 
 import mvis.cli
 from mvis import generate, read_edge_list, write_edge_list
-from mvis.cli import main
-from mvis.oracles import OracleValue
+from mvis.cli import _verify_instance, main
+from mvis.oracles import OracleValue, oracle
+
+from test_solve import value_phase_nodes
 
 
 def run(capsys, *argv):
@@ -114,6 +116,26 @@ class TestSolve:
         )
         assert code == 3
 
+    def test_budget_out_in_witness_phase_reports_value(self, capsys):
+        g = generate("grid:4x4")
+        budget = value_phase_nodes(g, "mutual")
+        code, payload = run_json(
+            capsys, "solve", "grid:4x4", "--variant", "mutual",
+            "--budget-nodes", str(budget), "--json",
+        )
+        assert code == 3
+        assert payload["incomplete"] is True
+        assert payload["value_certified"] is True
+        assert payload["value"] == payload["value_lower_bound"] == 8
+        assert payload["witness"] is None
+
+    def test_stats_show_bound_prunes(self, capsys):
+        code, payload = run_json(
+            capsys, "solve", "grid:7x4", "--variant", "mutual", "--json"
+        )
+        assert code == 0
+        assert 0 < payload["stats"]["bound_prunes"] <= payload["stats"]["prunes"]
+
 
 class TestOracleCmd:
     def test_oracle(self, capsys):
@@ -202,6 +224,25 @@ class TestVerify:
         assert code == 0
         assert report["summary"]["agreements"] == 12
         assert report["summary"]["disagreements"] == 0
+
+    def test_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("MVIS_BUDGET_MS", "1")
+        code, report = run_json(capsys, "verify", "--families", "gn", "--json")
+        assert code == 3
+        assert report["summary"]["incomplete"] > 0
+        assert report["summary"]["disagreements"] == 0
+
+    def test_certified_value_counts_as_agreeing(self):
+        spec = "grid:4x4"
+        budget = value_phase_nodes(generate(spec), "mutual")
+        val = oracle(spec, "mutual")
+        record = _verify_instance(
+            (spec, "mutual", (val.kind, val.value, val.source), budget, 0)
+        )
+        assert record["incomplete"] is False
+        assert record["solved"] == val.value
+        assert record["agree"] is True
+        assert record["witness"] is None
 
     def test_parallel_matches_sequential(self, capsys):
         _, seq = run_json(

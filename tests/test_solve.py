@@ -13,14 +13,45 @@ from mvis import (
     dual_zero_sufficient,
     generate,
     graph_stats,
+    induced_subgraph,
+    is_convex,
     solve,
     solve_independence,
     total_is_zero,
 )
+from mvis.solve import convex_partition
 
-from naive import brute_max, brute_max_witnesses, random_connected_graph
+from naive import (
+    brute_max,
+    brute_max_all,
+    brute_max_witnesses,
+    brute_max_witnesses_all,
+    random_connected_graph,
+)
 
 VARIANTS = ("mutual", "total", "outer", "dual")
+
+
+def value_phase_nodes(g, variant):
+    """Nodes of the value phase: the smallest node budget under which the
+    value gets certified (the phase is deterministic, so certification is
+    monotone in the budget)."""
+
+    def certified(budget):
+        try:
+            solve(g, variant, SolveOptions(node_budget=budget))
+        except Incomplete as inc:
+            return inc.value_certified
+        return True
+
+    lo, hi = 0, solve(g, variant).stats.nodes_explored
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def torus_layer(n, m, j):
@@ -42,7 +73,7 @@ class TestExhaustiveAgreement:
                     g = build_graph(n, edges)
                 except DisconnectedGraph:
                     continue
-                brute = {v: brute_max(g, v) for v in VARIANTS}
+                brute = brute_max_all(g)
                 for variant in VARIANTS:
                     res = solve(g, variant)
                     assert res.value == brute[variant], (variant, edges)
@@ -71,8 +102,9 @@ class TestExhaustiveAgreement:
                 g = build_graph(n, edges)
             except DisconnectedGraph:
                 continue
+            brute = brute_max_all(g)
             for variant in VARIANTS:
-                assert solve(g, variant).value == brute_max(g, variant), (
+                assert solve(g, variant).value == brute[variant], (
                     variant, edges,
                 )
 
@@ -92,6 +124,64 @@ class TestExhaustiveAgreement:
         for _ in range(15):
             g = random_connected_graph(rng.randint(2, 8), rng)
             assert solve(g, "total", raw).value == solve(g, "total").value
+
+
+class TestPartitionBound:
+    def test_random_graphs_match_brute_force(self):
+        rng = random.Random(2025)
+        bound_prunes = 0
+        for _ in range(40):
+            g = random_connected_graph(rng.randint(2, 8), rng, p=0.25)
+            maxima = brute_max_witnesses_all(g)
+            for variant in VARIANTS:
+                res = solve(g, variant)
+                assert res.value == brute_max(g, variant), (variant, g.edges())
+                assert tuple(res.witness.ids()) == min(maxima[variant]), (
+                    variant, g.edges(),
+                )
+                bound_prunes += res.stats.bound_prunes
+        assert bound_prunes > 0  # the bound really pruned in these searches
+
+    @pytest.mark.parametrize("spec, variants", [
+        ("grid:7x4", VARIANTS),
+        ("torus:5x5", VARIANTS),
+        ("ht:3", ("total", "outer", "dual")),
+        ("random", VARIANTS),
+    ])
+    def test_parts_are_disjoint_convex_and_exact(self, spec, variants):
+        if spec == "random":
+            g = random_connected_graph(10, random.Random(12), p=0.2)
+        else:
+            g = generate(spec)
+        brute_cache = {}
+        full = (1 << g.n) - 1
+        for variant in variants:
+            partition = convex_partition(g, variant)
+            covered = 0
+            for part, cap in partition.parts:
+                assert not covered & part
+                covered |= part
+                vs = VertexSet.from_mask(g.n, part)
+                assert 3 <= vs.card < g.n
+                assert is_convex(g, vs)
+                sub, _ = induced_subgraph(g, vs)
+                key = tuple(sub.edges())
+                if key not in brute_cache:
+                    brute_cache[key] = brute_max_all(sub)
+                assert cap == brute_cache[key][variant] < vs.card
+            assert partition.bound(full) >= solve(g, variant).value
+
+    def test_grid_parts_are_long_lines(self):
+        g = generate("grid:7x4")
+        partition = convex_partition(g, "mutual")
+        assert sorted(cap for _, cap in partition.parts) == [2, 2, 2, 2]
+        assert all(part.bit_count() == 7 for part, _ in partition.parts)
+        assert partition.bound((1 << g.n) - 1) == solve(g, "mutual").value == 8
+
+    def test_bound_cuts_grid_search(self):
+        res = solve(generate("grid:7x4"), "mutual")
+        assert res.stats.bound_prunes > 0
+        assert res.stats.nodes_explored < 1000  # 75,864 with |X| + |open|
 
 
 class TestKnownValues:
@@ -256,6 +346,21 @@ class TestBudgets:
         g = generate("grid:6x6")
         with pytest.raises(Incomplete):
             solve(g, "mutual", SolveOptions(time_budget_ms=30))
+
+    def test_witness_phase_exhaustion_certifies_value(self):
+        g = generate("grid:4x4")
+        full = solve(g, "mutual")
+        value_nodes = value_phase_nodes(g, "mutual")
+        assert 0 < value_nodes < full.stats.nodes_explored
+        with pytest.raises(Incomplete) as exc:
+            solve(g, "mutual", SolveOptions(node_budget=value_nodes))
+        inc = exc.value
+        assert inc.value_certified
+        assert inc.lower_bound == full.value == inc.witness.card
+        assert classify_set(g, inc.witness).is_mutual
+        with pytest.raises(Incomplete) as exc:
+            solve(g, "mutual", SolveOptions(node_budget=value_nodes - 1))
+        assert not exc.value.value_certified
 
     def test_unlimited_by_default(self):
         res = solve(generate("cycle:8"), "mutual")
