@@ -9,6 +9,12 @@ as two same-side decided vertices are not I-visible, a condition that is
 monotone in I and therefore sound. Unit forcing derived from that same
 condition (a blocked pair must end up split across I and E) is applied
 eagerly; it only removes nodes whose descendants would all die anyway.
+Deciding a vertex u tests all of u's pairs at once:
+:meth:`PairVisibility.row` gives the mask of u's I-visible partners, and
+the same-side partners outside it are killed or forced with mask
+operations. Only the pairs through u, when u joins I, are re-tested one by
+one. The lex-least rebuild carries the decided state of its fixed prefix
+forward instead of replaying it for every candidate.
 
 The upper bound is a convex-partition bound. If H is convex in G (every
 geodesic between two vertices of H stays in H) and X is a variant-set of G,
@@ -221,14 +227,16 @@ def _hull_with(h: int, w: int, room: int, limit: int, interior: list[int],
     the hull leaves ``room`` or grows past ``limit`` vertices.
 
     Only pairs with a newly added end can bring in more vertices, since the
-    pairs inside ``h`` already have their intervals in ``h``.
+    pairs inside ``h`` already have their intervals in ``h``. The hull only
+    grows, so a try stops at the first interval that takes it past
+    ``limit`` or out of ``room``.
     """
     new = 1 << w
+    h |= new
+    if h.bit_count() > limit:
+        return 0
     while new:
-        h |= new
-        if h.bit_count() > limit:
-            return 0
-        acc = 0
+        acc = h
         while new:
             low = new & -new
             a = low.bit_length() - 1
@@ -239,9 +247,10 @@ def _hull_with(h: int, w: int, room: int, limit: int, interior: list[int],
                 b = lb.bit_length() - 1
                 rest ^= lb
                 acc |= interior[a * n + b if a < b else b * n + a]
+                if acc.bit_count() > limit or acc & ~room:
+                    return 0
         new = acc & ~h
-        if new & ~room:
-            return 0
+        h = acc
     return h
 
 
@@ -554,11 +563,11 @@ class _DualSearch:
                into: bool) -> tuple[int, int] | None:
         """Decide v (and everything it forces); None when a pair dies."""
         pv = self.pv
-        n = self.n
         full = self.full
         visible = pv.visible_pid
+        row = pv.row
         through = pv.pairs_through
-        pair_ab = pv.pair_ab
+        pair_mask = pv.pair_mask
         stack = [(v, into)]
         while stack:
             u, side = stack.pop()
@@ -569,55 +578,45 @@ class _DualSearch:
                 if im & ub:
                     continue
                 im |= ub
-                base = u * n
-                mm = full & ~em & ~ub  # decided-in partners and undecided
-                while mm:
-                    low = mm & -mm
-                    w = low.bit_length() - 1
-                    mm ^= low
-                    pid = w * n + u if w < u else base + w
-                    if not visible(pid, im):
-                        if im & low:
-                            return None  # two decided-in vertices blocked
-                        stack.append((w, False))
+                # Decided-in partners and undecided ones that u cannot see.
+                bad = full & ~em & ~row(u, im)
+                if bad & im:
+                    return None  # two decided-in vertices blocked
+                while bad:
+                    low = bad & -bad
+                    stack.append((low.bit_length() - 1, False))
+                    bad ^= low
+                dec = im | em
                 for pid in through[u]:
-                    a, b = pair_ab[pid]
-                    abit = 1 << a
-                    bbit = 1 << b
-                    a_dec = (im | em) & abit
-                    b_dec = (im | em) & bbit
-                    if not a_dec:
-                        if not b_dec:
-                            continue  # both undecided; caught later
+                    pm = pair_mask[pid]
+                    known = dec & pm
+                    if not known:
+                        continue  # both undecided; caught later
+                    if known != pm:
+                        # One end decided: a blocked pair forces the other
+                        # end to the other side.
                         if not visible(pid, im):
-                            stack.append((a, bool(em & bbit)))
-                    elif not b_dec:
-                        if not visible(pid, im):
-                            stack.append((b, bool(em & abit)))
-                    else:
-                        same = (
-                            (im & abit and im & bbit)
-                            or (em & abit and em & bbit)
-                        )
-                        if same and not visible(pid, im):
-                            return None
+                            stack.append(
+                                ((pm ^ known).bit_length() - 1,
+                                 bool(em & pm))
+                            )
+                    elif ((im & pm == pm or em & pm == pm)
+                          and not visible(pid, im)):
+                        return None
             else:
                 if im & ub:
                     return None
                 if em & ub:
                     continue
                 em |= ub
-                base = u * n
-                mm = full & ~im & ~ub  # decided-out partners and undecided
-                while mm:
-                    low = mm & -mm
-                    w = low.bit_length() - 1
-                    mm ^= low
-                    pid = w * n + u if w < u else base + w
-                    if not visible(pid, im):
-                        if em & low:
-                            return None  # two decided-out vertices blocked
-                        stack.append((w, True))
+                # Decided-out partners and undecided ones that u cannot see.
+                bad = full & ~im & ~row(u, im)
+                if bad & em:
+                    return None  # two decided-out vertices blocked
+                while bad:
+                    low = bad & -bad
+                    stack.append((low.bit_length() - 1, True))
+                    bad ^= low
         return im, em
 
     def _full_dual_ok(self, xm: int) -> bool:
@@ -673,16 +672,9 @@ class _DualSearch:
 
         dfs(0, 0, 0)
 
-    def exists_with_prefix(self, upto: int, prefix_mask: int,
-                           target: int) -> bool:
-        """Is there a dual set X of size ``target`` with
-        X intersect [0, upto] == prefix_mask?"""
-        im, em = 0, 0
-        for u in range(upto + 1):
-            r = self._apply(im, em, u, bool((prefix_mask >> u) & 1))
-            if r is None:
-                return False
-            im, em = r
+    def exists_with_prefix(self, im: int, em: int, target: int) -> bool:
+        """Is there a dual set X of size ``target`` that contains the
+        decided-in set ``im`` and misses the decided-out set ``em``?"""
         if im.bit_count() > target:
             return False
         stats = self.stats
@@ -718,21 +710,28 @@ class _DualSearch:
         return dfs(im, em, 0)
 
     def lex_least_witness(self, target: int) -> int:
+        """Greedy lexicographically least maximum set. ``im`` and ``em``
+        hold the decisions on vertices 0..v-1, with everything they force:
+        the chosen ones in, the rest out."""
         if target == 0:
             return 0
         chosen = 0
         count = 0
-        low = 0
-        while count < target:
-            for v in range(low, self.n):
-                cm2 = chosen | (1 << v)
-                if self.exists_with_prefix(v, cm2, target):
-                    chosen = cm2
-                    count += 1
-                    low = v + 1
-                    break
+        im = em = 0
+        for v in range(self.n):
+            if count == target:
+                break
+            r = self._apply(im, em, v, True)
+            if r is not None and self.exists_with_prefix(r[0], r[1], target):
+                chosen |= 1 << v
+                count += 1
             else:
-                raise AssertionError("lex witness reconstruction failed")
+                r = self._apply(im, em, v, False)
+                if r is None:
+                    break
+            im, em = r
+        if count < target:
+            raise AssertionError("lex witness reconstruction failed")
         return chosen
 
 

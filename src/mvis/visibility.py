@@ -12,8 +12,11 @@ at once:
 :func:`classify_set` realizes the two-BFS verification scheme: a constrained
 BFS per source in which members of X may be reached but never expanded,
 compared against plain BFS distances. :class:`PairVisibility` precomputes
-per-pair geodesic DAGs so search code can re-test single pairs in a few
-integer operations.
+per-pair geodesic DAGs and caches one witness geodesic per pair, so search
+code re-tests a single pair in a few integer operations and sweeps the DAG
+only on a hint miss; its ``row`` gives all of one vertex's visible partners
+at once. :func:`classify_set` does not use it, so it stays an independent
+check of the solvers.
 """
 
 from __future__ import annotations
@@ -165,13 +168,24 @@ def is_bypass_candidate(g: Graph, v: int) -> bool:
 
 
 class PairVisibility:
-    """Precomputed geodesic DAGs enabling O(interval) pair re-tests.
+    """Precomputed geodesic DAGs with a cached witness geodesic per pair.
 
-    For each unordered pair (u, v) with u < v the interval vertices are laid
-    out in BFS-layer order from u, each with a bitmask of its in-DAG
-    predecessors. :meth:`visible` then answers "is the pair X-visible" for an
-    arbitrary blocker bitmask with a short forward sweep, shortcut to True
-    when X misses the pair's interior entirely.
+    For each unordered pair (u, v) with u < v, indexed by
+    ``pid = u * n + v``, the interval vertices other than u and v are laid
+    out in BFS-layer order from u in ``entries``, each with a bitmask of its
+    in-DAG predecessors; ``interior`` holds their union.
+
+    :meth:`visible_pid` answers "is the pair X-visible" for an arbitrary
+    blocker bitmask. Each pair keeps a hint mask, and the invariant is that
+    a hint is either the whole ``interior`` or the interior of one real
+    u,v-geodesic, so a blocker set missing the hint proves the pair visible.
+    A re-test is one AND on a hint hit and a sweep only on a hint miss: the
+    forward sweep over ``entries``, when it finds the pair visible, walks
+    back through the predecessor masks and stores the interior of the
+    geodesic it found as the new hint. No hint is built ahead of use.
+
+    :meth:`row` gives all of one vertex's X-visible partners at once, by a
+    BFS over its distance layers that expands no vertex of X.
 
     Intended for solver-scale graphs; memory grows with n^2 times the mean
     interval size.
@@ -180,13 +194,15 @@ class PairVisibility:
     __slots__ = (
         "n",
         "interior",
+        "hint",
         "entries",
         "vpred",
         "abit",
-        "pair_ab",
         "pair_mask",
         "pairs_through",
         "dist",
+        "adj",
+        "layers",
     )
 
     def __init__(self, g: Graph):
@@ -194,12 +210,12 @@ class PairVisibility:
         d = all_pairs_distances(g)
         self.n = n
         self.dist = d
+        self.adj = g.adjacency_masks()
         # Indexed by pid = u * n + v for u < v.
         self.interior: list[int] = [0] * (n * n)
         self.entries: list[tuple[tuple[int, int], ...]] = [()] * (n * n)
         self.vpred: list[int] = [0] * (n * n)
         self.abit: list[int] = [0] * (n * n)
-        self.pair_ab: list[tuple[int, int]] = [(0, 0)] * (n * n)
         self.pair_mask: list[int] = [0] * (n * n)
         through: list[list[int]] = [[] for _ in range(n)]
         for u in range(n):
@@ -234,25 +250,64 @@ class PairVisibility:
                 self.entries[pid] = tuple(entries)
                 self.vpred[pid] = vpred
                 self.abit[pid] = 1 << u
-                self.pair_ab[pid] = (u, v)
                 self.pair_mask[pid] = (1 << u) | (1 << v)
         self.pairs_through = [tuple(p) for p in through]
-
-    def pid(self, u: int, v: int) -> int:
-        return u * self.n + v if u < v else v * self.n + u
-
-    def visible(self, u: int, v: int, xmask: int) -> bool:
-        """True iff the (u, v) pair is X-visible for blocker mask ``xmask``."""
-        return self.visible_pid(
-            u * self.n + v if u < v else v * self.n + u, xmask
-        )
+        self.hint = list(self.interior)
+        # layers[u][k] is the mask of the vertices at distance k + 1 from u,
+        # built on the first row(u); only the dual search asks for rows.
+        self.layers: list[tuple[int, ...] | None] = [None] * n
 
     def visible_pid(self, pid: int, xmask: int) -> bool:
-        blocked = self.interior[pid] & xmask
-        if not blocked:
+        """True iff pair ``pid`` is X-visible for blocker mask ``xmask``."""
+        if not self.hint[pid] & xmask:
             return True
+        blocked = self.interior[pid] & xmask
         reach = self.abit[pid]
-        for bit, pm in self.entries[pid]:
+        entries = self.entries[pid]
+        for bit, pm in entries:
             if pm & reach and not bit & blocked:
                 reach |= bit
-        return bool(self.vpred[pid] & reach)
+        want = self.vpred[pid] & reach
+        if not want:
+            return False
+        # Walk back from v along reached predecessors; entries run in
+        # layer order, so in reverse each wanted vertex comes up in turn.
+        want &= -want
+        path = 0
+        for bit, pm in reversed(entries):
+            if bit == want:
+                path |= bit
+                want = pm & reach
+                want &= -want
+        self.hint[pid] = path
+        return True
+
+    def row(self, u: int, xmask: int) -> int:
+        """Mask of every w such that the pair (u, w) is X-visible for
+        blocker mask ``xmask``; u itself is included.
+
+        Each distance layer from u is reached from the previous one through
+        vertices outside X (u itself is always expanded), so a vertex is
+        reached exactly when some geodesic to it avoids X internally.
+        """
+        layers = self.layers[u]
+        if layers is None:
+            masks = [0] * max(self.dist[u])
+            for z, dz in enumerate(self.dist[u]):
+                if dz:
+                    masks[dz - 1] |= 1 << z
+            layers = self.layers[u] = tuple(masks)
+        adj = self.adj
+        seen = expand = 1 << u
+        for layer in layers:
+            nbrs = 0
+            while expand:
+                low = expand & -expand
+                nbrs |= adj[low.bit_length() - 1]
+                expand ^= low
+            reached = nbrs & layer
+            if not reached:
+                break
+            seen |= reached
+            expand = reached & ~xmask
+        return seen

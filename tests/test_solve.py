@@ -8,6 +8,7 @@ from mvis import (
     SolveOptions,
     TooSmall,
     VertexSet,
+    build_graph,
     classify_set,
     dual_zero_by_cover,
     dual_zero_sufficient,
@@ -182,6 +183,40 @@ class TestPartitionBound:
         res = solve(generate("grid:7x4"), "mutual")
         assert res.stats.bound_prunes > 0
         assert res.stats.nodes_explored < 1000  # 75,864 with |X| + |open|
+
+
+class TestDualRegressionPin:
+    """Dual values, lex-least witnesses and node counts as the benchmark's
+    ``dual`` workload reports them: a change to the visibility kernel or the
+    forcing must search exactly the same tree."""
+
+    @pytest.mark.parametrize("spec, value, witness, nodes", [
+        ("ht:3", 15, [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35],
+         2871),
+        ("torus:6x4", 4, [0, 4, 10, 14], 864),
+        ("pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 2636),
+        ("gn:4", 2, [2, 3], 60),
+    ])
+    def test_value_witness_and_nodes(self, spec, value, witness, nodes):
+        g = generate(spec)
+        res = solve(g, "dual")
+        assert res.value == value
+        assert res.witness.ids() == witness
+        assert classify_set(g, res.witness).is_dual
+        assert res.stats.nodes_explored == nodes
+
+    def test_overfull_prefix_costs_no_node(self):
+        # In this graph's lex rebuild, the forcing of one fixed prefix puts
+        # more vertices in than the target; that prefix is refused without
+        # a search node.
+        g = build_graph(11, [
+            (0, 1), (0, 7), (1, 2), (1, 5), (1, 7), (2, 4), (2, 7), (3, 8),
+            (3, 9), (4, 5), (4, 6), (4, 8), (5, 6), (6, 9), (7, 9), (7, 10),
+            (8, 10),
+        ])
+        res = solve(g, "dual")
+        assert (res.value, res.witness.ids()) == (2, [1, 5])
+        assert res.stats.nodes_explored == 29
 
 
 class TestKnownValues:

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+import mvis.visibility
 from mvis import (
     UNREACHABLE,
+    PairVisibility,
     VertexSet,
+    all_pairs_distances,
     classify_set,
     constrained_distance,
     generate,
@@ -217,3 +220,97 @@ class TestBypassCandidates:
             g.vertex_by_label(lab) for lab in ("(1,1)", "(1,3)", "(4,1)", "(4,3)")
         )
         assert cands == corners
+
+
+def kernel_graph(spec):
+    if spec == "random":
+        return random_connected_graph(14, random.Random(31), p=0.2)
+    return generate(spec)
+
+
+def walk_blockers(n, rng, steps):
+    """Blocker masks that drift one vertex at a time, as in a search, with
+    an occasional jump to a fresh random set."""
+    xmask = 0
+    for _ in range(steps):
+        if rng.random() < 0.05:
+            xmask = random_subset(n, rng, rng.uniform(0.1, 0.6)).mask
+        else:
+            xmask ^= 1 << rng.randrange(n)
+        yield xmask
+
+
+class TestPairVisibilityKernel:
+    """The cached-witness kernel against the constrained-BFS predicates,
+    over long blocker sequences that leave stale hints behind."""
+
+    SPECS = ["grid:5x5", "torus:5x4", "ht:2", "random"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_visible_pid_matches_bfs(self, spec):
+        g = kernel_graph(spec)
+        n = g.n
+        pv = PairVisibility(g)
+        rng = random.Random(5)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        hot = rng.sample(pairs, 12)  # re-tested under every mask
+        answers = set()
+        for xmask in walk_blockers(n, rng, 300):
+            x = VertexSet.from_mask(n, xmask)
+            for u, v in hot + rng.sample(pairs, 8):
+                pid = u * n + v
+                got = pv.visible_pid(pid, xmask)
+                assert got == is_pair_visible(g, x, u, v), (u, v, x.ids())
+                if got:  # the hint is now a geodesic that avoids x
+                    assert not pv.hint[pid] & xmask
+                answers.add(got)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_hints_stay_geodesic_interiors(self, spec):
+        g = kernel_graph(spec)
+        n = g.n
+        d = all_pairs_distances(g)
+        pv = PairVisibility(g)
+        rng = random.Random(6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for xmask in walk_blockers(n, rng, 200):
+            for u, v in rng.sample(pairs, 20):
+                pv.visible_pid(u * n + v, xmask)
+        narrowed = 0
+        for u, v in pairs:
+            pid = u * n + v
+            hint = pv.hint[pid]
+            assert hint & ~pv.interior[pid] == 0
+            if hint == pv.interior[pid]:
+                continue
+            narrowed += 1
+            # One geodesic: d(u,v) - 1 interior vertices that stay visible
+            # when every other interval vertex blocks.
+            assert hint.bit_count() == d[u][v] - 1
+            others = VertexSet.from_mask(n, pv.interior[pid] & ~hint)
+            assert is_pair_visible(g, others, u, v)
+        assert narrowed > 0
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_row_matches_constrained_distance(self, spec):
+        g = kernel_graph(spec)
+        n = g.n
+        d = all_pairs_distances(g)
+        pv = PairVisibility(g)
+        rng = random.Random(7)
+        for xmask in walk_blockers(n, rng, 150):
+            x = VertexSet.from_mask(n, xmask)
+            u = rng.randrange(n)
+            cd = constrained_distance(g, x, u)
+            want = sum(1 << w for w in range(n) if cd[w] == d[u][w])
+            assert pv.row(u, xmask) == want, (u, x.ids())
+
+    def test_classify_set_does_not_use_the_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify_set built a PairVisibility")
+
+        monkeypatch.setattr(mvis.visibility, "PairVisibility", refuse)
+        g = generate("grid:4x4")
+        rep = classify_set(g, [0, 3, 12, 15])
+        assert rep.is_mutual and rep.is_outer
