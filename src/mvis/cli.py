@@ -99,7 +99,6 @@ def _solve_opts(args) -> SolveOptions:
     return SolveOptions(
         node_budget=args.budget_nodes,
         time_budget_ms=_budget_ms(args),
-        parallel=args.parallel,
     )
 
 
@@ -185,7 +184,6 @@ def cmd_solve(args) -> int:
         "witness_labels": (
             [g.labels[i] for i in res.witness] if g.labels else None
         ),
-        "method": res.method,
         "stats": _stats_dict(res.stats),
     }
     _emit(payload, args.json)
@@ -253,6 +251,7 @@ def _stats_dict(stats) -> dict:
         "nodes": stats.nodes_explored,
         "prunes": stats.prunes,
         "bound_prunes": stats.bound_prunes,
+        "orbit_prunes": stats.orbit_prunes,
         "elapsed_ms": round(stats.elapsed_ms, 2),
     }
 
@@ -278,11 +277,21 @@ def _witness_for(spec: str, variant: str) -> VertexSet | None:
 
 
 def _verify_instance(task: tuple) -> dict:
-    """Worker: solve one (family, variant) instance and compare."""
+    """Solve one (family, variant) instance and compare."""
+    return _verify_record(generate(task[0]), task)
+
+
+def _verify_spec(tasks: list[tuple]) -> list[dict]:
+    """Worker: the records of tasks that share one family spec, all on one
+    generated graph and its cached distances."""
+    g = generate(tasks[0][0])
+    return [_verify_record(g, task) for task in tasks]
+
+
+def _verify_record(g: Graph, task: tuple) -> dict:
     spec, variant, oracle_tuple, node_budget, time_ms = task
     okind, ovalue, osource = oracle_tuple
     ora = OracleValue(okind, ovalue, osource)
-    g = generate(spec)
     opts = SolveOptions(node_budget=node_budget, time_budget_ms=time_ms)
     record = {
         "instance": spec,
@@ -372,12 +381,15 @@ def _verify_tasks(args) -> list[tuple]:
 
 
 def cmd_verify(args) -> int:
-    tasks = _verify_tasks(args)
+    groups: dict[str, list[tuple]] = {}
+    for task in _verify_tasks(args):
+        groups.setdefault(task[0], []).append(task)
     if args.parallel > 1:
         with Pool(args.parallel) as pool:
-            records = pool.map(_verify_instance, tasks)
+            batches = pool.map(_verify_spec, groups.values())
     else:
-        records = [_verify_instance(t) for t in tasks]
+        batches = [_verify_spec(tasks) for tasks in groups.values()]
+    records = [r for batch in batches for r in batch]
     records.sort(key=lambda r: (r["instance"], r["variant"]))
 
     incomplete = sum(1 for r in records if r["incomplete"])
@@ -435,8 +447,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="max search nodes (0 = unlimited)")
     p.add_argument("--budget-ms", type=int, default=None,
                    help="max solve milliseconds (default MVIS_BUDGET_MS or unlimited)")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="worker count (verify runs instances in parallel)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,6 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
+    p.add_argument("--parallel", type=int, default=1,
+                   help="worker processes to spread the instances over")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="build the hardness-reduction graph and "

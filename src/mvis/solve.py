@@ -33,6 +33,22 @@ capacity 2.
 All searches run in two phases: first the exact value, then the
 lexicographically least maximum witness, rebuilt greedily one vertex at a
 time with decision searches.
+
+The value phase also branches orbitally (Ostrowski et al., Orbital
+branching, 2011). On the spine, the nodes reached from the root by include
+branches only, everything ruled out is ruled out by the included set X
+alone: a hereditary node's open list is every vertex addable to X, and a
+dual node's decided state is the forcing closure of X, which does not
+depend on the order of the decisions. So every automorphism fixing X
+pointwise maps such a node's subproblem onto itself, and any solution
+there that meets the orbit O of the branch vertex v under that stabiliser
+maps to one of the same size that contains v. The exclude branch of a
+spine node therefore drops all of O, not just v. Orbits come from
+:func:`mvis.symmetry.stabilizer_orbit`, which counts only maps it has
+verified to be distance-preserving bijections and gives up on a map after
+a step limit proportional to n; a missed map only makes O smaller, which
+loses pruning but never a solution. The witness phase does not branch
+orbitally, so the lex-least witness is found exactly as before.
 """
 
 from __future__ import annotations
@@ -53,6 +69,7 @@ from .graphs import (
     induced_subgraph,
     is_convex,
 )
+from .symmetry import stabilizer_orbit
 from .visibility import PairVisibility, is_bypass_candidate
 
 VARIANTS = ("mutual", "total", "outer", "dual")
@@ -94,26 +111,25 @@ class SolveOptions:
 
     ``node_budget`` / ``time_budget_ms`` of 0 mean unlimited. The candidate
     filter restricts the total-variant search to vertices that can belong to
-    a nonempty total set at all. ``parallel`` is accepted for interface
-    stability; the in-process search is sequential (instance-level
-    parallelism lives in the CLI verify command), so results are trivially
-    schedule-independent.
+    a nonempty total set at all.
     """
 
     node_budget: int = 0
     time_budget_ms: int = 0
     candidate_filter: bool = True
-    parallel: int = 1
 
 
 @dataclass
 class SearchStats:
     """Search counters. ``bound_prunes`` counts the prunes, included in
-    ``prunes``, that only the convex-partition bound made."""
+    ``prunes``, that only the convex-partition bound made. ``orbit_prunes``,
+    also included in ``prunes``, counts the vertices that orbital branching
+    dropped from exclude branches beyond the branch vertex itself."""
 
     nodes_explored: int = 0
     prunes: int = 0
     bound_prunes: int = 0
+    orbit_prunes: int = 0
     elapsed_ms: float = 0.0
 
 
@@ -123,7 +139,6 @@ class SolveResult:
     value: int
     witness: VertexSet
     stats: SearchStats
-    method: str = "search"
 
 
 class _BudgetExceeded(Exception):
@@ -428,13 +443,16 @@ class _HereditarySearch:
         """Candidate-list DFS: the list holds only vertices individually
         addable to the current set, which is sound to maintain because
         addability is monotone under heredity (a vertex unaddable now can
-        never become addable as the set grows)."""
+        never become addable as the set grows). On the include-only spine
+        the list is every vertex addable to X, so the exclude branch drops
+        the branch vertex's whole orbit under the stabiliser of X."""
+        g = self.g
         stats = self.stats
         tick = self.budget.tick
         feasible_add = self._feasible_add
         bound = self.bound
 
-        def dfs(cands: list[int], xm: int, count: int) -> None:
+        def dfs(cands: list[int], xm: int, count: int, spine: bool) -> None:
             tick()
             if count + len(cands) <= self.best:
                 stats.prunes += 1
@@ -458,13 +476,23 @@ class _HereditarySearch:
                 u for u in rest if feasible_add(u, xm2, xm2 | (1 << u))
             ]
             stats.prunes += len(rest) - len(kept)
-            dfs(kept, xm2, count + 1)
-            dfs(rest, xm, count)
+            dfs(kept, xm2, count + 1, spine)
+            if spine and count + len(rest) > self.best:
+                within = 0
+                for u in cands:
+                    within |= 1 << u
+                orbit = stabilizer_orbit(g, xm, v, within)
+                dropped = orbit.bit_count() - 1
+                if dropped:
+                    stats.prunes += dropped
+                    stats.orbit_prunes += dropped
+                    rest = [u for u in rest if not (orbit >> u) & 1]
+            dfs(rest, xm, count, False)
 
         initial = [
             v for v in self.order if feasible_add(v, 0, 1 << v)
         ]
-        dfs(initial, 0, 0)
+        dfs(initial, 0, 0, True)
 
     def exists_with_prefix(self, prefix_mask: int, prefix_count: int,
                            allowed: list[int], target: int) -> bool:
@@ -634,12 +662,18 @@ class _DualSearch:
         return True
 
     def run_value(self) -> None:
+        """Include/exclude DFS. On the include-only spine the decided state
+        is the forcing closure of the included set alone, so the exclude
+        branch also excludes the branch vertex's orbit under the stabiliser
+        of the decided-in set."""
+        g = self.g
+        n = self.n
         stats = self.stats
         tick = self.budget.tick
         order = self.order
         bound = self.bound
 
-        def dfs(im: int, em: int, start: int) -> None:
+        def dfs(im: int, em: int, start: int, spine: bool) -> None:
             tick()
             und = self.full & ~im & ~em
             icount = im.bit_count()
@@ -661,16 +695,28 @@ class _DualSearch:
             v = order[i]
             r = self._apply(im, em, v, True)
             if r is not None:
-                dfs(r[0], r[1], i + 1)
+                dfs(r[0], r[1], i + 1, spine)
             else:
                 stats.prunes += 1
             r = self._apply(im, em, v, False)
+            # n - |E| is the exclude child's |I| + |undecided|: its count
+            # prune.
+            if (spine and r is not None
+                    and n - r[1].bit_count() > self.best):
+                orbit = stabilizer_orbit(g, im, v, und) & ~(1 << v)
+                dropped = orbit.bit_count()
+                stats.prunes += dropped
+                stats.orbit_prunes += dropped
+                while orbit and r is not None:
+                    low = orbit & -orbit
+                    orbit ^= low
+                    r = self._apply(r[0], r[1], low.bit_length() - 1, False)
             if r is not None:
-                dfs(r[0], r[1], i + 1)
+                dfs(r[0], r[1], i + 1, False)
             else:
                 stats.prunes += 1
 
-        dfs(0, 0, 0)
+        dfs(0, 0, 0, True)
 
     def exists_with_prefix(self, im: int, em: int, target: int) -> bool:
         """Is there a dual set X of size ``target`` that contains the

@@ -136,6 +136,21 @@ class TestSolve:
         assert code == 0
         assert 0 < payload["stats"]["bound_prunes"] <= payload["stats"]["prunes"]
 
+    def test_stats_show_orbit_prunes(self, capsys):
+        code, payload = run_json(
+            capsys, "solve", "torus:5x5", "--variant", "mutual", "--json"
+        )
+        assert code == 0
+        assert 0 < payload["stats"]["orbit_prunes"] <= payload["stats"]["prunes"]
+        assert "method" not in payload
+
+    def test_parallel_flag_is_verify_only(self):
+        for argv in (["solve", "cycle:5", "--variant", "dual"],
+                     ["reduce", "path:3", "--t", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--parallel", "2"])
+            assert exc.value.code == 2
+
 
 class TestOracleCmd:
     def test_oracle(self, capsys):

@@ -1,0 +1,178 @@
+import random
+from itertools import combinations, permutations
+
+import pytest
+
+import mvis.symmetry
+from mvis import build_graph, generate, reduction_gprime, solve
+from mvis.symmetry import stabilizer_orbit
+
+from naive import brute_max_witnesses_all, random_connected_graph
+from test_solve import value_phase_nodes
+
+VARIANTS = ("mutual", "total", "outer", "dual")
+
+
+def members(mask):
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def all_automorphisms(g):
+    """Every automorphism of ``g``, by trying every permutation."""
+    edges = set(g.edges())
+    return [
+        p for p in permutations(range(g.n))
+        if all(tuple(sorted((p[u], p[w]))) in edges for u, w in edges)
+    ]
+
+
+def gprime():
+    return reduction_gprime(generate("path:3"), 3).gprime
+
+
+def prism3():
+    return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                           (0, 3), (1, 4), (2, 5)])
+
+
+def k33():
+    return build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+class TestStabilizerOrbit:
+    @pytest.mark.parametrize("name", [
+        "torus:5x5", "grid:5x5", "ht:3", "gprime", "random",
+    ])
+    def test_every_map_found_is_an_automorphism(self, name, monkeypatch):
+        found = []
+        real = mvis.symmetry._extend
+
+        def recording(g, d, key, fixed_ids, v, w, *rest):
+            sigma = real(g, d, key, fixed_ids, v, w, *rest)
+            if sigma is not None:
+                found.append((fixed_ids, v, w, sigma))
+            return sigma
+
+        monkeypatch.setattr(mvis.symmetry, "_extend", recording)
+        rng = random.Random(7)
+        if name == "gprime":
+            graphs = [gprime()]
+        elif name == "random":
+            graphs = [random_connected_graph(rng.randint(4, 9), rng, p=0.3)
+                      for _ in range(12)]
+        else:
+            graphs = [generate(name)]
+        for g in graphs:
+            found.clear()
+            full = (1 << g.n) - 1
+            for _ in range(6):
+                fixed_ids = rng.sample(range(g.n), rng.randint(0, 2))
+                fixed = sum(1 << x for x in fixed_ids)
+                v = rng.choice([u for u in range(g.n) if u not in fixed_ids])
+                stabilizer_orbit(g, fixed, v, full & ~fixed)
+            edges = set(g.edges())
+            for fixed_ids, v, w, sigma in found:
+                assert sorted(sigma) == list(range(g.n))
+                assert sigma[v] == w
+                assert all(sigma[x] == x for x in fixed_ids)
+                images = {tuple(sorted((sigma[a], sigma[b]))) for a, b in edges}
+                assert images == edges
+        if name != "random":
+            assert found  # each of these graphs has symmetry to find
+
+    def test_orbits_lie_inside_the_true_orbits(self):
+        rng = random.Random(11)
+        graphs = [random_connected_graph(rng.randint(3, 7), rng, p=0.3)
+                  for _ in range(25)]
+        graphs += [generate("cycle:7"), generate("complete:5"), prism3(), k33()]
+        for g in graphs:
+            autos = all_automorphisms(g)
+            full = (1 << g.n) - 1
+            for k in range(3):
+                for fixed_ids in combinations(range(g.n), k):
+                    fixed = sum(1 << x for x in fixed_ids)
+                    stab = [p for p in autos if all(p[x] == x for x in fixed_ids)]
+                    for v in range(g.n):
+                        if (fixed >> v) & 1:
+                            continue
+                        true = {p[v] for p in stab}
+                        got = members(stabilizer_orbit(g, fixed, v, full & ~fixed))
+                        assert v in got
+                        assert set(got) <= true, (g.edges(), fixed_ids, v)
+
+    def test_orbit_is_cut_to_within(self):
+        g = generate("torus:5x5")
+        within = (1 << 3) | (1 << 7) | (1 << 12)
+        assert stabilizer_orbit(g, 0, 3, within) == within
+
+    @pytest.mark.parametrize("spec", ["torus:5x5", "torus:6x4", "torus:4x3"])
+    def test_torus_is_one_orbit(self, spec):
+        g = generate(spec)
+        full = (1 << g.n) - 1
+        assert stabilizer_orbit(g, 0, 0, full) == full
+        assert stabilizer_orbit(g, 0, g.n - 1, full) == full
+
+    def test_grid_corner_orbit_is_the_four_corners(self):
+        g = generate("grid:5x5")
+        at = g.vertex_by_label
+        corners = sorted(at(f"({i},{j})") for i in (1, 5) for j in (1, 5))
+        full = (1 << g.n) - 1
+        assert members(stabilizer_orbit(g, 0, corners[0], full)) == corners
+        # Fixing one corner leaves only the diagonal reflection through it.
+        c, a, b = at("(1,1)"), at("(1,3)"), at("(3,1)")
+        orbit = stabilizer_orbit(g, 1 << c, a, full & ~(1 << c))
+        assert members(orbit) == sorted([a, b])
+
+
+SYMMETRIC = {
+    **{f"cycle:{n}": (lambda n=n: generate(f"cycle:{n}")) for n in range(3, 10)},
+    **{f"complete:{n}": (lambda n=n: generate(f"complete:{n}")) for n in (4, 5, 6)},
+    "Q3": lambda: generate("pathprod:2x2x2"),
+    "petersen": petersen,
+    "prism3": prism3,
+    "K3,3": k33,
+}
+
+
+class TestOrbitalBranching:
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_symmetric_graphs_match_brute_force(self, name):
+        g = SYMMETRIC[name]()
+        maxima = brute_max_witnesses_all(g)
+        for variant in VARIANTS:
+            res = solve(g, variant)
+            best = min(maxima[variant])
+            assert res.value == len(best), variant
+            assert tuple(res.witness.ids()) == best, variant
+
+    def test_orbit_prunes_fire_on_symmetric_graphs(self):
+        for spec, variant in (("torus:5x5", "mutual"), ("torus:6x4", "dual"),
+                              ("grid:6x4", "outer")):
+            stats = solve(generate(spec), variant).stats
+            assert 0 < stats.orbit_prunes <= stats.prunes, spec
+
+    @pytest.mark.parametrize("spec, variant, value, nodes, orbit_prunes", [
+        ("torus:5x5", "mutual", 10, 8664, 28),
+        ("torus:6x4", "mutual", 11, 16103, 25),
+        ("grid:6x6", "outer", 8, 1107, 3),
+        ("pathprod:3x3x3", "outer", 9, 1344, 14),
+    ])
+    def test_hereditary_tree_is_pinned(self, spec, variant, value, nodes,
+                                       orbit_prunes):
+        # Orbits are dropped on the include-only spine and nowhere else; a
+        # change to where they are dropped changes these counts.
+        res = solve(generate(spec), variant)
+        assert res.value == value
+        assert res.stats.nodes_explored == nodes
+        assert res.stats.orbit_prunes == orbit_prunes
+
+    def test_torus_value_phase_node_ceiling(self):
+        # 36,199 value-phase nodes without orbital branching; 8,609 with it.
+        assert value_phase_nodes(generate("torus:5x5"), "mutual") < 10_000
