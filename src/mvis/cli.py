@@ -276,14 +276,9 @@ def _witness_for(spec: str, variant: str) -> VertexSet | None:
     return None
 
 
-def _verify_instance(task: tuple) -> dict:
-    """Solve one (family, variant) instance and compare."""
-    return _verify_record(generate(task[0]), task)
-
-
 def _verify_spec(tasks: list[tuple]) -> list[dict]:
     """Worker: the records of tasks that share one family spec, all on one
-    generated graph and its cached distances."""
+    generated graph and its cached distances and interval table."""
     g = generate(tasks[0][0])
     return [_verify_record(g, task) for task in tasks]
 

@@ -147,6 +147,7 @@ class Graph:
         "labels",
         "name",
         "_dist",
+        "_pairvis",
         "_adj_masks",
         "_label_ids",
     )
@@ -163,6 +164,7 @@ class Graph:
         self.labels = labels
         self.name = name
         self._dist: list[list[int]] | None = None
+        self._pairvis = None  # mvis.visibility.pair_visibility's table
         self._adj_masks: list[int] | None = None
         self._label_ids: dict[str, int] | None = None
 

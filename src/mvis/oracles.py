@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from .graphs import Graph, GraphError, graph_stats, read_edge_list
 from .families import FamilySpec, generate, parse_family_spec
 from .solve import SolveOptions, SolveResult, solve, solve_independence
-
-VARIANTS = ("mutual", "total", "outer", "dual")
+from .visibility import VARIANTS
 
 
 class UnsupportedFamily(GraphError):

@@ -1,54 +1,73 @@
-"""Exact maximum-set solvers for the four visibility variants.
+"""Exact maximum-set solvers for the four visibility variants and for
+independence.
 
-The hereditary variants (mutual, outer, total) use depth-first inclusion
-search: any partial set violating the variant prunes its whole subtree, and
-an upper bound on the best completion bound-prunes the rest. The dual
-variant is not hereditary, so it branches include/exclude per vertex
-tracking the decided-in set I and decided-out set E; a subtree dies as soon
-as two same-side decided vertices are not I-visible, a condition that is
-monotone in I and therefore sound. Unit forcing derived from that same
-condition (a blocked pair must end up split across I and E) is applied
-eagerly; it only removes nodes whose descendants would all die anyway.
-Deciding a vertex u tests all of u's pairs at once:
+Every solve runs one branch-and-bound kernel, :class:`_Search`. A search
+state is a pair of vertex masks (inside, open): inside is the set chosen so
+far and open the vertices still undecided; every other vertex is out. Each
+kind of search supplies two decisions on a vertex v, ``include`` and
+``exclude``, which return the child state, or None when the branch dies.
+The kernel holds the only value DFS, the only decision DFS ("does a
+solution of size t extend this state?") and the only lexicographically
+least witness rebuild, which decides vertices in id order, each in when a
+decision query says a maximum set still exists with it. The rebuild carries
+the decided state of its prefix forward instead of replaying it.
+
+The hereditary kinds are mutual, outer, total and independence: any subset
+of a solution is a solution. Their inside is always a solution, and open
+holds only vertices individually addable to it, so include filters open
+with the feasibility test (sound because a vertex unaddable now never
+becomes addable as inside grows; for independence the test is "no
+neighbour inside") and exclude drops v from open. The dual variant is not
+hereditary: both decisions run :meth:`_DualSearch._apply`, which decides v
+and everything it forces. That is the one rule in which the kinds differ:
+a hereditary state whose inside has the target size answers a decision
+query at once, while a dual state is a solution only when nothing is open.
+
+Dual forcing. A pair that is not I-visible (I = inside) never becomes
+visible again as I grows, and a dual set keeps every blocked pair split
+between I and the rest. So a blocked pair with both ends decided on one
+side kills the node, and one with a single end decided forces the other
+end to the other side. Deciding u tests all of u's pairs at once:
 :meth:`PairVisibility.row` gives the mask of u's I-visible partners, and
 the same-side partners outside it are killed or forced with mask
-operations. Only the pairs through u, when u joins I, are re-tested one by
-one. The lex-least rebuild carries the decided state of its fixed prefix
-forward instead of replaying it for every candidate.
+operations. When u joins I, the pairs through u are re-tested one by one.
+A state with nothing open is therefore always a dual set. A pair's status
+depends only on which of its interior vertices are in I, so look at the
+last decision that touches the pair: the decision of its later endpoint,
+or an interior vertex joining I. If it is the later endpoint, its row is
+taken against the interior as it stays, and a same-side blocked partner
+kills the node there. If it is an interior vertex joining I after both
+ends are decided, the loop over the pairs through that vertex tests the
+pair and kills the node. No leaf check is needed.
 
 The upper bound is a convex-partition bound. If H is convex in G (every
 geodesic between two vertices of H stays in H) and X is a variant-set of G,
 then X intersect H is a variant-set of the subgraph H, because the pairs of
 H keep exactly their geodesics; so |X intersect H| <= mu(H). This holds for
-all four variants. Before searching, :func:`convex_partition` splits the
-searched vertices into disjoint convex parts H_i of at most
-:data:`PART_LIMIT` vertices, each with capacity c_i = mu(H_i) computed by an
-exact solve of the part. Every node then bounds its best completion by the
-sum over parts of min(c_i, |(X + open) intersect H_i|), where X is the set
-so far (decided-in, for dual) and open the vertices still addable
-(undecided, for dual). It plays the role of the colouring bound of
-max-clique branch-and-bound; on a grid the parts are geodesic lines of
-capacity 2.
-
-All searches run in two phases: first the exact value, then the
-lexicographically least maximum witness, rebuilt greedily one vertex at a
-time with decision searches.
+all four variants, and for independence on any induced subgraph. Before
+searching, :func:`convex_partition` splits the searched vertices into
+disjoint convex parts H_i of at most :data:`PART_LIMIT` vertices, each
+with capacity c_i = mu(H_i) computed by an exact solve of the part. Every
+node then bounds its best completion by the sum over parts of
+min(c_i, |(inside + open) intersect H_i|). It plays the role of the
+colouring bound of max-clique branch-and-bound; on a grid the parts are
+geodesic lines of capacity 2.
 
 The value phase also branches orbitally (Ostrowski et al., Orbital
 branching, 2011). On the spine, the nodes reached from the root by include
-branches only, everything ruled out is ruled out by the included set X
-alone: a hereditary node's open list is every vertex addable to X, and a
-dual node's decided state is the forcing closure of X, which does not
-depend on the order of the decisions. So every automorphism fixing X
-pointwise maps such a node's subproblem onto itself, and any solution
-there that meets the orbit O of the branch vertex v under that stabiliser
-maps to one of the same size that contains v. The exclude branch of a
-spine node therefore drops all of O, not just v. Orbits come from
+branches only, everything ruled out is ruled out by the inside set X
+alone: a hereditary node's open is every vertex addable to X, and a dual
+node's decided state is the forcing closure of X, which does not depend on
+the order of the decisions. So every automorphism fixing X pointwise maps
+such a node's subproblem onto itself, and any solution there that meets
+the orbit O of the branch vertex v under that stabiliser maps to one of
+the same size that contains v. The exclude branch of a spine node
+therefore drops all of O, not just v. Orbits come from
 :func:`mvis.symmetry.stabilizer_orbit`, which counts only maps it has
 verified to be distance-preserving bijections and gives up on a map after
 a step limit proportional to n; a missed map only makes O smaller, which
 loses pruning but never a solution. The witness phase does not branch
-orbitally, so the lex-least witness is found exactly as before.
+orbitally, so the lex-least witness does not depend on orbits.
 """
 
 from __future__ import annotations
@@ -70,9 +89,12 @@ from .graphs import (
     is_convex,
 )
 from .symmetry import stabilizer_orbit
-from .visibility import PairVisibility, is_bypass_candidate
-
-VARIANTS = ("mutual", "total", "outer", "dual")
+from .visibility import (
+    VARIANTS,
+    PairVisibility,
+    is_bypass_candidate,
+    pair_visibility,
+)
 
 
 class TooSmall(GraphError):
@@ -121,10 +143,14 @@ class SolveOptions:
 
 @dataclass
 class SearchStats:
-    """Search counters. ``bound_prunes`` counts the prunes, included in
-    ``prunes``, that only the convex-partition bound made. ``orbit_prunes``,
-    also included in ``prunes``, counts the vertices that orbital branching
-    dropped from exclude branches beyond the branch vertex itself."""
+    """Search counters. ``prunes`` counts the nodes cut by the count or
+    the partition bound, the value-phase children whose decision killed
+    them, and the orbit vertices dropped; a vertex that an include drops
+    from open as unaddable is not a prune. ``bound_prunes`` counts the
+    prunes, included in ``prunes``, that only the convex-partition bound
+    made. ``orbit_prunes``, also included in ``prunes``, counts the
+    vertices that orbital branching dropped from exclude branches beyond
+    the branch vertex itself."""
 
     nodes_explored: int = 0
     prunes: int = 0
@@ -218,7 +244,10 @@ def _capacity(variant: str, n: int, edge_bits: int) -> int:
     """The variant's number of the connected graph on ``n`` vertices whose
     edge (u, w), u < w, is bit ``u * n + w`` of ``edge_bits``."""
     edges = [divmod(i, n) for i in range(n * n) if (edge_bits >> i) & 1]
-    return solve(build_graph(n, edges), variant).value
+    g = build_graph(n, edges)
+    if variant == "independence":
+        return solve_independence(g).value
+    return solve(g, variant).value
 
 
 def _part_capacity(g: Graph, variant: str, part: int) -> int:
@@ -269,8 +298,8 @@ def _hull_with(h: int, w: int, room: int, limit: int, interior: list[int],
     return h
 
 
-def convex_partition(g: Graph, variant: str, searched: int | None = None,
-                     pv: PairVisibility | None = None) -> ConvexPartition:
+def convex_partition(g: Graph, variant: str,
+                     searched: int | None = None) -> ConvexPartition:
     """Greedy partition of the ``searched`` vertex mask into convex parts.
 
     Each round grows a hull from every edge inside the vertices not yet
@@ -288,7 +317,7 @@ def convex_partition(g: Graph, variant: str, searched: int | None = None,
     limit = min(PART_LIMIT, n - 1)
     if limit < 3:
         return ConvexPartition([], full)
-    interior = (pv or PairVisibility(g)).interior
+    interior = pair_visibility(g).interior
     adj = g.adjacency_masks()
     caps: dict[int, int] = {}
 
@@ -372,39 +401,207 @@ def convex_partition(g: Graph, variant: str, searched: int | None = None,
 
 
 # --------------------------------------------------------------------------
-# Hereditary variants: mutual, outer, total
+# The search kernel
 # --------------------------------------------------------------------------
 
 
-class _HereditarySearch:
-    def __init__(self, g: Graph, variant: str, pv: PairVisibility,
-                 candidates: list[int], bound: Callable[[int], int] | None,
-                 budget: _Budget, stats: SearchStats):
+class _Search:
+    """Branch-and-bound over (inside, open) states; see the module
+    docstring. Subclasses supply :meth:`include` and :meth:`exclude`. The
+    root state leaves every vertex open unless a subclass narrows it."""
+
+    #: Whether every ``inside`` is itself a solution, so that a decision
+    #: query succeeds as soon as ``inside`` has the target size.
+    hereditary = True
+
+    def __init__(self, g: Graph, kind: str, candidates: list[int],
+                 bound: Callable[[int], int] | None, budget: _Budget):
         self.g = g
         self.n = g.n
-        self.variant = variant
-        self.pv = pv
-        self.candidates = candidates
-        self.bound = bound
+        self.kind = kind
+        self.pv: PairVisibility = pair_visibility(g)
         self.order = _branch_order(g, candidates)
+        self.bound = bound
         self.budget = budget
-        self.stats = stats
+        self.stats = SearchStats()
         self.best = 0
         self.best_mask = 0
+        self.full = (1 << g.n) - 1
+        self.root = (0, self.full)
+
+    def run_value(self) -> None:
+        """Value DFS from the root. Branches on the first open vertex in
+        branch order, include first; prunes on |inside| + |open| and on the
+        partition bound. On the include-only spine the exclude branch also
+        drops the branch vertex's orbit under the stabiliser of inside."""
+        g = self.g
+        stats = self.stats
+        tick = self.budget.tick
+        order = self.order
+        bound = self.bound
+        include = self.include
+        exclude = self.exclude
+
+        def dfs(inside: int, open_: int, start: int, spine: bool) -> None:
+            tick()
+            count = inside.bit_count()
+            if count + open_.bit_count() <= self.best:
+                stats.prunes += 1
+                return
+            if not open_:
+                self.best = count
+                self.best_mask = inside
+                return
+            if bound and bound(inside | open_) <= self.best:
+                stats.prunes += 1
+                stats.bound_prunes += 1
+                return
+            i = start
+            while not (open_ >> order[i]) & 1:
+                i += 1
+            v = order[i]
+            child = include(inside, open_, v)
+            if child is None:
+                stats.prunes += 1
+            else:
+                dfs(child[0], child[1], i + 1, spine)
+            child = exclude(inside, open_, v)
+            if (spine and child is not None
+                    and child[0].bit_count() + child[1].bit_count()
+                    > self.best):
+                orbit = stabilizer_orbit(g, inside, v, open_) & ~(1 << v)
+                dropped = orbit.bit_count()
+                stats.prunes += dropped
+                stats.orbit_prunes += dropped
+                while orbit and child is not None:
+                    low = orbit & -orbit
+                    orbit ^= low
+                    child = exclude(child[0], child[1], low.bit_length() - 1)
+            if child is None:
+                stats.prunes += 1
+            else:
+                dfs(child[0], child[1], i + 1, False)
+
+        dfs(self.root[0], self.root[1], 0, True)
+
+    def exists(self, inside: int, open_: int, target: int) -> bool:
+        """Decision DFS: is there a solution of size ``target`` that
+        contains ``inside`` and lies within ``inside | open_``?"""
+        if inside.bit_count() > target:
+            return False
+        stats = self.stats
+        tick = self.budget.tick
+        order = self.order
+        bound = self.bound
+        include = self.include
+        exclude = self.exclude
+        hereditary = self.hereditary
+
+        def dfs(inside: int, open_: int, start: int) -> bool:
+            tick()
+            count = inside.bit_count()
+            if count == target and (hereditary or not open_):
+                return True
+            if count > target or count + open_.bit_count() < target:
+                stats.prunes += 1
+                return False
+            if bound and bound(inside | open_) < target:
+                stats.prunes += 1
+                stats.bound_prunes += 1
+                return False
+            i = start
+            while not (open_ >> order[i]) & 1:
+                i += 1
+            v = order[i]
+            child = include(inside, open_, v)
+            if child is not None and dfs(child[0], child[1], i + 1):
+                return True
+            child = exclude(inside, open_, v)
+            return child is not None and dfs(child[0], child[1], i + 1)
+
+        return dfs(inside, open_, 0)
+
+    def lex_least_witness(self, target: int) -> int:
+        """Greedy lexicographically least maximum set: decide vertices in
+        id order, each in when a solution of size ``target`` still exists
+        with it, out otherwise. ``state`` carries the decisions made so far
+        with everything they force."""
+        if target == 0:
+            return 0
+        chosen = 0
+        count = 0
+        state = self.root
+        for v in range(self.n):
+            if count == target:
+                break
+            child = self.include(state[0], state[1], v)
+            if child is not None and self.exists(child[0], child[1], target):
+                chosen |= 1 << v
+                count += 1
+            else:
+                child = self.exclude(state[0], state[1], v)
+                if child is None:
+                    break
+            state = child
+        if count < target:
+            raise AssertionError("lex witness reconstruction failed")
+        return chosen
+
+
+# --------------------------------------------------------------------------
+# Hereditary kinds: mutual, outer, total, independence
+# --------------------------------------------------------------------------
+
+
+class _HereditarySearch(_Search):
+    """``open`` holds only vertices individually addable to ``inside``. The
+    root drops the candidates that are not a solution on their own."""
+
+    def __init__(self, g: Graph, kind: str, candidates: list[int],
+                 bound: Callable[[int], int] | None, budget: _Budget):
+        super().__init__(g, kind, candidates, bound, budget)
+        self.adj = g.adjacency_masks()
+        open_ = 0
+        for v in candidates:
+            if self._feasible_add(v, 0, 1 << v):
+                open_ |= 1 << v
+        self.root = (0, open_)
+
+    def include(self, inside: int, open_: int,
+                v: int) -> tuple[int, int] | None:
+        """Add v and keep the open vertices still addable; None when v is
+        not open."""
+        vb = 1 << v
+        if not open_ & vb:
+            return None
+        inside |= vb
+        rest = open_ ^ vb
+        kept = 0
+        feasible_add = self._feasible_add
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if feasible_add(low.bit_length() - 1, inside, inside | low):
+                kept |= low
+        return inside, kept
+
+    def exclude(self, inside: int, open_: int,
+                v: int) -> tuple[int, int] | None:
+        return inside, open_ & ~(1 << v)
 
     def _feasible_add(self, v: int, xm: int, xm2: int) -> bool:
-        """Would X + v still satisfy the variant? Incremental re-checks only.
+        """Would X + v still be a solution? Incremental re-checks only.
 
         Pairs whose geodesic interior misses v keep their status, so only
         pairs through v plus the newly required pairs involving v are
-        tested.
+        tested. For independence, v must have no neighbour in X.
         """
         pv = self.pv
         n = self.n
         visible = pv.visible_pid
         pair_mask = pv.pair_mask
-        variant = self.variant
-        if variant == "mutual":
+        kind = self.kind
+        if kind == "mutual":
             mm = xm
             base = v * n
             while mm:
@@ -419,11 +616,13 @@ class _HereditarySearch:
                 if xm & pm == pm and not visible(pid, xm2):
                     return False
             return True
-        if variant == "total":
+        if kind == "total":
             for pid in pv.pairs_through[v]:
                 if not visible(pid, xm2):
                     return False
             return True
+        if kind == "independence":
+            return not self.adj[v] & xm
         # outer: v's pairs against the whole vertex set become required.
         # Pairs (v, u) with u already inside were required before and their
         # blocker set is unchanged (endpoints are exempt), so skip them.
@@ -439,155 +638,27 @@ class _HereditarySearch:
                 return False
         return True
 
-    def run_value(self) -> None:
-        """Candidate-list DFS: the list holds only vertices individually
-        addable to the current set, which is sound to maintain because
-        addability is monotone under heredity (a vertex unaddable now can
-        never become addable as the set grows). On the include-only spine
-        the list is every vertex addable to X, so the exclude branch drops
-        the branch vertex's whole orbit under the stabiliser of X."""
-        g = self.g
-        stats = self.stats
-        tick = self.budget.tick
-        feasible_add = self._feasible_add
-        bound = self.bound
-
-        def dfs(cands: list[int], xm: int, count: int, spine: bool) -> None:
-            tick()
-            if count + len(cands) <= self.best:
-                stats.prunes += 1
-                return
-            if not cands:
-                self.best = count
-                self.best_mask = xm
-                return
-            if bound:
-                om = xm
-                for u in cands:
-                    om |= 1 << u
-                if bound(om) <= self.best:
-                    stats.prunes += 1
-                    stats.bound_prunes += 1
-                    return
-            v = cands[0]
-            rest = cands[1:]
-            xm2 = xm | (1 << v)
-            kept = [
-                u for u in rest if feasible_add(u, xm2, xm2 | (1 << u))
-            ]
-            stats.prunes += len(rest) - len(kept)
-            dfs(kept, xm2, count + 1, spine)
-            if spine and count + len(rest) > self.best:
-                within = 0
-                for u in cands:
-                    within |= 1 << u
-                orbit = stabilizer_orbit(g, xm, v, within)
-                dropped = orbit.bit_count() - 1
-                if dropped:
-                    stats.prunes += dropped
-                    stats.orbit_prunes += dropped
-                    rest = [u for u in rest if not (orbit >> u) & 1]
-            dfs(rest, xm, count, False)
-
-        initial = [
-            v for v in self.order if feasible_add(v, 0, 1 << v)
-        ]
-        dfs(initial, 0, 0, True)
-
-    def exists_with_prefix(self, prefix_mask: int, prefix_count: int,
-                           allowed: list[int], target: int) -> bool:
-        """Is there a feasible set of size ``target`` extending the prefix
-        using only ``allowed`` vertices?"""
-        stats = self.stats
-        tick = self.budget.tick
-        feasible_add = self._feasible_add
-        bound = self.bound
-
-        def dfs(cands: list[int], xm: int, count: int) -> bool:
-            tick()
-            if count == target:
-                return True
-            if count + len(cands) < target:
-                stats.prunes += 1
-                return False
-            if bound:
-                om = xm
-                for u in cands:
-                    om |= 1 << u
-                if bound(om) < target:
-                    stats.prunes += 1
-                    stats.bound_prunes += 1
-                    return False
-            v = cands[0]
-            xm2 = xm | (1 << v)
-            kept = [
-                u for u in cands[1:] if feasible_add(u, xm2, xm2 | (1 << u))
-            ]
-            if dfs(kept, xm2, count + 1):
-                return True
-            return dfs(cands[1:], xm, count)
-
-        initial = [
-            u for u in allowed
-            if feasible_add(u, prefix_mask, prefix_mask | (1 << u))
-        ]
-        return dfs(initial, prefix_mask, prefix_count)
-
-    def lex_least_witness(self, target: int) -> int:
-        """Greedy lexicographically least maximum set, one decision per id."""
-        if target == 0:
-            return 0
-        chosen = 0
-        count = 0
-        low = 0
-        cand_set = set(self.candidates)
-        while count < target:
-            for v in range(low, self.n):
-                if v not in cand_set or (chosen >> v) & 1:
-                    continue
-                cm2 = chosen | (1 << v)
-                if not self._feasible_add(v, chosen, cm2):
-                    continue
-                allowed = [u for u in self.order if u > v and not (cm2 >> u) & 1]
-                if self.exists_with_prefix(cm2, count + 1, allowed, target):
-                    chosen = cm2
-                    count += 1
-                    low = v + 1
-                    break
-            else:
-                raise AssertionError("lex witness reconstruction failed")
-        return chosen
-
 
 # --------------------------------------------------------------------------
 # Dual variant
 # --------------------------------------------------------------------------
 
 
-class _DualSearch:
-    """Include/exclude search with monotone blocked-pair forcing.
+class _DualSearch(_Search):
+    """Include/exclude with monotone blocked-pair forcing; a state is a
+    solution only once nothing is open."""
 
-    A pair that is not I-visible can never become visible again, and a dual
-    set must keep every blocked pair split across X and its complement, so
-    discovering one forces or kills decisions. Same-side decided blocked
-    pairs kill the node; one-sided ones force the undecided endpoint.
-    """
+    hereditary = False
 
-    def __init__(self, g: Graph, pv: PairVisibility,
-                 bound: Callable[[int], int] | None, budget: _Budget,
-                 stats: SearchStats):
-        self.g = g
-        self.n = g.n
-        self.pv = pv
-        self.bound = bound
-        self.budget = budget
-        self.stats = stats
-        self.order = _branch_order(g, list(range(g.n)))
-        self.best = 0
-        self.best_mask = 0
-        self.full = (1 << g.n) - 1
+    def include(self, inside: int, open_: int,
+                v: int) -> tuple[int, int] | None:
+        return self._apply(inside, open_, v, True)
 
-    def _apply(self, im: int, em: int, v: int,
+    def exclude(self, inside: int, open_: int,
+                v: int) -> tuple[int, int] | None:
+        return self._apply(inside, open_, v, False)
+
+    def _apply(self, im: int, open_: int, v: int,
                into: bool) -> tuple[int, int] | None:
         """Decide v (and everything it forces); None when a pair dies."""
         pv = self.pv
@@ -596,6 +667,7 @@ class _DualSearch:
         row = pv.row
         through = pv.pairs_through
         pair_mask = pv.pair_mask
+        em = full & ~im & ~open_
         stack = [(v, into)]
         while stack:
             u, side = stack.pop()
@@ -645,140 +717,7 @@ class _DualSearch:
                     low = bad & -bad
                     stack.append((low.bit_length() - 1, True))
                     bad ^= low
-        return im, em
-
-    def _full_dual_ok(self, xm: int) -> bool:
-        """Leaf check: every within-X and within-complement pair visible."""
-        n = self.n
-        visible = self.pv.visible_pid
-        cm = self.full & ~xm
-        for u in range(n):
-            ub = 1 << u
-            side = xm if xm & ub else cm
-            base = u * n
-            for v in range(u + 1, n):
-                if side & (1 << v) and not visible(base + v, xm):
-                    return False
-        return True
-
-    def run_value(self) -> None:
-        """Include/exclude DFS. On the include-only spine the decided state
-        is the forcing closure of the included set alone, so the exclude
-        branch also excludes the branch vertex's orbit under the stabiliser
-        of the decided-in set."""
-        g = self.g
-        n = self.n
-        stats = self.stats
-        tick = self.budget.tick
-        order = self.order
-        bound = self.bound
-
-        def dfs(im: int, em: int, start: int, spine: bool) -> None:
-            tick()
-            und = self.full & ~im & ~em
-            icount = im.bit_count()
-            if icount + und.bit_count() <= self.best:
-                stats.prunes += 1
-                return
-            if not und:
-                if self._full_dual_ok(im):
-                    self.best = icount
-                    self.best_mask = im
-                return
-            if bound and bound(im | und) <= self.best:
-                stats.prunes += 1
-                stats.bound_prunes += 1
-                return
-            i = start
-            while (1 << order[i]) & ~und:
-                i += 1
-            v = order[i]
-            r = self._apply(im, em, v, True)
-            if r is not None:
-                dfs(r[0], r[1], i + 1, spine)
-            else:
-                stats.prunes += 1
-            r = self._apply(im, em, v, False)
-            # n - |E| is the exclude child's |I| + |undecided|: its count
-            # prune.
-            if (spine and r is not None
-                    and n - r[1].bit_count() > self.best):
-                orbit = stabilizer_orbit(g, im, v, und) & ~(1 << v)
-                dropped = orbit.bit_count()
-                stats.prunes += dropped
-                stats.orbit_prunes += dropped
-                while orbit and r is not None:
-                    low = orbit & -orbit
-                    orbit ^= low
-                    r = self._apply(r[0], r[1], low.bit_length() - 1, False)
-            if r is not None:
-                dfs(r[0], r[1], i + 1, False)
-            else:
-                stats.prunes += 1
-
-        dfs(0, 0, 0, True)
-
-    def exists_with_prefix(self, im: int, em: int, target: int) -> bool:
-        """Is there a dual set X of size ``target`` that contains the
-        decided-in set ``im`` and misses the decided-out set ``em``?"""
-        if im.bit_count() > target:
-            return False
-        stats = self.stats
-        tick = self.budget.tick
-        order = self.order
-        bound = self.bound
-
-        def dfs(im: int, em: int, start: int) -> bool:
-            tick()
-            und = self.full & ~im & ~em
-            icount = im.bit_count()
-            if icount > target or icount + und.bit_count() < target:
-                stats.prunes += 1
-                return False
-            if not und:
-                return icount == target and self._full_dual_ok(im)
-            if bound and bound(im | und) < target:
-                stats.prunes += 1
-                stats.bound_prunes += 1
-                return False
-            i = start
-            while (1 << order[i]) & ~und:
-                i += 1
-            v = order[i]
-            r = self._apply(im, em, v, True)
-            if r is not None and dfs(r[0], r[1], i + 1):
-                return True
-            r = self._apply(im, em, v, False)
-            if r is not None and dfs(r[0], r[1], i + 1):
-                return True
-            return False
-
-        return dfs(im, em, 0)
-
-    def lex_least_witness(self, target: int) -> int:
-        """Greedy lexicographically least maximum set. ``im`` and ``em``
-        hold the decisions on vertices 0..v-1, with everything they force:
-        the chosen ones in, the rest out."""
-        if target == 0:
-            return 0
-        chosen = 0
-        count = 0
-        im = em = 0
-        for v in range(self.n):
-            if count == target:
-                break
-            r = self._apply(im, em, v, True)
-            if r is not None and self.exists_with_prefix(r[0], r[1], target):
-                chosen |= 1 << v
-                count += 1
-            else:
-                r = self._apply(im, em, v, False)
-                if r is None:
-                    break
-            im, em = r
-        if count < target:
-            raise AssertionError("lex witness reconstruction failed")
-        return chosen
+        return im, full & ~im & ~em
 
 
 # --------------------------------------------------------------------------
@@ -794,26 +733,25 @@ def solve(g: Graph, variant: str, opts: SolveOptions | None = None) -> SolveResu
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    opts = opts or SolveOptions()
-    budget = _Budget(opts)
-    stats = SearchStats()
-    pv = PairVisibility(g)
+    return _solve(g, variant, opts or SolveOptions())
 
+
+def solve_independence(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
+    """Exact independence number with a lexicographically least witness."""
+    return _solve(g, "independence", opts or SolveOptions())
+
+
+def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
+    budget = _Budget(opts)
     candidates = list(range(g.n))
-    if variant == "total" and opts.candidate_filter:
+    if kind == "total" and opts.candidate_filter:
         candidates = [v for v in candidates if is_bypass_candidate(g, v)]
-    searched = sum(1 << v for v in candidates)
-    partition = convex_partition(g, variant, searched, pv)
+    partition = convex_partition(g, kind, sum(1 << v for v in candidates))
     # Without a part below its size the bound equals the plain count.
     bound = partition.bound if partition.parts else None
-    if variant == "dual":
-        search: _DualSearch | _HereditarySearch = _DualSearch(
-            g, pv, bound, budget, stats
-        )
-    else:
-        search = _HereditarySearch(
-            g, variant, pv, candidates, bound, budget, stats
-        )
+    search_class = _DualSearch if kind == "dual" else _HereditarySearch
+    search = search_class(g, kind, candidates, bound, budget)
+    stats = search.stats
 
     value_certified = False
     try:
@@ -824,7 +762,7 @@ def solve(g: Graph, variant: str, opts: SolveOptions | None = None) -> SolveResu
         stats.nodes_explored = budget.nodes
         stats.elapsed_ms = budget.elapsed_ms()
         raise Incomplete(
-            variant,
+            kind,
             search.best,
             VertexSet.from_mask(g.n, search.best_mask),
             stats,
@@ -833,96 +771,9 @@ def solve(g: Graph, variant: str, opts: SolveOptions | None = None) -> SolveResu
     stats.nodes_explored = budget.nodes
     stats.elapsed_ms = budget.elapsed_ms()
     return SolveResult(
-        variant=variant,
+        variant=kind,
         value=search.best,
         witness=VertexSet.from_mask(g.n, witness_mask),
-        stats=stats,
-    )
-
-
-def solve_independence(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
-    """Exact independence number with a lexicographically least witness."""
-    opts = opts or SolveOptions()
-    budget = _Budget(opts)
-    stats = SearchStats()
-    masks = g.adjacency_masks()
-    order = _branch_order(g, list(range(g.n)))
-    n = g.n
-
-    best = 0
-    best_mask = 0
-    tick = budget.tick
-
-    def dfs(i: int, xm: int, count: int, forbidden: int) -> None:
-        nonlocal best, best_mask
-        tick()
-        if count + (n - i) <= best:
-            stats.prunes += 1
-            return
-        if i == n:
-            best = count
-            best_mask = xm
-            return
-        v = order[i]
-        vb = 1 << v
-        if not forbidden & vb:
-            dfs(i + 1, xm | vb, count + 1, forbidden | masks[v] | vb)
-        else:
-            stats.prunes += 1
-        dfs(i + 1, xm, count, forbidden)
-
-    def exists(i: int, xm: int, count: int, forbidden: int,
-               allowed: list[int], target: int) -> bool:
-        tick()
-        if count == target:
-            return True
-        if count + (len(allowed) - i) < target:
-            stats.prunes += 1
-            return False
-        v = allowed[i]
-        vb = 1 << v
-        if not forbidden & vb and exists(
-            i + 1, xm | vb, count + 1, forbidden | masks[v] | vb,
-            allowed, target,
-        ):
-            return True
-        return exists(i + 1, xm, count, forbidden, allowed, target)
-
-    try:
-        dfs(0, 0, 0, 0)
-        target = best
-        chosen = 0
-        count = 0
-        forbidden = 0
-        low = 0
-        while count < target:
-            for v in range(low, n):
-                vb = 1 << v
-                if forbidden & vb:
-                    continue
-                allowed = [u for u in order if u > v and not (forbidden | masks[v] | vb) & (1 << u)]
-                if exists(0, chosen | vb, count + 1,
-                          forbidden | masks[v] | vb, allowed, target):
-                    chosen |= vb
-                    forbidden |= masks[v] | vb
-                    count += 1
-                    low = v + 1
-                    break
-            else:
-                raise AssertionError("lex witness reconstruction failed")
-    except _BudgetExceeded:
-        stats.nodes_explored = budget.nodes
-        stats.elapsed_ms = budget.elapsed_ms()
-        raise Incomplete(
-            "independence", best, VertexSet.from_mask(n, best_mask), stats
-        ) from None
-
-    stats.nodes_explored = budget.nodes
-    stats.elapsed_ms = budget.elapsed_ms()
-    return SolveResult(
-        variant="independence",
-        value=target,
-        witness=VertexSet.from_mask(n, chosen),
         stats=stats,
     )
 
@@ -946,14 +797,21 @@ def dual_zero_sufficient(g: Graph) -> str:
     stats = graph_stats(g)
     if stats.girth >= 7 and stats.min_degree >= 2:
         return "proven_zero"
-    imask = _interval_mask_cache(g)
-    if all(_edge_center_of_convex_p4(g, u, v, imask) for u, v in g.edges()):
+    interior = pair_visibility(g).interior
+    if all(_edge_center_of_convex_p4(g, u, v, interior)
+           for u, v in g.edges()):
         return "proven_zero"
     return "inconclusive"
 
 
-def _edge_center_of_convex_p4(g: Graph, u: int, v: int, imask) -> bool:
+def _edge_center_of_convex_p4(g: Graph, u: int, v: int,
+                              interior: list[int]) -> bool:
     d = all_pairs_distances(g)
+    n = g.n
+
+    def imask(a: int, b: int) -> int:
+        return interior[a * n + b if a < b else b * n + a]
+
     for w in g.adj[u]:
         if w == v:
             continue
@@ -962,34 +820,13 @@ def _edge_center_of_convex_p4(g: Graph, u: int, v: int, imask) -> bool:
             if w2 == u or dw[w2] != 3:
                 continue
             four = (1 << w) | (1 << u) | (1 << v) | (1 << w2)
-            # convexity of the 4-set: all six intervals stay inside it
+            # convexity of the 4-set: all six interiors stay inside it
             if (
                 imask(w, w2) | imask(w, v) | imask(u, w2)
                 | imask(w, u) | imask(u, v) | imask(v, w2)
             ) & ~four == 0:
                 return True
     return False
-
-
-def _interval_mask_cache(g: Graph):
-    d = all_pairs_distances(g)
-    n = g.n
-    cache: dict[int, int] = {}
-
-    def imask(u: int, v: int) -> int:
-        key = u * n + v if u < v else v * n + u
-        m = cache.get(key)
-        if m is None:
-            du, dv = d[u], d[v]
-            duv = du[v]
-            m = 0
-            for z in range(n):
-                if du[z] + dv[z] == duv:
-                    m |= 1 << z
-            cache[key] = m
-        return m
-
-    return imask
 
 
 def dual_zero_by_cover(g: Graph, cover: list, opts: SolveOptions | None = None) -> bool:

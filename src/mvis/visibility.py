@@ -102,46 +102,36 @@ def classify_set(g: Graph, x) -> VisibilityReport:
     d = all_pairs_distances(g)
     xmask = vs.mask
 
-    # vis[u] is a bitmask over v of "u and v are x-visible".
-    vis: list[int] = [0] * n
+    full = (1 << n) - 1
+    outside = full & ~xmask
+    violations: dict[str, tuple[int, int]] = {}
     for u in range(n):
         cd = constrained_distance(g, vs, u)
         du = d[u]
-        row = 0
+        # vis is a bitmask over v of "u and v are x-visible".
+        vis = 0
         for v in range(n):
             if cd[v] == du[v]:
-                row |= 1 << v
-        vis[u] = row
-
-    def first_violation(required) -> tuple[int, int] | None:
-        for u in range(n):
-            row = vis[u]
-            for v in range(u + 1, n):
-                if required(u, v) and not (row >> v) & 1:
-                    return (u, v)
-        return None
-
-    in_x = lambda v: (xmask >> v) & 1
-    mutual_v = first_violation(lambda u, v: in_x(u) and in_x(v))
-    outer_v = first_violation(lambda u, v: in_x(u) or in_x(v))
-    dual_v = first_violation(lambda u, v: in_x(u) == in_x(v))
-    total_v = first_violation(lambda u, v: True)
-
-    violations = {}
-    for key, pair in (
-        ("mutual", mutual_v),
-        ("total", total_v),
-        ("outer", outer_v),
-        ("dual", dual_v),
-    ):
-        if pair is not None:
-            violations[key] = pair
+                vis |= 1 << v
+        # Each variant's required partners of u with larger ids; the
+        # lowest one u cannot see gives the lex-first violation from u.
+        above = full & ~((2 << u) - 1)
+        if (xmask >> u) & 1:
+            required = {"mutual": xmask, "total": full, "outer": full,
+                        "dual": xmask}
+        else:
+            required = {"mutual": 0, "total": full, "outer": xmask,
+                        "dual": outside}
+        for key, partners in required.items():
+            bad = partners & above & ~vis
+            if bad and key not in violations:
+                violations[key] = (u, (bad & -bad).bit_length() - 1)
     return VisibilityReport(
-        is_mutual=mutual_v is None,
-        is_total=total_v is None,
-        is_outer=outer_v is None,
-        is_dual=dual_v is None,
-        violations=violations,
+        is_mutual="mutual" not in violations,
+        is_total="total" not in violations,
+        is_outer="outer" not in violations,
+        is_dual="dual" not in violations,
+        violations={k: violations[k] for k in VARIANTS if k in violations},
     )
 
 
@@ -311,3 +301,11 @@ class PairVisibility:
             seen |= reached
             expand = reached & ~xmask
         return seen
+
+
+def pair_visibility(g: Graph) -> PairVisibility:
+    """The graph's :class:`PairVisibility` table, built on first use and
+    cached on the graph, as :func:`all_pairs_distances` caches distances."""
+    if g._pairvis is None:
+        g._pairvis = PairVisibility(g)
+    return g._pairvis

@@ -4,7 +4,7 @@ import pytest
 
 import mvis.cli
 from mvis import generate, read_edge_list, write_edge_list
-from mvis.cli import _verify_instance, main
+from mvis.cli import _verify_record, main
 from mvis.oracles import OracleValue, oracle
 
 from test_solve import value_phase_nodes
@@ -251,8 +251,9 @@ class TestVerify:
         spec = "grid:4x4"
         budget = value_phase_nodes(generate(spec), "mutual")
         val = oracle(spec, "mutual")
-        record = _verify_instance(
-            (spec, "mutual", (val.kind, val.value, val.source), budget, 0)
+        record = _verify_record(
+            generate(spec),
+            (spec, "mutual", (val.kind, val.value, val.source), budget, 0),
         )
         assert record["incomplete"] is False
         assert record["solved"] == val.value

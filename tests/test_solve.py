@@ -20,7 +20,7 @@ from mvis import (
     solve_independence,
     total_is_zero,
 )
-from mvis.solve import convex_partition
+from mvis.solve import _Budget, _DualSearch, convex_partition
 
 from naive import (
     brute_max,
@@ -229,6 +229,36 @@ class TestDualRegressionPin:
         assert res.stats.nodes_explored == 29
 
 
+class TestDualForcing:
+    def test_every_closed_state_is_a_dual_set(self):
+        # The dual search keeps no leaf check: forcing must already have
+        # tested every pair by the time nothing is open. Walk every
+        # include/exclude sequence in branch order and check each state
+        # with nothing open.
+        rng = random.Random(88)
+        closed = 0
+        for _ in range(40):
+            g = random_connected_graph(rng.randint(2, 7), rng,
+                                       p=rng.choice((0.2, 0.4)))
+            search = _DualSearch(g, "dual", list(range(g.n)), None,
+                                 _Budget(SolveOptions()))
+            stack = [search.root]
+            while stack:
+                inside, open_ = stack.pop()
+                if not open_:
+                    closed += 1
+                    assert classify_set(g, inside).is_dual, (
+                        g.edges(), inside,
+                    )
+                    continue
+                v = next(u for u in search.order if (open_ >> u) & 1)
+                for decide in (search.include, search.exclude):
+                    child = decide(inside, open_, v)
+                    if child is not None:
+                        stack.append(child)
+        assert closed > 100
+
+
 class TestKnownValues:
     def test_c7_dual_zero(self):
         assert solve(generate("cycle:7"), "dual").value == 0
@@ -314,6 +344,14 @@ class TestIndependence:
                         sets.append(tuple(vs.ids()))
             assert res.value == best
             assert tuple(ids) == min(sets)
+
+    def test_kernel_bounds_prune_independence(self):
+        # The independence search runs the shared kernel, with its
+        # partition bound and orbital branching: 12,826 nodes without them.
+        res = solve_independence(generate("ht:2"))
+        assert res.value == 13
+        assert res.witness.ids() == list(range(0, 26, 2))
+        assert res.stats.nodes_explored == 118
 
 
 class TestTotalIsZero:

@@ -13,7 +13,11 @@ from mvis import (
     generate,
     is_bypass_candidate,
     is_pair_visible,
+    solve,
+    solve_independence,
 )
+from mvis.solve import convex_partition, dual_zero_sufficient
+from mvis.visibility import pair_visibility
 
 from naive import (
     naive_classify,
@@ -314,3 +318,28 @@ class TestPairVisibilityKernel:
         g = generate("grid:4x4")
         rep = classify_set(g, [0, 3, 12, 15])
         assert rep.is_mutual and rep.is_outer
+
+
+class TestOneTablePerGraph:
+    def test_table_is_cached_on_the_graph(self):
+        g = generate("grid:4x3")
+        assert pair_visibility(g) is pair_visibility(g)
+        assert pair_visibility(generate("grid:4x3")) is not pair_visibility(g)
+
+    def test_every_search_on_a_graph_shares_one_table(self, monkeypatch):
+        built = []
+
+        class Counting(PairVisibility):
+            def __init__(self, g):
+                super().__init__(g)
+                built.append(g.n)
+
+        monkeypatch.setattr(mvis.visibility, "PairVisibility", Counting)
+        g = generate("grid:5x5")
+        for variant in VARIANTS:
+            solve(g, variant)
+        solve_independence(g)
+        convex_partition(g, "outer")
+        dual_zero_sufficient(g)
+        # Part capacities are solved on smaller graphs with their own tables.
+        assert built.count(g.n) == 1
