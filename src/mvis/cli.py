@@ -156,8 +156,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
     opts = _solve_opts(args)
+    g = _load_graph(args.graph)
     try:
         res = solve(g, args.variant, opts)
     except Incomplete as inc:
@@ -204,12 +204,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    opts = _solve_opts(args)
     base = _load_graph(args.graph)
     record = reduction_gprime(base, args.t)
     gp = record.gprime
     if args.out:
         write_edge_list(gp, args.out)
-    opts = _solve_opts(args)
     alpha = solve_independence(base, opts)
     witness = reduction_witness(record, alpha.witness)
     expected = (base.m + 1) * args.t + alpha.value
@@ -252,6 +252,8 @@ def _stats_dict(stats) -> dict:
         "prunes": stats.prunes,
         "bound_prunes": stats.bound_prunes,
         "orbit_prunes": stats.orbit_prunes,
+        "witness_nodes": stats.witness_nodes,
+        "witness_queries": stats.witness_queries,
         "elapsed_ms": round(stats.elapsed_ms, 2),
     }
 
@@ -331,6 +333,7 @@ def _verify_tasks(args) -> list[tuple]:
         "cycles", "paths", "trees", "grids", "tori", "gn", "ht",
     }
     tasks: list[tuple] = []
+    opts = _solve_opts(args)
 
     def add(spec: str, variant: str) -> None:
         val = oracle(spec, variant)
@@ -338,7 +341,7 @@ def _verify_tasks(args) -> list[tuple]:
             return
         tasks.append(
             (spec, variant, (val.kind, val.value, val.source),
-             args.budget_nodes, _budget_ms(args))
+             opts.node_budget, opts.time_budget_ms)
         )
 
     if "cycles" in scope:

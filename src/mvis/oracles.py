@@ -9,6 +9,7 @@ never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, GraphError, graph_stats, read_edge_list
 from .families import FamilySpec, generate, parse_family_spec
@@ -108,6 +109,13 @@ def _tree_value(leaf_count: int) -> OracleValue:
     return _exact(leaf_count, "tree rule: every variant equals the leaf count")
 
 
+@lru_cache(maxsize=256)
+def _random_tree_leaves(spec: FamilySpec) -> int:
+    """Leaf count of a random tree, generated once per spec rather than once
+    per variant asked about."""
+    return graph_stats(generate(spec)).leaf_count
+
+
 def oracle(spec: FamilySpec | str, variant: str,
            alpha: int | None = None) -> OracleValue:
     """Closed-form value for a covered family instance.
@@ -132,7 +140,7 @@ def oracle(spec: FamilySpec | str, variant: str,
         k = spec.params[0]
         return _tree_value(max(k, 2))
     if kind == "random_tree":
-        return _tree_value(graph_stats(generate(spec)).leaf_count)
+        return _tree_value(_random_tree_leaves(spec))
     if kind == "grid":
         return _grid_value(spec.params[0], spec.params[1], variant)
     if kind == "torus":

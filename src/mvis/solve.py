@@ -6,11 +6,24 @@ state is a pair of vertex masks (inside, open): inside is the set chosen so
 far and open the vertices still undecided; every other vertex is out. Each
 kind of search supplies two decisions on a vertex v, ``include`` and
 ``exclude``, which return the child state, or None when the branch dies.
-The kernel holds the only value DFS, the only decision DFS ("does a
-solution of size t extend this state?") and the only lexicographically
-least witness rebuild, which decides vertices in id order, each in when a
-decision query says a maximum set still exists with it. The rebuild carries
-the decided state of its prefix forward instead of replaying it.
+The kernel holds the only value DFS, the only decision DFS ("is there a
+solution of size t that extends this state?", answered with the solution it
+finds) and the only lexicographically least witness rebuild.
+
+The witness phase. Once the value t is known, the rebuild decides the
+vertices in id order: v goes in when a solution of size t still exists with
+v and the decisions before it, and out otherwise. It carries the decided
+state of its prefix forward instead of replaying it. It also carries
+``known``, a maximum set that agrees with every decision made so far; at
+the start this is the best set of the value phase. If v is in ``known``,
+then ``known`` itself answers the query for v with yes, so v goes in with
+no query, and ``known`` still agrees. Otherwise the query runs: a yes hands
+over the set it found, which holds the new prefix and so agrees with it,
+and a no puts v out, which ``known`` (not holding v) agrees with too. So
+every decision is the one the plain rebuild, which queries every vertex,
+would make: the witness is the same, and every query that still runs
+starts from the same state as in the plain rebuild and searches the same
+tree. Node counts can only fall.
 
 The hereditary kinds are mutual, outer, total and independence: any subset
 of a solution is a solution. Their inside is always a solution, and open
@@ -67,7 +80,8 @@ therefore drops all of O, not just v. Orbits come from
 verified to be distance-preserving bijections and gives up on a map after
 a step limit proportional to n; a missed map only makes O smaller, which
 loses pruning but never a solution. The witness phase does not branch
-orbitally, so the lex-least witness does not depend on orbits.
+orbitally, and its decisions do not depend on which maximum set the value
+phase handed it, so the lex-least witness does not depend on orbits.
 """
 
 from __future__ import annotations
@@ -131,14 +145,23 @@ class Incomplete(Exception):
 class SolveOptions:
     """Search controls.
 
-    ``node_budget`` / ``time_budget_ms`` of 0 mean unlimited. The candidate
-    filter restricts the total-variant search to vertices that can belong to
-    a nonempty total set at all.
+    ``node_budget`` / ``time_budget_ms`` of 0 mean unlimited; a negative
+    budget raises ``ValueError``. The candidate filter restricts the
+    total-variant search to vertices that can belong to a nonempty total
+    set at all.
     """
 
     node_budget: int = 0
     time_budget_ms: int = 0
     candidate_filter: bool = True
+
+    def __post_init__(self):
+        if self.node_budget < 0:
+            raise ValueError(f"node budget {self.node_budget} is negative")
+        if self.time_budget_ms < 0:
+            raise ValueError(
+                f"time budget {self.time_budget_ms} ms is negative"
+            )
 
 
 @dataclass
@@ -150,12 +173,16 @@ class SearchStats:
     prunes, included in ``prunes``, that only the convex-partition bound
     made. ``orbit_prunes``, also included in ``prunes``, counts the
     vertices that orbital branching dropped from exclude branches beyond
-    the branch vertex itself."""
+    the branch vertex itself. ``witness_nodes`` counts the nodes, included
+    in ``nodes_explored``, of the lex-least witness rebuild, and
+    ``witness_queries`` the decision queries that rebuild ran."""
 
     nodes_explored: int = 0
     prunes: int = 0
     bound_prunes: int = 0
     orbit_prunes: int = 0
+    witness_nodes: int = 0
+    witness_queries: int = 0
     elapsed_ms: float = 0.0
 
 
@@ -484,11 +511,12 @@ class _Search:
 
         dfs(self.root[0], self.root[1], 0, True)
 
-    def exists(self, inside: int, open_: int, target: int) -> bool:
-        """Decision DFS: is there a solution of size ``target`` that
-        contains ``inside`` and lies within ``inside | open_``?"""
+    def exists(self, inside: int, open_: int, target: int) -> int:
+        """Decision DFS: a solution of size ``target`` that contains
+        ``inside`` and lies within ``inside | open_``, as a mask, or 0 when
+        there is none."""
         if inside.bit_count() > target:
-            return False
+            return 0
         stats = self.stats
         tick = self.budget.tick
         order = self.order
@@ -497,27 +525,29 @@ class _Search:
         exclude = self.exclude
         hereditary = self.hereditary
 
-        def dfs(inside: int, open_: int, start: int) -> bool:
+        def dfs(inside: int, open_: int, start: int) -> int:
             tick()
             count = inside.bit_count()
             if count == target and (hereditary or not open_):
-                return True
+                return inside
             if count > target or count + open_.bit_count() < target:
                 stats.prunes += 1
-                return False
+                return 0
             if bound and bound(inside | open_) < target:
                 stats.prunes += 1
                 stats.bound_prunes += 1
-                return False
+                return 0
             i = start
             while not (open_ >> order[i]) & 1:
                 i += 1
             v = order[i]
             child = include(inside, open_, v)
-            if child is not None and dfs(child[0], child[1], i + 1):
-                return True
+            if child is not None:
+                found = dfs(child[0], child[1], i + 1)
+                if found:
+                    return found
             child = exclude(inside, open_, v)
-            return child is not None and dfs(child[0], child[1], i + 1)
+            return 0 if child is None else dfs(child[0], child[1], i + 1)
 
         return dfs(inside, open_, 0)
 
@@ -525,18 +555,30 @@ class _Search:
         """Greedy lexicographically least maximum set: decide vertices in
         id order, each in when a solution of size ``target`` still exists
         with it, out otherwise. ``state`` carries the decisions made so far
-        with everything they force."""
+        with everything they force, and ``known`` is a maximum set that
+        agrees with all of them: a vertex in ``known`` goes in with no
+        query, and a query that answers yes hands over the set it found."""
         if target == 0:
             return 0
         chosen = 0
         count = 0
         state = self.root
+        known = self.best_mask
         for v in range(self.n):
             if count == target:
                 break
+            vb = 1 << v
             child = self.include(state[0], state[1], v)
-            if child is not None and self.exists(child[0], child[1], target):
-                chosen |= 1 << v
+            found = 0
+            if child is not None:
+                if known & vb:
+                    found = known
+                else:
+                    self.stats.witness_queries += 1
+                    found = self.exists(child[0], child[1], target)
+            if found:
+                known = found
+                chosen |= vb
                 count += 1
             else:
                 child = self.exclude(state[0], state[1], v)
@@ -599,8 +641,11 @@ class _HereditarySearch(_Search):
         pv = self.pv
         n = self.n
         visible = pv.visible_pid
+        hint = pv.hint
         pair_mask = pv.pair_mask
         kind = self.kind
+        # Each pair is first tested against its cached geodesic, as
+        # visible_pid itself does, which saves the call on a hit.
         if kind == "mutual":
             mm = xm
             base = v * n
@@ -609,16 +654,17 @@ class _HereditarySearch(_Search):
                 u = low.bit_length() - 1
                 mm ^= low
                 pid = u * n + v if u < v else base + u
-                if not visible(pid, xm2):
+                if hint[pid] & xm2 and not visible(pid, xm2):
                     return False
             for pid in pv.pairs_through[v]:
                 pm = pair_mask[pid]
-                if xm & pm == pm and not visible(pid, xm2):
+                if (xm & pm == pm and hint[pid] & xm2
+                        and not visible(pid, xm2)):
                     return False
             return True
         if kind == "total":
             for pid in pv.pairs_through[v]:
-                if not visible(pid, xm2):
+                if hint[pid] & xm2 and not visible(pid, xm2):
                     return False
             return True
         if kind == "independence":
@@ -631,10 +677,11 @@ class _HereditarySearch(_Search):
             if z == v or (xm >> z) & 1:
                 continue
             pid = z * n + v if z < v else base + z
-            if not visible(pid, xm2):
+            if hint[pid] & xm2 and not visible(pid, xm2):
                 return False
         for pid in pv.pairs_through[v]:
-            if xm & pair_mask[pid] and not visible(pid, xm2):
+            if (xm & pair_mask[pid] and hint[pid] & xm2
+                    and not visible(pid, xm2)):
                 return False
         return True
 
@@ -664,6 +711,7 @@ class _DualSearch(_Search):
         pv = self.pv
         full = self.full
         visible = pv.visible_pid
+        hint = pv.hint
         row = pv.row
         through = pv.pairs_through
         pair_mask = pv.pair_mask
@@ -688,6 +736,8 @@ class _DualSearch(_Search):
                     bad ^= low
                 dec = im | em
                 for pid in through[u]:
+                    if not hint[pid] & im:
+                        continue  # visible along its cached geodesic
                     pm = pair_mask[pid]
                     known = dec & pm
                     if not known:
@@ -741,8 +791,10 @@ def solve_independence(g: Graph, opts: SolveOptions | None = None) -> SolveResul
     return _solve(g, "independence", opts or SolveOptions())
 
 
-def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
-    budget = _Budget(opts)
+def _search_for(g: Graph, kind: str, opts: SolveOptions,
+                budget: _Budget) -> _Search:
+    """The search a solve of ``kind`` on ``g`` runs, with its candidates
+    and partition bound, before either phase."""
     candidates = list(range(g.n))
     if kind == "total" and opts.candidate_filter:
         candidates = [v for v in candidates if is_bypass_candidate(g, v)]
@@ -750,16 +802,24 @@ def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
     # Without a part below its size the bound equals the plain count.
     bound = partition.bound if partition.parts else None
     search_class = _DualSearch if kind == "dual" else _HereditarySearch
-    search = search_class(g, kind, candidates, bound, budget)
+    return search_class(g, kind, candidates, bound, budget)
+
+
+def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
+    budget = _Budget(opts)
+    search = _search_for(g, kind, opts, budget)
     stats = search.stats
 
     value_certified = False
     try:
         search.run_value()
         value_certified = True
+        value_nodes = budget.nodes
         witness_mask = search.lex_least_witness(search.best)
     except _BudgetExceeded:
         stats.nodes_explored = budget.nodes
+        if value_certified:
+            stats.witness_nodes = budget.nodes - value_nodes
         stats.elapsed_ms = budget.elapsed_ms()
         raise Incomplete(
             kind,
@@ -769,6 +829,7 @@ def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
             value_certified,
         ) from None
     stats.nodes_explored = budget.nodes
+    stats.witness_nodes = budget.nodes - value_nodes
     stats.elapsed_ms = budget.elapsed_ms()
     return SolveResult(
         variant=kind,

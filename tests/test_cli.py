@@ -3,6 +3,7 @@ import json
 import pytest
 
 import mvis.cli
+import mvis.oracles
 from mvis import generate, read_edge_list, write_edge_list
 from mvis.cli import _verify_record, main
 from mvis.oracles import OracleValue, oracle
@@ -144,6 +145,15 @@ class TestSolve:
         assert 0 < payload["stats"]["orbit_prunes"] <= payload["stats"]["prunes"]
         assert "method" not in payload
 
+    def test_stats_show_witness_phase(self, capsys):
+        code, payload = run_json(
+            capsys, "solve", "grid:4x4", "--variant", "mutual", "--json"
+        )
+        assert code == 0
+        stats = payload["stats"]
+        assert 0 < stats["witness_queries"] <= stats["witness_nodes"]
+        assert stats["witness_nodes"] < stats["nodes"]
+
     def test_parallel_flag_is_verify_only(self):
         for argv in (["solve", "cycle:5", "--variant", "dual"],
                      ["reduce", "path:3", "--t", "3"]):
@@ -193,6 +203,9 @@ class TestVerify:
         assert report["summary"]["disagreements"] == 0
         assert report["summary"]["instances"] > 40
         assert report["format_version"] == 1
+        for r in report["records"]:
+            assert r["stats"]["witness_nodes"] <= r["stats"]["nodes"]
+            assert r["stats"]["witness_queries"] >= 0
 
     def test_full_cycle_sweep_agreement_count(self, capsys):
         code, report = run_json(
@@ -260,6 +273,28 @@ class TestVerify:
         assert record["agree"] is True
         assert record["witness"] is None
 
+    def test_default_sweep_generates_each_graph_once(self, capsys,
+                                                     monkeypatch):
+        # The oracle generates a random tree once per spec, not once per
+        # variant; before that a default sweep made 64 generate calls.
+        calls = []
+        for module in (mvis.cli, mvis.oracles):
+            real = module.generate
+
+            def counting(spec, real=real):
+                calls.append(str(spec))
+                return real(spec)
+
+            monkeypatch.setattr(module, "generate", counting)
+        mvis.oracles._random_tree_leaves.cache_clear()
+        assert main(["verify"]) == 0
+        # 44 graphs, plus the 5 random trees the oracle reads leaves from.
+        assert len(calls) == 49
+        calls.clear()
+        assert main(["verify"]) == 0
+        assert len(calls) == 44
+        capsys.readouterr()
+
     def test_parallel_matches_sequential(self, capsys):
         _, seq = run_json(
             capsys, "verify", "--families", "cycles", "--max-cycle", "6", "--json"
@@ -281,6 +316,30 @@ class TestVerify:
         with open(out) as fh:
             report = json.load(fh)
         assert report["summary"]["disagreements"] == 0
+
+
+class TestNegativeBudgets:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "grid:3x3", "--variant", "mutual", "--budget-ms", "-5"],
+        ["solve", "grid:3x3", "--variant", "mutual", "--budget-nodes", "-1"],
+        ["verify", "--budget-nodes", "-1"],
+        ["verify", "--families", "gn", "--budget-ms", "-1"],
+        ["reduce", "path:3", "--t", "3", "--budget-nodes", "-2"],
+    ])
+    def test_flag_is_usage_error(self, capsys, argv):
+        assert main([*argv, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "negative" in err
+
+    def test_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MVIS_BUDGET_MS", "-3")
+        for argv in (["solve", "grid:3x3", "--variant", "mutual"],
+                     ["verify", "--families", "gn"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "negative" in err
 
 
 class TestUsageErrors:

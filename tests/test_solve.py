@@ -20,7 +20,13 @@ from mvis import (
     solve_independence,
     total_is_zero,
 )
-from mvis.solve import _Budget, _DualSearch, convex_partition
+from mvis.solve import (
+    _Budget,
+    _DualSearch,
+    _Search,
+    _search_for,
+    convex_partition,
+)
 
 from naive import (
     brute_max,
@@ -31,6 +37,7 @@ from naive import (
 )
 
 VARIANTS = ("mutual", "total", "outer", "dual")
+KINDS = VARIANTS + ("independence",)
 
 
 def value_phase_nodes(g, variant):
@@ -188,24 +195,26 @@ class TestPartitionBound:
 class TestDualRegressionPin:
     """Dual values, lex-least witnesses and node counts as the benchmark's
     ``dual`` workload reports them: a change to the visibility kernel or the
-    forcing must search exactly the same tree. Orbital branching changed
-    the tree on purpose: it drops orbits from the value phase's exclude
-    branches, so these counts fell (ht:3 2871, torus:6x4 864,
-    pathprod:3x3x3 2636 and gn:4 60 before it); values and witnesses did
-    not move."""
+    forcing must search exactly the same tree. Two changes cut the tree on
+    purpose, and values and witnesses did not move. Orbital branching drops
+    orbits from the value phase's exclude branches (ht:3 2871, torus:6x4
+    864, pathprod:3x3x3 2636 and gn:4 60 before it). The witness rebuild
+    takes every vertex of a maximum set it already holds without a query
+    (ht:3 2863, torus:6x4 199, pathprod:3x3x3 2635 and gn:4 59 before
+    it)."""
 
     @pytest.mark.parametrize("spec, value, witness, nodes", [
         pytest.param(
             "ht:3", 15,
-            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 2863,
+            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 2351,
             id="ht:3",
         ),
-        pytest.param("torus:6x4", 4, [0, 4, 10, 14], 199, id="torus:6x4"),
+        pytest.param("torus:6x4", 4, [0, 4, 10, 14], 137, id="torus:6x4"),
         pytest.param(
-            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 2635,
+            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 2154,
             id="pathprod:3x3x3",
         ),
-        pytest.param("gn:4", 2, [2, 3], 59, id="gn:4"),
+        pytest.param("gn:4", 2, [2, 3], 45, id="gn:4"),
     ])
     def test_value_witness_and_nodes(self, spec, value, witness, nodes):
         g = generate(spec)
@@ -215,10 +224,20 @@ class TestDualRegressionPin:
         assert classify_set(g, res.witness).is_dual
         assert res.stats.nodes_explored == nodes
 
-    def test_overfull_prefix_costs_no_node(self):
+    def test_overfull_prefix_costs_no_node(self, monkeypatch):
         # In this graph's lex rebuild, the forcing of one fixed prefix puts
         # more vertices in than the target; that prefix is refused without
-        # a search node.
+        # a search node. 29 nodes before the rebuild reused the sets its
+        # queries find.
+        overfull = []
+        exists = _Search.exists
+
+        def counting_exists(self, inside, open_, target):
+            if inside.bit_count() > target:
+                overfull.append(inside)
+            return exists(self, inside, open_, target)
+
+        monkeypatch.setattr(_Search, "exists", counting_exists)
         g = build_graph(11, [
             (0, 1), (0, 7), (1, 2), (1, 5), (1, 7), (2, 4), (2, 7), (3, 8),
             (3, 9), (4, 5), (4, 6), (4, 8), (5, 6), (6, 9), (7, 9), (7, 10),
@@ -226,7 +245,8 @@ class TestDualRegressionPin:
         ])
         res = solve(g, "dual")
         assert (res.value, res.witness.ids()) == (2, [1, 5])
-        assert res.stats.nodes_explored == 29
+        assert res.stats.nodes_explored == 18
+        assert overfull
 
 
 class TestDualForcing:
@@ -311,6 +331,102 @@ class TestLexLeastWitness:
         assert a.stats.nodes_explored == b.stats.nodes_explored
 
 
+def plain_lex_rebuild(search, target):
+    """The lex-least rebuild without reuse: one decision query for every
+    vertex that the decided prefix still lets in."""
+    chosen = count = 0
+    state = search.root
+    for v in range(search.n):
+        if count == target:
+            break
+        child = search.include(state[0], state[1], v)
+        if child is not None and search.exists(child[0], child[1], target):
+            chosen |= 1 << v
+            count += 1
+        else:
+            child = search.exclude(state[0], state[1], v)
+            if child is None:
+                break
+        state = child
+    assert count == target
+    return chosen
+
+
+def witness_phase(g, kind, rebuild):
+    """Witness mask and witness-phase nodes of ``rebuild`` run after the
+    value phase of the search a solve of ``kind`` on ``g`` builds."""
+    opts = SolveOptions()
+    budget = _Budget(opts)
+    search = _search_for(g, kind, opts, budget)
+    search.run_value()
+    before = budget.nodes
+    mask = rebuild(search, search.best)
+    return mask, budget.nodes - before
+
+
+def is_solution(g, kind, mask):
+    if kind == "independence":
+        adj = g.adjacency_masks()
+        return not any(adj[v] & mask for v in range(g.n) if (mask >> v) & 1)
+    return classify_set(g, mask).holds(kind)
+
+
+class TestWitnessReuse:
+    def test_same_witness_as_querying_every_vertex(self):
+        rng = random.Random(77)
+        saved = 0
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(2, 11), rng,
+                                       p=rng.choice((0.2, 0.3, 0.4)))
+            for kind in KINDS:
+                got, nodes = witness_phase(g, kind, _Search.lex_least_witness)
+                want, plain_nodes = witness_phase(g, kind, plain_lex_rebuild)
+                assert got == want, (kind, g.edges())
+                assert nodes <= plain_nodes, (kind, g.edges())
+                saved += plain_nodes - nodes
+        assert saved > 0
+
+    def test_every_found_set_is_a_solution(self, monkeypatch):
+        found = []
+        exists = _Search.exists
+
+        def recording_exists(self, inside, open_, target):
+            mask = exists(self, inside, open_, target)
+            if mask:
+                found.append((self.g, self.kind, inside, open_, target, mask))
+            return mask
+
+        monkeypatch.setattr(_Search, "exists", recording_exists)
+        rng = random.Random(78)
+        for _ in range(25):
+            g = random_connected_graph(rng.randint(2, 10), rng,
+                                       p=rng.choice((0.2, 0.3, 0.4)))
+            for kind in KINDS:
+                if kind == "independence":
+                    solve_independence(g)
+                else:
+                    solve(g, kind)
+        assert len(found) > 50
+        for g, kind, inside, open_, target, mask in found:
+            assert mask & inside == inside, (kind, g.edges())
+            assert not mask & ~(inside | open_), (kind, g.edges())
+            assert mask.bit_count() == target, (kind, g.edges())
+            assert is_solution(g, kind, mask), (kind, g.edges(), mask)
+
+    def test_phase_split_adds_up(self):
+        g = generate("grid:4x4")
+        stats = solve(g, "mutual").stats
+        assert 0 < stats.witness_queries <= stats.witness_nodes
+        assert (value_phase_nodes(g, "mutual") + stats.witness_nodes
+                == stats.nodes_explored)
+
+    def test_ht3_mutual_witness_phase(self):
+        # 54,010 witness-phase nodes when every vertex was queried.
+        res = solve(generate("ht:3"), "mutual")
+        assert res.value == 18
+        assert res.stats.witness_nodes <= 6000
+
+
 class TestIndependence:
     def test_small_values(self):
         assert solve_independence(generate("path:5")).value == 3
@@ -347,11 +463,12 @@ class TestIndependence:
 
     def test_kernel_bounds_prune_independence(self):
         # The independence search runs the shared kernel, with its
-        # partition bound and orbital branching: 12,826 nodes without them.
+        # partition bound and orbital branching: 12,826 nodes without them,
+        # and 118 before the witness rebuild reused the value phase's set.
         res = solve_independence(generate("ht:2"))
         assert res.value == 13
         assert res.witness.ids() == list(range(0, 26, 2))
-        assert res.stats.nodes_explored == 118
+        assert res.stats.nodes_explored == 27
 
 
 class TestTotalIsZero:
@@ -444,6 +561,12 @@ class TestBudgets:
         with pytest.raises(Incomplete) as exc:
             solve(g, "mutual", SolveOptions(node_budget=value_nodes - 1))
         assert not exc.value.value_certified
+
+    def test_negative_budgets_rejected(self):
+        with pytest.raises(ValueError):
+            SolveOptions(node_budget=-1)
+        with pytest.raises(ValueError):
+            SolveOptions(time_budget_ms=-5)
 
     def test_unlimited_by_default(self):
         res = solve(generate("cycle:8"), "mutual")
