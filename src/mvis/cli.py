@@ -3,7 +3,8 @@ the exact solvers, query the closed-form oracle, build the hardness
 reduction, and run the oracle-vs-solver-vs-witness verification sweep.
 
 Exit codes: 0 all agree, 1 disagreement (solver vs table, or a failed
-witness), 2 usage error, 3 budget exhausted.
+witness), 2 usage error or bad input (a malformed graph file or an
+unreadable path), 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -516,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (GraphError, ValueError) as exc:
+    except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -218,8 +218,10 @@ def build_graph(
 
     Duplicate edges collapse; self-loops and out-of-range endpoints raise
     :class:`InvalidVertexId`; disconnected input raises
-    :class:`DisconnectedGraph`.
+    :class:`DisconnectedGraph`; a negative order raises :class:`GraphError`.
     """
+    if n < 0:
+        raise GraphError(f"graph order {n} is negative")
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
@@ -230,28 +232,14 @@ def build_graph(
         nbrs[v].add(u)
     adj = tuple(tuple(sorted(s)) for s in nbrs)
     g = Graph(n, adj, tuple(labels) if labels is not None else None, name)
-    if n > 0 and _reachable_count(g, 0) != n:
+    if n > 0 and UNREACHABLE in bfs_distances(g, 0):
         raise DisconnectedGraph(f"graph on {n} vertices is not connected")
     return g
 
 
-def _reachable_count(g: Graph, source: int) -> int:
-    seen = bytearray(g.n)
-    seen[source] = 1
-    queue = deque([source])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count
-
-
 def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from ``source`` (graph is connected, so all finite)."""
+    """Hop distances from ``source``; :data:`UNREACHABLE` for vertices in
+    another component, which only :func:`build_graph` ever sees."""
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
     queue = deque([source])
@@ -448,13 +436,16 @@ def read_edge_list(path: str) -> Graph:
                 elif body.startswith("name "):
                     name = body[5:].strip()
                 continue
-            parts = line.split()
+            try:
+                pair = tuple(map(int, line.split()))
+            except ValueError:
+                pair = ()
+            if len(pair) != 2:
+                raise GraphError(f"{path}: not two integers: {line!r}")
             if header is None:
-                if len(parts) != 2:
-                    raise GraphError(f"bad header line {line!r}")
-                header = (int(parts[0]), int(parts[1]))
+                header = pair
             else:
-                edges.append((int(parts[0]), int(parts[1])))
+                edges.append(pair)
     if header is None:
         raise GraphError(f"{path}: no header line")
     n, m = header

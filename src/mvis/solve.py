@@ -36,6 +36,15 @@ and everything it forces. That is the one rule in which the kinds differ:
 a hereditary state whose inside has the target size answers a decision
 query at once, while a dual state is a solution only when nothing is open.
 
+The hereditary root keeps open exactly the vertices v for which {v} is a
+solution. For total these are the bypass candidates, the vertices that are
+the middle of no convex P3 (:func:`mvis.visibility.is_bypass_candidate`),
+so the search needs no filter of its own. If u-v-w is a convex P3, v is on
+the only u,w-geodesic, so {v} blocks the pair. Conversely, if v is on every
+geodesic of some pair, let x and y be v's neighbours on one of them; then
+d(x, y) = 2, and a second common neighbour of x and y would replace v in
+that geodesic, so x-v-y is a convex P3.
+
 Dual forcing. A pair that is not I-visible (I = inside) never becomes
 visible again as I grows, and a dual set keeps every blocked pair split
 between I and the rest. So a blocked pair with both ends decided on one
@@ -58,10 +67,10 @@ geodesic between two vertices of H stays in H) and X is a variant-set of G,
 then X intersect H is a variant-set of the subgraph H, because the pairs of
 H keep exactly their geodesics; so |X intersect H| <= mu(H). This holds for
 all four variants, and for independence on any induced subgraph. Before
-searching, :func:`convex_partition` splits the searched vertices into
+searching, :func:`convex_partition` splits the root's open vertices into
 disjoint convex parts H_i of at most :data:`PART_LIMIT` vertices, each
-with capacity c_i = mu(H_i) computed by an exact solve of the part. Every
-node then bounds its best completion by the sum over parts of
+with capacity c_i = mu(H_i) computed by an exact value search of the
+part. Every node then bounds its best completion by the sum over parts of
 min(c_i, |(inside + open) intersect H_i|). It plays the role of the
 colouring bound of max-clique branch-and-bound; on a grid the parts are
 geodesic lines of capacity 2.
@@ -146,14 +155,11 @@ class SolveOptions:
     """Search controls.
 
     ``node_budget`` / ``time_budget_ms`` of 0 mean unlimited; a negative
-    budget raises ``ValueError``. The candidate filter restricts the
-    total-variant search to vertices that can belong to a nonempty total
-    set at all.
+    budget raises ``ValueError``.
     """
 
     node_budget: int = 0
     time_budget_ms: int = 0
-    candidate_filter: bool = True
 
     def __post_init__(self):
         if self.node_budget < 0:
@@ -227,9 +233,9 @@ class _Budget:
         return (time.monotonic() - self.t0) * 1000.0
 
 
-def _branch_order(g: Graph, candidates: list[int]) -> list[int]:
+def _branch_order(g: Graph) -> list[int]:
     """Descending degree, ties by ascending vertex id."""
-    return sorted(candidates, key=lambda v: (-len(g.adj[v]), v))
+    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
 
 
 # --------------------------------------------------------------------------
@@ -271,10 +277,10 @@ def _capacity(variant: str, n: int, edge_bits: int) -> int:
     """The variant's number of the connected graph on ``n`` vertices whose
     edge (u, w), u < w, is bit ``u * n + w`` of ``edge_bits``."""
     edges = [divmod(i, n) for i in range(n * n) if (edge_bits >> i) & 1]
-    g = build_graph(n, edges)
-    if variant == "independence":
-        return solve_independence(g).value
-    return solve(g, variant).value
+    search = _search_for(build_graph(n, edges), variant,
+                         _Budget(SolveOptions()))
+    search.run_value()
+    return search.best
 
 
 def _part_capacity(g: Graph, variant: str, part: int) -> int:
@@ -336,7 +342,7 @@ def convex_partition(g: Graph, variant: str,
     keeps the one with the lowest capacity per vertex (then the larger,
     then the lower mask). Rounds stop when no hull has capacity below its
     size. Parts are proper subsets, so computing their capacities with
-    :func:`solve` terminates.
+    value searches terminates.
     """
     n = g.n
     full = (1 << n) - 1
@@ -435,20 +441,21 @@ def convex_partition(g: Graph, variant: str,
 class _Search:
     """Branch-and-bound over (inside, open) states; see the module
     docstring. Subclasses supply :meth:`include` and :meth:`exclude`. The
-    root state leaves every vertex open unless a subclass narrows it."""
+    root state leaves every vertex open unless a subclass narrows it.
+    ``bound``, when set, is the partition bound of the vertex mask it is
+    given."""
 
     #: Whether every ``inside`` is itself a solution, so that a decision
     #: query succeeds as soon as ``inside`` has the target size.
     hereditary = True
 
-    def __init__(self, g: Graph, kind: str, candidates: list[int],
-                 bound: Callable[[int], int] | None, budget: _Budget):
+    def __init__(self, g: Graph, kind: str, budget: _Budget):
         self.g = g
         self.n = g.n
         self.kind = kind
         self.pv: PairVisibility = pair_visibility(g)
-        self.order = _branch_order(g, candidates)
-        self.bound = bound
+        self.order = _branch_order(g)
+        self.bound: Callable[[int], int] | None = None
         self.budget = budget
         self.stats = SearchStats()
         self.best = 0
@@ -595,16 +602,27 @@ class _Search:
 # --------------------------------------------------------------------------
 
 
+#: For each visibility variant, how many ends of a pair must lie in X for
+#: the pair to be required to stay X-visible.
+_NEED = {"total": 0, "outer": 1, "mutual": 2}
+
+
 class _HereditarySearch(_Search):
     """``open`` holds only vertices individually addable to ``inside``. The
-    root drops the candidates that are not a solution on their own."""
+    root drops the vertices that are not a solution on their own."""
 
-    def __init__(self, g: Graph, kind: str, candidates: list[int],
-                 bound: Callable[[int], int] | None, budget: _Budget):
-        super().__init__(g, kind, candidates, bound, budget)
+    def __init__(self, g: Graph, kind: str, budget: _Budget):
+        super().__init__(g, kind, budget)
         self.adj = g.adjacency_masks()
+        need = self.need = _NEED.get(kind)  # None for independence
+        if need is not None:
+            # A pair is required when xm & pair_mask >= floor[pid]: that
+            # submask reaches the pair's mask only with both ends in X,
+            # and 1 with either end in X.
+            pair_mask = self.pv.pair_mask
+            self.floor = pair_mask if need == 2 else [need] * len(pair_mask)
         open_ = 0
-        for v in candidates:
+        for v in range(self.n):
             if self._feasible_add(v, 0, 1 << v):
                 open_ |= 1 << v
         self.root = (0, open_)
@@ -634,53 +652,42 @@ class _HereditarySearch(_Search):
     def _feasible_add(self, v: int, xm: int, xm2: int) -> bool:
         """Would X + v still be a solution? Incremental re-checks only.
 
-        Pairs whose geodesic interior misses v keep their status, so only
-        pairs through v plus the newly required pairs involving v are
-        tested. For independence, v must have no neighbour in X.
+        A pair is required when at least ``need`` of its ends are in the
+        set. Adding v changes the blockers of the pairs through v only, so
+        the required ones among them are re-tested. The pairs (v, u) keep
+        their blockers (ends are exempt), but v's own end makes some of
+        them newly required: those to X for mutual, and those to V - (X + v)
+        for outer. For independence, v must have no neighbour in X.
         """
+        need = self.need
+        if need is None:
+            return not self.adj[v] & xm
         pv = self.pv
         n = self.n
         visible = pv.visible_pid
         hint = pv.hint
-        pair_mask = pv.pair_mask
-        kind = self.kind
         # Each pair is first tested against its cached geodesic, as
         # visible_pid itself does, which saves the call on a hit.
-        if kind == "mutual":
-            mm = xm
-            base = v * n
-            while mm:
-                low = mm & -mm
-                u = low.bit_length() - 1
-                mm ^= low
-                pid = u * n + v if u < v else base + u
+        ends = xm if need == 2 else self.full & ~xm2 if need == 1 else 0
+        pids = pv.pair_ids[v]
+        # A sparse mask (mutual's X) is walked bit by bit, a dense one
+        # (outer's complement) in one pass over v's pairs.
+        if ends.bit_count() * 2 < n:
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                pid = pids[low.bit_length() - 1]
                 if hint[pid] & xm2 and not visible(pid, xm2):
                     return False
-            for pid in pv.pairs_through[v]:
-                pm = pair_mask[pid]
-                if (xm & pm == pm and hint[pid] & xm2
-                        and not visible(pid, xm2)):
+        else:
+            for pid in pids:
+                if ends & 1 and hint[pid] & xm2 and not visible(pid, xm2):
                     return False
-            return True
-        if kind == "total":
-            for pid in pv.pairs_through[v]:
-                if hint[pid] & xm2 and not visible(pid, xm2):
-                    return False
-            return True
-        if kind == "independence":
-            return not self.adj[v] & xm
-        # outer: v's pairs against the whole vertex set become required.
-        # Pairs (v, u) with u already inside were required before and their
-        # blocker set is unchanged (endpoints are exempt), so skip them.
-        base = v * n
-        for z in range(n):
-            if z == v or (xm >> z) & 1:
-                continue
-            pid = z * n + v if z < v else base + z
-            if hint[pid] & xm2 and not visible(pid, xm2):
-                return False
+                ends >>= 1
+        pair_mask = pv.pair_mask
+        floor = self.floor
         for pid in pv.pairs_through[v]:
-            if (xm & pair_mask[pid] and hint[pid] & xm2
+            if (xm & pair_mask[pid] >= floor[pid] and hint[pid] & xm2
                     and not visible(pid, xm2)):
                 return False
         return True
@@ -791,23 +798,21 @@ def solve_independence(g: Graph, opts: SolveOptions | None = None) -> SolveResul
     return _solve(g, "independence", opts or SolveOptions())
 
 
-def _search_for(g: Graph, kind: str, opts: SolveOptions,
-                budget: _Budget) -> _Search:
-    """The search a solve of ``kind`` on ``g`` runs, with its candidates
-    and partition bound, before either phase."""
-    candidates = list(range(g.n))
-    if kind == "total" and opts.candidate_filter:
-        candidates = [v for v in candidates if is_bypass_candidate(g, v)]
-    partition = convex_partition(g, kind, sum(1 << v for v in candidates))
-    # Without a part below its size the bound equals the plain count.
-    bound = partition.bound if partition.parts else None
+def _search_for(g: Graph, kind: str, budget: _Budget) -> _Search:
+    """The search a solve of ``kind`` on ``g`` runs, with its partition
+    bound over the root's open vertices, before either phase."""
     search_class = _DualSearch if kind == "dual" else _HereditarySearch
-    return search_class(g, kind, candidates, bound, budget)
+    search = search_class(g, kind, budget)
+    partition = convex_partition(g, kind, search.root[1])
+    # Without a part below its size the bound equals the plain count.
+    if partition.parts:
+        search.bound = partition.bound
+    return search
 
 
 def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
     budget = _Budget(opts)
-    search = _search_for(g, kind, opts, budget)
+    search = _search_for(g, kind, budget)
     stats = search.stats
 
     value_certified = False

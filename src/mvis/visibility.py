@@ -160,10 +160,12 @@ def is_bypass_candidate(g: Graph, v: int) -> bool:
 class PairVisibility:
     """Precomputed geodesic DAGs with a cached witness geodesic per pair.
 
-    For each unordered pair (u, v) with u < v, indexed by
-    ``pid = u * n + v``, the interval vertices other than u and v are laid
-    out in BFS-layer order from u in ``entries``, each with a bitmask of its
-    in-DAG predecessors; ``interior`` holds their union.
+    Everything comes from one table, ``layers``: for each vertex, the masks
+    of the vertices at each distance from it. For each unordered pair (u, v)
+    with u < v, indexed by ``pid = u * n + v``, the interval vertices other
+    than u and v are laid out in BFS-layer order from u in ``entries``, each
+    with a bitmask of its in-DAG predecessors; ``interior`` holds their
+    union.
 
     :meth:`visible_pid` answers "is the pair X-visible" for an arbitrary
     blocker bitmask. Each pair keeps a hint mask, and the invariant is that
@@ -175,7 +177,7 @@ class PairVisibility:
     geodesic it found as the new hint. No hint is built ahead of use.
 
     :meth:`row` gives all of one vertex's X-visible partners at once, by a
-    BFS over its distance layers that expands no vertex of X.
+    BFS over its row of ``layers`` that expands no vertex of X.
 
     Intended for solver-scale graphs; memory grows with n^2 times the mean
     interval size.
@@ -190,7 +192,7 @@ class PairVisibility:
         "abit",
         "pair_mask",
         "pairs_through",
-        "dist",
+        "pair_ids",
         "adj",
         "layers",
     )
@@ -198,9 +200,16 @@ class PairVisibility:
     def __init__(self, g: Graph):
         n = g.n
         d = all_pairs_distances(g)
+        adj = self.adj = g.adjacency_masks()
         self.n = n
-        self.dist = d
-        self.adj = g.adjacency_masks()
+        # layers[u][k] is the mask of the vertices at distance k from u.
+        layers = []
+        for du in d:
+            masks = [0] * (max(du) + 1)
+            for z, dz in enumerate(du):
+                masks[dz] |= 1 << z
+            layers.append(tuple(masks))
+        self.layers = layers
         # Indexed by pid = u * n + v for u < v.
         self.interior: list[int] = [0] * (n * n)
         self.entries: list[tuple[tuple[int, int], ...]] = [()] * (n * n)
@@ -209,43 +218,40 @@ class PairVisibility:
         self.pair_mask: list[int] = [0] * (n * n)
         through: list[list[int]] = [[] for _ in range(n)]
         for u in range(n):
-            du = d[u]
+            lu = layers[u]
             for v in range(u + 1, n):
                 pid = u * n + v
-                dv = d[v]
-                duv = du[v]
-                members = [z for z in range(n) if du[z] + dv[z] == duv]
-                members.sort(key=lambda z: du[z])
+                lv = layers[v]
+                duv = d[u][v]
+                # The interval's slice at distance k from u is
+                # lu[k] & lv[duv - k]; an entry's predecessors are its
+                # neighbours in the slice before.
+                prev = 1 << u
                 imask = 0
                 entries = []
-                vpred = 0
-                member_mask = 0
-                for z in members:
-                    member_mask |= 1 << z
-                for z in members:
-                    if z == u:
-                        continue
-                    pm = 0
-                    dz = du[z]
-                    for y in g.adj[z]:
-                        if (member_mask >> y) & 1 and du[y] == dz - 1:
-                            pm |= 1 << y
-                    if z == v:
-                        vpred = pm
-                    else:
-                        imask |= 1 << z
-                        entries.append((1 << z, pm))
+                for k in range(1, duv):
+                    cur = lu[k] & lv[duv - k]
+                    imask |= cur
+                    rest = cur
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        z = low.bit_length() - 1
+                        entries.append((low, adj[z] & prev))
                         through[z].append(pid)
+                    prev = cur
                 self.interior[pid] = imask
                 self.entries[pid] = tuple(entries)
-                self.vpred[pid] = vpred
+                self.vpred[pid] = adj[v] & prev
                 self.abit[pid] = 1 << u
                 self.pair_mask[pid] = (1 << u) | (1 << v)
         self.pairs_through = [tuple(p) for p in through]
+        # pair_ids[v][u] is the pid of the pair {u, v} (unused for u = v).
+        self.pair_ids = [
+            tuple(u * n + v if u < v else v * n + u for u in range(n))
+            for v in range(n)
+        ]
         self.hint = list(self.interior)
-        # layers[u][k] is the mask of the vertices at distance k + 1 from u,
-        # built on the first row(u); only the dual search asks for rows.
-        self.layers: list[tuple[int, ...] | None] = [None] * n
 
     def visible_pid(self, pid: int, xmask: int) -> bool:
         """True iff pair ``pid`` is X-visible for blocker mask ``xmask``."""
@@ -280,16 +286,9 @@ class PairVisibility:
         vertices outside X (u itself is always expanded), so a vertex is
         reached exactly when some geodesic to it avoids X internally.
         """
-        layers = self.layers[u]
-        if layers is None:
-            masks = [0] * max(self.dist[u])
-            for z, dz in enumerate(self.dist[u]):
-                if dz:
-                    masks[dz - 1] |= 1 << z
-            layers = self.layers[u] = tuple(masks)
         adj = self.adj
         seen = expand = 1 << u
-        for layer in layers:
+        for layer in self.layers[u][1:]:
             nbrs = 0
             while expand:
                 low = expand & -expand

@@ -161,8 +161,8 @@ def test_criterion_08_tori_total():
     for n in range(5, 7):
         for m in range(5, n + 1):
             assert total_is_zero(generate(f"torus:{n}x{m}")), (n, m)
-    raw = SolveOptions(candidate_filter=False)
-    assert solve(generate("torus:5x5"), "total", raw).value == 0
+    # The search does not call is_bypass_candidate, which total_is_zero uses.
+    assert solve(generate("torus:5x5"), "total").value == 0
     report(8, time.monotonic() - t0, 60,
            "torus total 3/3/4 plus zeros by characterization, cross-checked at 5x5")
 

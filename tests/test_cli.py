@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -350,3 +351,93 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "cycle:5", "--variant", "median"])
         assert exc.value.code == 2
+
+
+#: Tokens and lines the fuzz test splices into valid edge-list files.
+FUZZ_TOKENS = ("-2", "-1", "0", "1", "2", "7", "9", "x", "1.5", "0x1", "#",
+               "(1,1)", "")
+FUZZ_LINES = ("0 1 7", "5", "-2 0", "0 0", "1 1", "a b", "# label 0 a",
+              "# label 0", "# label x y", "# label 99 z", "# name fuzz", "")
+
+
+def mutate_lines(lines, rng):
+    """A copy of ``lines`` with up to two random edits."""
+    lines = list(lines)
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(lines) + 1)
+        op = rng.randrange(5)
+        if op == 0 and lines:
+            del lines[min(i, len(lines) - 1)]
+        elif op == 1:
+            lines.insert(i, rng.choice(FUZZ_LINES))
+        elif lines:
+            i = min(i, len(lines) - 1)
+            tokens = lines[i].split(" ")
+            j = rng.randrange(len(tokens))
+            if op == 2:
+                tokens[j] = rng.choice(FUZZ_TOKENS)
+            elif op == 3:
+                del tokens[j]
+            else:
+                tokens.insert(j, rng.choice(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+    return lines
+
+
+def mutate_set(rng):
+    """A ``--set`` string: a valid one with a few characters changed."""
+    text = list(rng.choice(("0,1,2", "(1,1),(2,3)", "3", "", "0,(3,3)")))
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5 and text:
+            del text[min(i, len(text) - 1)]
+        else:
+            text.insert(i, rng.choice("0123456789,()- x"))
+    return "".join(text)
+
+
+class TestMalformedInput:
+    """Bad input is a usage error, exit 2, and never a traceback."""
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n0 1\n1\n",
+        "3 2\n0 1 7\n1 2\n",
+        "-2 0\n",
+    ], ids=["one-token-edge", "three-token-edge", "negative-order"])
+    def test_bad_edge_list(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.el"
+        path.write_text(text)
+        assert main(["check", str(path), "--set", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_gen_into_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.el")
+        assert main(["gen", "grid:3x3", out]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_solve_a_directory(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path), "--variant", "mutual"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_fuzzed_files_and_sets(self, tmp_path, capsys):
+        rng = random.Random(8080)
+        sources = []
+        for spec in ("grid:3x3", "cycle:5", "path:4"):
+            path = str(tmp_path / "source.el")
+            write_edge_list(generate(spec), path)
+            with open(path, encoding="utf-8") as fh:
+                sources.append(fh.read().splitlines())
+        codes = set()
+        for i in range(300):
+            lines = mutate_lines(rng.choice(sources), rng)
+            path = tmp_path / f"fuzz{i}.el"
+            path.write_text("\n".join(lines) + "\n")
+            text = mutate_set(rng)
+            code = main(["check", str(path), f"--set={text}"])
+            assert code in (0, 2), (lines, text)
+            codes.add(code)
+            if i % 4 == 0:
+                code = main(["solve", str(path), "--variant", "mutual"])
+                assert code in (0, 2), lines
+            capsys.readouterr()
+        assert codes == {0, 2}

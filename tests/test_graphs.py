@@ -6,6 +6,7 @@ import pytest
 from mvis import (
     DisconnectedGraph,
     EmptySet,
+    GraphError,
     InvalidVertexId,
     VertexSet,
     all_pairs_distances,
@@ -47,6 +48,10 @@ class TestBuildGraph:
     def test_self_loop(self):
         with pytest.raises(InvalidVertexId):
             build_graph(3, [(0, 0), (0, 1), (1, 2)])
+
+    def test_negative_order(self):
+        with pytest.raises(GraphError):
+            build_graph(-2, [])
 
     def test_duplicate_edges_collapse(self):
         g = build_graph(2, [(0, 1), (1, 0), (0, 1)])
@@ -242,6 +247,21 @@ class TestEdgeListFormat:
             fh.write(path_text)
         g = read_edge_list(path)
         assert g.n == 3 and g.m == 2
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n0 1\n1\n",
+        "3 2\n0 1 7\n1 2\n",
+        "3 2\n0 x\n1 2\n",
+        "3\n0 1\n1 2\n",
+        "-2 0\n",
+    ], ids=["one-token-edge", "three-token-edge", "non-integer",
+            "one-token-header", "negative-order"])
+    def test_malformed_lines_rejected(self, tmp_path, text):
+        path = str(tmp_path / "bad.el")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(GraphError):
+            read_edge_list(path)
 
 
 class TestVertexSet:

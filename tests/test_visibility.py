@@ -11,6 +11,7 @@ from mvis import (
     classify_set,
     constrained_distance,
     generate,
+    interval,
     is_bypass_candidate,
     is_pair_visible,
     solve,
@@ -225,6 +226,16 @@ class TestBypassCandidates:
         )
         assert cands == corners
 
+    def test_singleton_total_sets_are_the_candidates(self):
+        # The hereditary total search relies on this to need no filter.
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_connected_graph(rng.randint(2, 10), rng,
+                                       p=rng.choice((0.2, 0.3, 0.5)))
+            totals = [v for v in range(g.n) if classify_set(g, [v]).is_total]
+            cands = [v for v in range(g.n) if is_bypass_candidate(g, v)]
+            assert totals == cands, g.edges()
+
 
 def kernel_graph(spec):
     if spec == "random":
@@ -249,6 +260,32 @@ class TestPairVisibilityKernel:
     over long blocker sequences that leave stale hints behind."""
 
     SPECS = ["grid:5x5", "torus:5x4", "ht:2", "random"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_table_matches_intervals(self, spec):
+        g = kernel_graph(spec)
+        n = g.n
+        d = all_pairs_distances(g)
+        adj = g.adjacency_masks()
+        pv = PairVisibility(g)
+
+        def nearer(span, u, z):
+            """The vertices of ``span`` one step nearer u than z is."""
+            return sum(1 << y for y in range(n)
+                       if (span >> y) & 1 and d[u][y] == d[u][z] - 1)
+
+        for u in range(n):
+            for v in range(u + 1, n):
+                pid = u * n + v
+                assert pv.pair_ids[u][v] == pv.pair_ids[v][u] == pid
+                ends = (1 << u) | (1 << v)
+                span = interval(g, u, v).mask
+                assert pv.interior[pid] == span & ~ends, (u, v)
+                assert sum(bit for bit, _ in pv.entries[pid]) == span & ~ends
+                for bit, pm in pv.entries[pid]:
+                    z = bit.bit_length() - 1
+                    assert pm == adj[z] & nearer(span, u, z), (u, v, z)
+                assert pv.vpred[pid] == adj[v] & nearer(span, u, v), (u, v)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_visible_pid_matches_bfs(self, spec):
