@@ -43,13 +43,29 @@ class FamilySpec:
 
     ``params`` holds the integer parameters in declaration order; random
     trees carry a ``seed`` and the reduction carries the path of its base
-    graph file.
+    graph file. Construction raises :class:`BadParams` for parameters
+    outside the family's range, so parsing, :func:`generate` and the
+    oracle all reject the same specs.
     """
 
     kind: str
     params: tuple[int, ...] = ()
     seed: int = 0
     base_path: str | None = None
+
+    def __post_init__(self):
+        rule = _PARAM_RANGES.get(self.kind)
+        if rule is None:
+            raise BadParams(f"unknown family kind {self.kind!r}")
+        arity, valid, need = rule
+        p = self.params
+        if not p or (arity and len(p) != arity):
+            raise BadParams(f"{self.kind} takes {arity or 'one or more'} "
+                            f"parameters, got {p}")
+        if not valid(*p):
+            raise BadParams(f"{self.kind} needs {need}, got {p}")
+        if self.kind == "gprime" and self.base_path is None:
+            raise BadParams("reduction spec carries no base graph path")
 
     def canonical(self) -> str:
         if self.kind == "random_tree":
@@ -60,6 +76,23 @@ class FamilySpec:
             return f"{self.kind}:" + "x".join(str(p) for p in self.params)
         return f"{self.kind}:{self.params[0]}"
 
+
+#: Per family kind: the number of parameters (0 for one or more), the test
+#: they must pass, and that test in words.
+_PARAM_RANGES = {
+    "path": (1, lambda n: n >= 2, "n >= 2"),
+    "cycle": (1, lambda n: n >= 3, "n >= 3"),
+    "complete": (1, lambda n: n >= 1, "n >= 1"),
+    "star": (1, lambda k: k >= 1, "k >= 1 leaves"),
+    "random_tree": (1, lambda n: n >= 2, "n >= 2"),
+    "grid": (2, lambda n, m: n >= 1 and m >= 1 and n * m >= 2,
+             "at least two vertices"),
+    "torus": (2, lambda n, m: n >= 3 and m >= 3, "n, m >= 3"),
+    "pathprod": (0, lambda *dims: all(d >= 2 for d in dims), "factors >= 2"),
+    "gn": (1, lambda n: n >= 2, "n >= 2"),
+    "ht": (1, lambda t: t >= 2, "t >= 2"),
+    "gprime": (1, lambda t: t >= 3, "t >= 3"),
+}
 
 _KIND_ALIASES = {
     "path": "path",
@@ -103,18 +136,13 @@ def parse_family_spec(text: str) -> FamilySpec:
                 seed = int(parts[2][5:])
             return FamilySpec("random_tree", (n,), seed=seed)
         if kind in ("grid", "torus", "pathprod"):
-            dims = tuple(int(p) for p in parts[1].split("x"))
-            if kind != "pathprod" and len(dims) != 2:
-                raise BadParams(f"{kind} needs two dimensions, got {text!r}")
-            return FamilySpec(kind, dims)
+            return FamilySpec(kind, tuple(int(p) for p in parts[1].split("x")))
         return FamilySpec(kind, (int(parts[1]),))
     except ValueError as exc:
         raise BadParams(f"cannot parse family spec {text!r}: {exc}") from None
 
 
 def _path(n: int, name: str | None = None) -> Graph:
-    if n < 2:
-        raise BadParams(f"path needs n >= 2, got {n}")
     return build_graph(
         n,
         [(i, i + 1) for i in range(n - 1)],
@@ -124,8 +152,6 @@ def _path(n: int, name: str | None = None) -> Graph:
 
 
 def _cycle(n: int, name: str | None = None) -> Graph:
-    if n < 3:
-        raise BadParams(f"cycle needs n >= 3, got {n}")
     return build_graph(
         n,
         [(i, (i + 1) % n) for i in range(n)],
@@ -135,8 +161,6 @@ def _cycle(n: int, name: str | None = None) -> Graph:
 
 
 def _complete(n: int) -> Graph:
-    if n < 1:
-        raise BadParams(f"complete graph needs n >= 1, got {n}")
     return build_graph(
         n,
         [(i, j) for i in range(n) for j in range(i + 1, n)],
@@ -146,8 +170,6 @@ def _complete(n: int) -> Graph:
 
 
 def _star(k: int) -> Graph:
-    if k < 1:
-        raise BadParams(f"star needs k >= 1 leaves, got {k}")
     return build_graph(
         k + 1,
         [(0, i) for i in range(1, k + 1)],
@@ -156,16 +178,16 @@ def _star(k: int) -> Graph:
     )
 
 
+def pruefer_sequence(n: int, seed: int) -> list[int]:
+    """The seeded Pruefer sequence of ``random_tree:n:seed=seed``. Its
+    tree's leaves are the n - len(set(seq)) vertices missing from it."""
+    rng = random.Random(seed)
+    return [rng.randrange(n) for _ in range(n - 2)]
+
+
 def _random_tree(n: int, seed: int) -> Graph:
     """Uniform labeled tree from a seeded Pruefer sequence."""
-    if n < 2:
-        raise BadParams(f"random tree needs n >= 2, got {n}")
-    name = f"random_tree:{n}:seed={seed}"
-    labels = [str(i + 1) for i in range(n)]
-    if n == 2:
-        return build_graph(2, [(0, 1)], labels=labels, name=name)
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    seq = pruefer_sequence(n, seed)
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -179,12 +201,11 @@ def _random_tree(n: int, seed: int) -> Graph:
         if degree[x] == 1:
             heapq.heappush(leaves, x)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return build_graph(n, edges, labels=labels, name=name)
+    return build_graph(n, edges, labels=[str(i + 1) for i in range(n)],
+                       name=f"random_tree:{n}:seed={seed}")
 
 
 def _grid(n: int, m: int) -> Graph:
-    if n < 1 or m < 1 or n * m < 2:
-        raise BadParams(f"grid needs at least two vertices, got {n}x{m}")
     a = _path(n) if n >= 2 else _single_vertex()
     b = _path(m) if m >= 2 else _single_vertex()
     g = cartesian_product(a, b)
@@ -196,16 +217,12 @@ def _single_vertex() -> Graph:
 
 
 def _torus(n: int, m: int) -> Graph:
-    if n < 3 or m < 3:
-        raise BadParams(f"torus needs n, m >= 3, got {n}x{m}")
     g = cartesian_product(_cycle(n), _cycle(m))
     return Graph(g.n, g.adj, g.labels, f"torus:{n}x{m}")
 
 
 def _path_product(dims: tuple[int, ...]) -> Graph:
-    if len(dims) < 1 or any(d < 2 for d in dims):
-        raise BadParams(f"path product needs factors >= 2, got {dims}")
-    g = _path(dims[0]) if dims[0] >= 2 else _single_vertex()
+    g = _path(dims[0])
     for d in dims[1:]:
         g = cartesian_product(g, _path(d))
     name = "pathprod:" + "x".join(str(d) for d in dims)
@@ -218,8 +235,6 @@ def _gadget_gn(n: int) -> Graph:
     Ids: u = 0, v = 1, then per cycle i (1-based) the path
     u - x_i - z_i - y_i - v with x_i = 3i - 1, z_i = 3i, y_i = 3i + 1.
     """
-    if n < 2:
-        raise BadParams(f"five-cycle gadget needs n >= 2, got {n}")
     edges = [(0, 1)]
     labels = ["u", "v"]
     for i in range(1, n + 1):
@@ -244,8 +259,6 @@ def _gadget_ht(t: int) -> Graph:
     Copy c (0-based) occupies ids 12c .. 12c + 11 with the usual grid
     indexing; the apex has id 12t. Order 12t + 1.
     """
-    if t < 2:
-        raise BadParams(f"grid-chain gadget needs t >= 2, got {t}")
     grid = _grid(4, 3)
     edges = []
     labels = []
@@ -270,39 +283,28 @@ def generate(spec: FamilySpec | str) -> Graph:
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
     kind = spec.kind
-    try:
-        if kind == "path":
-            return _path(spec.params[0])
-        if kind == "cycle":
-            return _cycle(spec.params[0])
-        if kind == "complete":
-            return _complete(spec.params[0])
-        if kind == "star":
-            return _star(spec.params[0])
-        if kind == "random_tree":
-            return _random_tree(spec.params[0], spec.seed)
-        if kind == "grid":
-            if len(spec.params) != 2:
-                raise BadParams(f"grid needs two dimensions, got {spec.params}")
-            return _grid(*spec.params)
-        if kind == "torus":
-            if len(spec.params) != 2:
-                raise BadParams(f"torus needs two dimensions, got {spec.params}")
-            return _torus(*spec.params)
-        if kind == "pathprod":
-            return _path_product(spec.params)
-        if kind == "gn":
-            return _gadget_gn(spec.params[0])
-        if kind == "ht":
-            return _gadget_ht(spec.params[0])
-        if kind == "gprime":
-            if spec.base_path is None:
-                raise BadParams("reduction spec carries no base graph path")
-            base = read_edge_list(spec.base_path)
-            return reduction_gprime(base, spec.params[0]).gprime
-    except IndexError:
-        raise BadParams(f"missing parameters for {kind}") from None
-    raise BadParams(f"unknown family kind {kind!r}")
+    p = spec.params
+    if kind == "path":
+        return _path(p[0])
+    if kind == "cycle":
+        return _cycle(p[0])
+    if kind == "complete":
+        return _complete(p[0])
+    if kind == "star":
+        return _star(p[0])
+    if kind == "random_tree":
+        return _random_tree(p[0], spec.seed)
+    if kind == "grid":
+        return _grid(*p)
+    if kind == "torus":
+        return _torus(*p)
+    if kind == "pathprod":
+        return _path_product(p)
+    if kind == "gn":
+        return _gadget_gn(p[0])
+    if kind == "ht":
+        return _gadget_ht(p[0])
+    return reduction_gprime(read_edge_list(spec.base_path), p[0]).gprime
 
 
 # --------------------------------------------------------------------------

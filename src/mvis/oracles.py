@@ -9,10 +9,9 @@ never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .graphs import Graph, GraphError, graph_stats, read_edge_list
-from .families import FamilySpec, generate, parse_family_spec
+from .graphs import Graph, GraphError, read_edge_list
+from .families import FamilySpec, parse_family_spec, pruefer_sequence
 from .solve import SolveOptions, SolveResult, solve, solve_independence
 from .visibility import VARIANTS
 
@@ -109,13 +108,6 @@ def _tree_value(leaf_count: int) -> OracleValue:
     return _exact(leaf_count, "tree rule: every variant equals the leaf count")
 
 
-@lru_cache(maxsize=256)
-def _random_tree_leaves(spec: FamilySpec) -> int:
-    """Leaf count of a random tree, generated once per spec rather than once
-    per variant asked about."""
-    return graph_stats(generate(spec)).leaf_count
-
-
 def oracle(spec: FamilySpec | str, variant: str,
            alpha: int | None = None) -> OracleValue:
     """Closed-form value for a covered family instance.
@@ -140,7 +132,8 @@ def oracle(spec: FamilySpec | str, variant: str,
         k = spec.params[0]
         return _tree_value(max(k, 2))
     if kind == "random_tree":
-        return _tree_value(_random_tree_leaves(spec))
+        n = spec.params[0]
+        return _tree_value(n - len(set(pruefer_sequence(n, spec.seed))))
     if kind == "grid":
         return _grid_value(spec.params[0], spec.params[1], variant)
     if kind == "torus":

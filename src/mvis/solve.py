@@ -52,7 +52,9 @@ side kills the node, and one with a single end decided forces the other
 end to the other side. Deciding u tests all of u's pairs at once:
 :meth:`PairVisibility.row` gives the mask of u's I-visible partners, and
 the same-side partners outside it are killed or forced with mask
-operations. When u joins I, the pairs through u are re-tested one by one.
+operations, by one rule for both sides, as a dual set asks the same of I
+and its complement. When u joins I, the pairs through u are re-tested one
+by one.
 A state with nothing open is therefore always a dual set. A pair's status
 depends only on which of its interior vertices are in I, so look at the
 last decision that touches the pair: the decision of its later endpoint,
@@ -343,6 +345,15 @@ def convex_partition(g: Graph, variant: str,
     then the lower mask). Rounds stop when no hull has capacity below its
     size. Parts are proper subsets, so computing their capacities with
     value searches terminates.
+
+    Chains from different seeds merge, so each hull on a chain is memoised
+    with the best key on the chain from it and the chain's last hull, which
+    holds every hull before it. Taking a part P out of the unused vertices
+    only makes hulls that meet P stop fitting. So a step from a hull that
+    misses P still picks the same first smallest hull, as long as that hull
+    misses P: every earlier or smaller candidate that fits now also fitted
+    before. An entry whose last hull misses P therefore still holds in the
+    next round, and only the others are dropped.
     """
     n = g.n
     full = (1 << n) - 1
@@ -363,10 +374,8 @@ def convex_partition(g: Graph, variant: str,
             cap = caps[h] = _part_capacity(g, variant, h)
         return (cap / size, -size, h, cap) if cap < size else None
 
-    def step(h: int) -> tuple[int, int]:
-        """The next hull grown from ``h`` (or 0), and the union of ``h``
-        with every hull tried that fit in ``room``."""
-        touched = h
+    def step(h: int) -> int:
+        """The next hull grown from ``h``, or 0."""
         frontier = 0
         m = h
         while m:
@@ -382,33 +391,26 @@ def convex_partition(g: Graph, variant: str,
             frontier ^= low
             h2 = _hull_with(h, low.bit_length() - 1, room, most, interior, n)
             if h2:
-                touched |= h2
                 nxt = h2
                 most = h2.bit_count() - 1
                 if most == size:
                     break
-        return nxt, touched
+        return nxt
 
-    # grown[h] = (best key among h and the hulls grown from it, union of
-    # every hull those steps tried that fit). Growth paths from different
-    # seeds merge, so this is shared. Removing a part from ``room`` only
-    # turns tried hulls into misfits, so an entry whose union misses the
-    # part still holds in the next round.
+    # grown[h] = (best key on the chain from h, the chain's last hull).
     grown: dict[int, tuple] = {}
 
     def grow(h: int):
         path = []
         while h and h not in grown:
-            nxt, touched = step(h)
-            path.append((h, touched))
-            h = nxt
-        best, seen = grown[h] if h else (None, 0)
-        for h, touched in reversed(path):
+            path.append(h)
+            h = step(h)
+        best, last = grown[h] if h else (None, path[-1])
+        for h in reversed(path):
             key = score(h)
             if key is not None and (best is None or key < best):
                 best = key
-            seen |= touched
-            grown[h] = (best, seen)
+            grown[h] = (best, last)
         return best
 
     parts: list[tuple[int, int]] = []
@@ -733,47 +735,43 @@ class _DualSearch(_Search):
                 if im & ub:
                     continue
                 im |= ub
-                # Decided-in partners and undecided ones that u cannot see.
-                bad = full & ~em & ~row(u, im)
-                if bad & im:
-                    return None  # two decided-in vertices blocked
-                while bad:
-                    low = bad & -bad
-                    stack.append((low.bit_length() - 1, False))
-                    bad ^= low
-                dec = im | em
-                for pid in through[u]:
-                    if not hint[pid] & im:
-                        continue  # visible along its cached geodesic
-                    pm = pair_mask[pid]
-                    known = dec & pm
-                    if not known:
-                        continue  # both undecided; caught later
-                    if known != pm:
-                        # One end decided: a blocked pair forces the other
-                        # end to the other side.
-                        if not visible(pid, im):
-                            stack.append(
-                                ((pm ^ known).bit_length() - 1,
-                                 bool(em & pm))
-                            )
-                    elif ((im & pm == pm or em & pm == pm)
-                          and not visible(pid, im)):
-                        return None
+                other = em
             else:
                 if im & ub:
                     return None
                 if em & ub:
                     continue
                 em |= ub
-                # Decided-out partners and undecided ones that u cannot see.
-                bad = full & ~im & ~row(u, im)
-                if bad & em:
-                    return None  # two decided-out vertices blocked
-                while bad:
-                    low = bad & -bad
-                    stack.append((low.bit_length() - 1, True))
-                    bad ^= low
+                other = im
+            # Partners on u's side and undecided ones that u cannot see.
+            # bad misses the other side, so a decided one is on u's side.
+            bad = full & ~other & ~row(u, im)
+            if bad & (im | em):
+                return None  # two vertices on one side blocked
+            while bad:
+                low = bad & -bad
+                stack.append((low.bit_length() - 1, not side))
+                bad ^= low
+            if not side:
+                continue
+            dec = im | em
+            for pid in through[u]:
+                if not hint[pid] & im:
+                    continue  # visible along its cached geodesic
+                pm = pair_mask[pid]
+                known = dec & pm
+                if not known:
+                    continue  # both undecided; caught later
+                if known != pm:
+                    # One end decided: a blocked pair forces the other end
+                    # to the other side.
+                    if not visible(pid, im):
+                        stack.append(
+                            ((pm ^ known).bit_length() - 1, bool(em & pm))
+                        )
+                elif ((im & pm == pm or em & pm == pm)
+                      and not visible(pid, im)):
+                    return None
         return im, full & ~im & ~em
 
 
@@ -816,26 +814,26 @@ def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
     stats = search.stats
 
     value_certified = False
+    witness_mask = None
     try:
         search.run_value()
         value_certified = True
         value_nodes = budget.nodes
         witness_mask = search.lex_least_witness(search.best)
     except _BudgetExceeded:
-        stats.nodes_explored = budget.nodes
-        if value_certified:
-            stats.witness_nodes = budget.nodes - value_nodes
-        stats.elapsed_ms = budget.elapsed_ms()
+        pass
+    stats.nodes_explored = budget.nodes
+    if value_certified:
+        stats.witness_nodes = budget.nodes - value_nodes
+    stats.elapsed_ms = budget.elapsed_ms()
+    if witness_mask is None:
         raise Incomplete(
             kind,
             search.best,
             VertexSet.from_mask(g.n, search.best_mask),
             stats,
             value_certified,
-        ) from None
-    stats.nodes_explored = budget.nodes
-    stats.witness_nodes = budget.nodes - value_nodes
-    stats.elapsed_ms = budget.elapsed_ms()
+        )
     return SolveResult(
         variant=kind,
         value=search.best,
@@ -863,34 +861,18 @@ def dual_zero_sufficient(g: Graph) -> str:
     stats = graph_stats(g)
     if stats.girth >= 7 and stats.min_degree >= 2:
         return "proven_zero"
-    interior = pair_visibility(g).interior
-    if all(_edge_center_of_convex_p4(g, u, v, interior)
-           for u, v in g.edges()):
+    if all(_edge_center_of_convex_p4(g, u, v) for u, v in g.edges()):
         return "proven_zero"
     return "inconclusive"
 
 
-def _edge_center_of_convex_p4(g: Graph, u: int, v: int,
-                              interior: list[int]) -> bool:
+def _edge_center_of_convex_p4(g: Graph, u: int, v: int) -> bool:
     d = all_pairs_distances(g)
-    n = g.n
-
-    def imask(a: int, b: int) -> int:
-        return interior[a * n + b if a < b else b * n + a]
-
     for w in g.adj[u]:
         if w == v:
             continue
-        dw = d[w]
         for w2 in g.adj[v]:
-            if w2 == u or dw[w2] != 3:
-                continue
-            four = (1 << w) | (1 << u) | (1 << v) | (1 << w2)
-            # convexity of the 4-set: all six interiors stay inside it
-            if (
-                imask(w, w2) | imask(w, v) | imask(u, w2)
-                | imask(w, u) | imask(u, v) | imask(v, w2)
-            ) & ~four == 0:
+            if w2 != u and d[w][w2] == 3 and is_convex(g, [w, u, v, w2]):
                 return True
     return False
 

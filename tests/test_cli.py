@@ -4,7 +4,6 @@ import random
 import pytest
 
 import mvis.cli
-import mvis.oracles
 from mvis import generate, read_edge_list, write_edge_list
 from mvis.cli import _verify_record, main
 from mvis.oracles import OracleValue, oracle
@@ -170,6 +169,11 @@ class TestOracleCmd:
         )
         assert payload["kind"] == "upper_bound" and payload["value"] == 10
 
+    def test_out_of_range_spec_is_a_usage_error(self, capsys):
+        for spec in ("cycle:2", "torus:2x2", "complete:0"):
+            assert main(["oracle", spec, "--variant", "mutual"]) == 2
+            assert "error:" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_p3_identity(self, tmp_path, capsys):
@@ -276,25 +280,35 @@ class TestVerify:
 
     def test_default_sweep_generates_each_graph_once(self, capsys,
                                                      monkeypatch):
-        # The oracle generates a random tree once per spec, not once per
-        # variant; before that a default sweep made 64 generate calls.
+        # The oracle reads a random tree's leaves from its Pruefer sequence
+        # and generates no graph, so cold and warm sweeps both generate each
+        # of the 44 graphs once.
         calls = []
-        for module in (mvis.cli, mvis.oracles):
-            real = module.generate
+        real = mvis.cli.generate
 
-            def counting(spec, real=real):
-                calls.append(str(spec))
-                return real(spec)
+        def counting(spec):
+            calls.append(str(spec))
+            return real(spec)
 
-            monkeypatch.setattr(module, "generate", counting)
-        mvis.oracles._random_tree_leaves.cache_clear()
+        monkeypatch.setattr(mvis.cli, "generate", counting)
         assert main(["verify"]) == 0
-        # 44 graphs, plus the 5 random trees the oracle reads leaves from.
-        assert len(calls) == 49
+        assert len(calls) == 44
         calls.clear()
         assert main(["verify"]) == 0
         assert len(calls) == 44
         capsys.readouterr()
+
+    def test_unknown_family_is_a_usage_error(self, capsys):
+        assert main(["verify", "--families", "grid"]) == 2
+        assert "grid" in capsys.readouterr().err
+
+    def test_max_torus_bounds_every_torus(self, capsys):
+        _, report = run_json(capsys, "verify", "--families", "tori",
+                             "--max-torus", "4", "--json")
+        got = {(r["instance"], r["variant"]) for r in report["records"]}
+        tori = ("torus:3x3", "torus:4x3", "torus:4x4")
+        assert got == {(t, v) for t in tori for v in ("dual", "total")} | {
+            ("torus:4x3", "outer"), ("torus:4x4", "outer")}
 
     def test_parallel_matches_sequential(self, capsys):
         _, seq = run_json(

@@ -52,9 +52,24 @@ class TestSpecParsing:
                 parse_family_spec(text)
 
     def test_param_ranges(self):
-        for text in ("cycle:2", "gn:1", "ht:1", "path:1", "torus:2x3"):
+        for text in ("cycle:2", "cycle:-4", "gn:1", "ht:1", "path:1",
+                     "torus:2x3", "torus:2x2", "star:0", "grid:1x1",
+                     "pathprod:1x1", "complete:0", "random_tree:1",
+                     "gprime:f.el:t=2"):
+            with pytest.raises(BadParams):
+                parse_family_spec(text)
             with pytest.raises(BadParams):
                 generate(text)
+
+    def test_spec_construction_checks_ranges(self):
+        for kind, params in (("cycle", (2,)), ("grid", (4,)), ("path", ()),
+                             ("pathprod", ()), ("nope", (3,)),
+                             ("gprime", (2,))):
+            with pytest.raises(BadParams):
+                FamilySpec(kind, params, base_path="f.el")
+        with pytest.raises(BadParams):
+            FamilySpec("gprime", (3,))
+        assert generate(FamilySpec("grid", (1, 2))).n == 2
 
 
 class TestGenerators:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mvis import (
+    BadParams,
     UnsupportedFamily,
     classify_set,
     comparison_table,
@@ -61,6 +62,23 @@ class TestOracleEntries:
         from mvis import graph_stats
 
         assert v.value == graph_stats(generate("random_tree:12:seed=3")).leaf_count
+
+    def test_random_tree_leaves_from_pruefer_sequence(self):
+        from mvis import graph_stats
+
+        for n in range(2, 21):
+            for seed in range(10):
+                spec = f"random_tree:{n}:seed={seed}"
+                leaves = graph_stats(generate(spec)).leaf_count
+                assert oracle(spec, "mutual").value == leaves
+
+    def test_out_of_range_specs_get_no_value(self):
+        for text in ("cycle:2", "cycle:-4", "torus:2x2", "star:0",
+                     "grid:1x1", "pathprod:1x1", "path:1", "ht:1",
+                     "complete:0", "gn:1"):
+            for variant in VARIANTS:
+                with pytest.raises(BadParams):
+                    oracle(text, variant)
 
     def test_grid_normalization(self):
         assert oracle("grid:5x6", "outer").value == oracle("grid:6x5", "outer").value

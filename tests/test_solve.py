@@ -15,14 +15,18 @@ from mvis import (
     generate,
     graph_stats,
     induced_subgraph,
+    interval,
     is_convex,
     solve,
     solve_independence,
     total_is_zero,
 )
 from mvis.solve import (
+    PART_LIMIT,
     _Budget,
     _DualSearch,
+    _HereditarySearch,
+    _part_capacity,
     _Search,
     _search_for,
     convex_partition,
@@ -135,6 +139,68 @@ class TestExhaustiveAgreement:
             assert total_is_zero(g) == (brute == 0), g.edges()
 
 
+def regrown_partition(g, kind, searched=None):
+    """:func:`convex_partition` without its memo, as (parts, free): every
+    round regrows the chain of every seed edge from scratch, and a hull is
+    the closure of a vertex mask under the graph's intervals."""
+    n = g.n
+    full = (1 << n) - 1
+    room = full if searched is None else searched
+    limit = min(PART_LIMIT, n - 1)
+    if limit < 3:
+        return [], full
+    iv = {(a, b): interval(g, a, b).mask
+          for a in range(n) for b in range(a + 1, n)}
+
+    def fitting_hull(mask):
+        while mask.bit_count() <= limit and not mask & ~room:
+            ids = [v for v in range(n) if mask >> v & 1]
+            grown = mask
+            for i, a in enumerate(ids):
+                for b in ids[i + 1:]:
+                    grown |= iv[a, b]
+            if grown == mask:
+                return mask
+            mask = grown
+        return 0
+
+    def key(h):
+        size = h.bit_count()
+        if size < 3:
+            return None
+        cap = _part_capacity(g, kind, h)
+        return (cap / size, -size, h, cap) if cap < size else None
+
+    parts = []
+    while True:
+        best = None
+        for a, b in g.edges():
+            h = (1 << a) | (1 << b)
+            if h & ~room:
+                continue
+            while h:
+                k = key(h)
+                if k is not None and (best is None or k < best):
+                    best = k
+                # The smallest fitting hull of h plus a neighbour in room,
+                # lowest neighbour id on ties.
+                steps = []
+                for w in range(n):
+                    if (room >> w & 1 and not h >> w & 1
+                            and any(h >> u & 1 for u in g.adj[w])):
+                        h2 = fitting_hull(h | 1 << w)
+                        if h2:
+                            steps.append((h2.bit_count(), w, h2))
+                h = min(steps)[2] if steps else 0
+        if best is None:
+            covered = 0
+            for part, _ in parts:
+                covered |= part
+            return parts, full & ~covered
+        parts.append((best[2], best[3]))
+        room &= ~best[2]
+
+
 class TestPartitionBound:
     def test_random_graphs_match_brute_force(self):
         rng = random.Random(2025)
@@ -179,6 +245,26 @@ class TestPartitionBound:
                     brute_cache[key] = brute_max_all(sub)
                 assert cap == brute_cache[key][variant] < vs.card
             assert partition.bound(full) >= solve(g, variant).value
+
+    def test_memo_matches_regrown_chains(self):
+        specs = ("grid:5x5", "grid:7x4", "torus:5x4", "ht:2", "gn:3",
+                 "pathprod:3x3x2", "cycle:8", "random_tree:12:seed=1",
+                 "star:4", "complete:4", "path:6")
+        graphs = [generate(spec) for spec in specs]
+        rng = random.Random(9)
+        graphs += [
+            random_connected_graph(rng.randint(5, 12), rng,
+                                   p=rng.choice((0.15, 0.25, 0.4)))
+            for _ in range(150)
+        ]
+        for g in graphs:
+            for kind in KINDS:
+                # The root's open vertices, which the solver partitions.
+                search = (_DualSearch if kind == "dual" else _HereditarySearch)
+                root = search(g, kind, _Budget(SolveOptions())).root[1]
+                partition = convex_partition(g, kind, root)
+                assert (partition.parts, partition.free) == regrown_partition(
+                    g, kind, root), (g.edges(), kind)
 
     def test_grid_parts_are_long_lines(self):
         g = generate("grid:7x4")
@@ -502,6 +588,32 @@ class TestDualZeroSufficient:
         g = generate("cycle:6")
         assert dual_zero_sufficient(g) == "inconclusive"
         assert solve(g, "dual").value == 2
+
+    def test_sweep_families_only_long_cycles_proven(self):
+        specs = ([f"cycle:{n}" for n in range(3, 11)]
+                 + [f"path:{n}" for n in range(2, 9)]
+                 + [f"random_tree:12:seed={s}" for s in range(5)]
+                 + [f"grid:{n}x{m}" for n in range(2, 6)
+                    for m in range(2, n + 1)]
+                 + [f"torus:{n}x{m}" for n in range(3, 7)
+                    for m in range(3, n + 1)]
+                 + ["gn:2", "gn:3", "gn:4", "ht:2"])
+        proven = [spec for spec in specs
+                  if dual_zero_sufficient(generate(spec)) == "proven_zero"]
+        assert proven == [f"cycle:{n}" for n in range(7, 11)]
+
+    @pytest.mark.parametrize("spec, answer", [
+        ("torus:7x7", "proven_zero"),
+        ("torus:8x7", "proven_zero"),
+        ("torus:8x8", "proven_zero"),
+        ("torus:7x6", "inconclusive"),
+    ])
+    def test_convex_p4_rule_decides_tori(self, spec, answer):
+        g = generate(spec)
+        assert graph_stats(g).girth == 4  # the girth rule does not apply
+        assert dual_zero_sufficient(g) == answer
+        if answer == "proven_zero":
+            assert solve(g, "dual").value == 0
 
     def test_proven_zero_is_sound(self):
         rng = random.Random(66)
