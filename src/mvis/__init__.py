@@ -62,7 +62,6 @@ from .families import (
 from .oracles import (
     ComparisonTable,
     OracleValue,
-    UnsupportedFamily,
     comparison_table,
     oracle,
 )

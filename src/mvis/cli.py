@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from multiprocessing import Pool
 
 from .graphs import (
     Graph,
@@ -275,22 +274,14 @@ def _witness_for(spec: str, variant: str) -> VertexSet | None:
     return None
 
 
-def _verify_spec(tasks: list[tuple]) -> list[dict]:
-    """Worker: the records of tasks that share one family spec, all on one
-    generated graph and its cached distances and interval table."""
-    g = generate(tasks[0][0])
-    return [_verify_record(g, task) for task in tasks]
-
-
-def _verify_record(g: Graph, task: tuple) -> dict:
-    spec, variant, oracle_tuple, node_budget, time_ms = task
-    okind, ovalue, osource = oracle_tuple
-    ora = OracleValue(okind, ovalue, osource)
-    opts = SolveOptions(node_budget=node_budget, time_budget_ms=time_ms)
+def _verify_record(g: Graph, spec: str, variant: str, ora: OracleValue,
+                   opts: SolveOptions) -> dict:
+    """Solve one sweep instance on its generated graph and compare the
+    result, and any constructed witness, with the oracle value."""
     record = {
         "instance": spec,
         "variant": variant,
-        "oracle": {"kind": okind, "value": ovalue, "source": osource},
+        "oracle": {"kind": ora.kind, "value": ora.value, "source": ora.source},
     }
     try:
         res = solve(g, variant, opts)
@@ -319,7 +310,7 @@ def _verify_record(g: Graph, task: tuple) -> dict:
         rep = classify_set(g, built)
         record["constructed_witness"] = built.ids()
         record["constructed_witness_ok"] = rep.holds(variant) and (
-            okind != "exact" or built.card == ovalue
+            ora.kind != "exact" or built.card == ora.value
         )
     return record
 
@@ -331,8 +322,9 @@ _VERIFY_FAMILIES = ("cycles", "paths", "trees", "grids", "tori", "gn", "ht")
 _OUTER_TORI = ((4, 3), (4, 4), (5, 3), (5, 4))
 
 
-def _verify_tasks(args) -> list[tuple]:
-    """The instance grid for the sweep, bounded by the scope flags."""
+def _verify_instances(args) -> dict[str, list[tuple[str, OracleValue]]]:
+    """The instance grid for the sweep, bounded by the scope flags: per
+    family spec, its (variant, oracle value) pairs with a covered value."""
     scope = (set(args.families.split(",")) if args.families
              else set(_VERIFY_FAMILIES))
     unknown = scope.difference(_VERIFY_FAMILIES)
@@ -341,17 +333,12 @@ def _verify_tasks(args) -> list[tuple]:
             f"unknown families {', '.join(sorted(unknown))}; "
             f"choose from {','.join(_VERIFY_FAMILIES)}"
         )
-    tasks: list[tuple] = []
-    opts = _solve_opts(args)
+    instances: dict[str, list[tuple[str, OracleValue]]] = {}
 
     def add(spec: str, variant: str) -> None:
         val = oracle(spec, variant)
-        if val.kind == "unknown":
-            return
-        tasks.append(
-            (spec, variant, (val.kind, val.value, val.source),
-             opts.node_budget, opts.time_budget_ms)
-        )
+        if val.kind != "unknown":
+            instances.setdefault(spec, []).append((variant, val))
 
     if "cycles" in scope:
         for n in range(3, args.max_cycle + 1):
@@ -384,19 +371,16 @@ def _verify_tasks(args) -> list[tuple]:
     if "ht" in scope:
         add("ht:2", "dual")
         add("ht:2", "outer")
-    return tasks
+    return instances
 
 
 def cmd_verify(args) -> int:
-    groups: dict[str, list[tuple]] = {}
-    for task in _verify_tasks(args):
-        groups.setdefault(task[0], []).append(task)
-    if args.parallel > 1:
-        with Pool(args.parallel) as pool:
-            batches = pool.map(_verify_spec, groups.values())
-    else:
-        batches = [_verify_spec(tasks) for tasks in groups.values()]
-    records = [r for batch in batches for r in batch]
+    opts = _solve_opts(args)
+    records = []
+    for spec, checks in _verify_instances(args).items():
+        g = generate(spec)
+        records += [_verify_record(g, spec, variant, ora, opts)
+                    for variant, ora in checks]
     records.sort(key=lambda r: (r["instance"], r["variant"]))
 
     incomplete = sum(1 for r in records if r["incomplete"])
@@ -501,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
-    p.add_argument("--parallel", type=int, default=1,
-                   help="worker processes to spread the instances over")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="build the hardness-reduction graph and "

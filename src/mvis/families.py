@@ -54,10 +54,10 @@ class FamilySpec:
     base_path: str | None = None
 
     def __post_init__(self):
-        rule = _PARAM_RANGES.get(self.kind)
+        rule = _KINDS.get(self.kind)
         if rule is None:
             raise BadParams(f"unknown family kind {self.kind!r}")
-        arity, valid, need = rule
+        arity, valid, need, _ = rule
         p = self.params
         if not p or (arity and len(p) != arity):
             raise BadParams(f"{self.kind} takes {arity or 'one or more'} "
@@ -77,48 +77,22 @@ class FamilySpec:
         return f"{self.kind}:{self.params[0]}"
 
 
-#: Per family kind: the number of parameters (0 for one or more), the test
-#: they must pass, and that test in words.
-_PARAM_RANGES = {
-    "path": (1, lambda n: n >= 2, "n >= 2"),
-    "cycle": (1, lambda n: n >= 3, "n >= 3"),
-    "complete": (1, lambda n: n >= 1, "n >= 1"),
-    "star": (1, lambda k: k >= 1, "k >= 1 leaves"),
-    "random_tree": (1, lambda n: n >= 2, "n >= 2"),
-    "grid": (2, lambda n, m: n >= 1 and m >= 1 and n * m >= 2,
-             "at least two vertices"),
-    "torus": (2, lambda n, m: n >= 3 and m >= 3, "n, m >= 3"),
-    "pathprod": (0, lambda *dims: all(d >= 2 for d in dims), "factors >= 2"),
-    "gn": (1, lambda n: n >= 2, "n >= 2"),
-    "ht": (1, lambda t: t >= 2, "t >= 2"),
-    "gprime": (1, lambda t: t >= 3, "t >= 3"),
-}
-
+#: The other names a family kind goes by.
 _KIND_ALIASES = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
     "clique": "complete",
-    "star": "star",
-    "random_tree": "random_tree",
     "tree": "random_tree",
-    "grid": "grid",
-    "torus": "torus",
-    "pathprod": "pathprod",
     "path_product": "pathprod",
-    "gn": "gn",
     "gadget_gn": "gn",
-    "ht": "ht",
     "gadget_ht": "ht",
-    "gprime": "gprime",
 }
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse canonical strings like "grid:9x6", "gn:3", "gprime:p5.el:t=3"."""
     parts = text.strip().split(":")
-    kind = _KIND_ALIASES.get(parts[0].lower())
-    if kind is None or len(parts) < 2:
+    name = parts[0].lower()
+    kind = _KIND_ALIASES.get(name, name)
+    if kind not in _KINDS or len(parts) < 2:
         raise BadParams(f"cannot parse family spec {text!r}")
     try:
         if kind == "gprime":
@@ -278,33 +252,35 @@ def ht_copy_vertex(c: int, i: int, j: int) -> int:
     return 12 * c + (i - 1) * 3 + (j - 1)
 
 
+#: Per family kind: the number of parameters (0 for one or more), the test
+#: they must pass, that test in words, and the builder of a checked spec.
+_KINDS = {
+    "path": (1, lambda n: n >= 2, "n >= 2", lambda s: _path(*s.params)),
+    "cycle": (1, lambda n: n >= 3, "n >= 3", lambda s: _cycle(*s.params)),
+    "complete": (1, lambda n: n >= 1, "n >= 1",
+                 lambda s: _complete(*s.params)),
+    "star": (1, lambda k: k >= 1, "k >= 1 leaves", lambda s: _star(*s.params)),
+    "random_tree": (1, lambda n: n >= 2, "n >= 2",
+                    lambda s: _random_tree(*s.params, s.seed)),
+    "grid": (2, lambda n, m: n >= 1 and m >= 1 and n * m >= 2,
+             "at least two vertices", lambda s: _grid(*s.params)),
+    "torus": (2, lambda n, m: n >= 3 and m >= 3, "n, m >= 3",
+              lambda s: _torus(*s.params)),
+    "pathprod": (0, lambda *dims: all(d >= 2 for d in dims), "factors >= 2",
+                 lambda s: _path_product(s.params)),
+    "gn": (1, lambda n: n >= 2, "n >= 2", lambda s: _gadget_gn(*s.params)),
+    "ht": (1, lambda t: t >= 2, "t >= 2", lambda s: _gadget_ht(*s.params)),
+    "gprime": (1, lambda t: t >= 3, "t >= 3",
+               lambda s: reduction_gprime(read_edge_list(s.base_path),
+                                          *s.params).gprime),
+}
+
+
 def generate(spec: FamilySpec | str) -> Graph:
     """Build the graph described by a FamilySpec or its string form."""
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
-    kind = spec.kind
-    p = spec.params
-    if kind == "path":
-        return _path(p[0])
-    if kind == "cycle":
-        return _cycle(p[0])
-    if kind == "complete":
-        return _complete(p[0])
-    if kind == "star":
-        return _star(p[0])
-    if kind == "random_tree":
-        return _random_tree(p[0], spec.seed)
-    if kind == "grid":
-        return _grid(*p)
-    if kind == "torus":
-        return _torus(*p)
-    if kind == "pathprod":
-        return _path_product(p)
-    if kind == "gn":
-        return _gadget_gn(p[0])
-    if kind == "ht":
-        return _gadget_ht(p[0])
-    return reduction_gprime(read_edge_list(spec.base_path), p[0]).gprime
+    return _KINDS[spec.kind][3](spec)
 
 
 # --------------------------------------------------------------------------

@@ -172,9 +172,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, read_edge_list
+from .graphs import Graph, read_edge_list
 from .families import FamilySpec, parse_family_spec, pruefer_sequence
 from .solve import SolveOptions, SolveResult, solve, solve_independence
 from .visibility import VARIANTS
-
-
-class UnsupportedFamily(GraphError):
-    """The oracle covers no closed form for this family."""
 
 
 @dataclass(frozen=True)
@@ -108,12 +104,11 @@ def _tree_value(leaf_count: int) -> OracleValue:
     return _exact(leaf_count, "tree rule: every variant equals the leaf count")
 
 
-def oracle(spec: FamilySpec | str, variant: str,
-           alpha: int | None = None) -> OracleValue:
+def oracle(spec: FamilySpec | str, variant: str) -> OracleValue:
     """Closed-form value for a covered family instance.
 
-    The reduction family needs the base independence number; pass ``alpha``
-    to avoid the oracle computing it with the exact solver.
+    The reduction family needs the base independence number, which the
+    oracle computes with the exact solver.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -180,16 +175,13 @@ def oracle(spec: FamilySpec | str, variant: str,
         if variant == "outer":
             return _exact(4 * t, "grid-chain gadget rule: outer 4t")
         return _UNKNOWN
-    if kind == "gprime":
-        t = spec.params[0]
-        base = read_edge_list(spec.base_path)
-        m = base.m
-        if alpha is None:
-            alpha = solve_independence(base).value
-        return _exact(
-            (m + 1) * t + alpha, "reduction identity: (m+1)*t + alpha"
-        )
-    raise UnsupportedFamily(f"no oracle for family kind {kind!r}")
+    # gprime
+    t = spec.params[0]
+    base = read_edge_list(spec.base_path)
+    alpha = solve_independence(base).value
+    return _exact(
+        (base.m + 1) * t + alpha, "reduction identity: (m+1)*t + alpha"
+    )
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,6 @@ class PairVisibility:
     """
 
     __slots__ = (
-        "n",
         "interior",
         "hint",
         "entries",
@@ -201,7 +200,6 @@ class PairVisibility:
         n = g.n
         d = all_pairs_distances(g)
         adj = self.adj = g.adjacency_masks()
-        self.n = n
         # layers[u][k] is the mask of the vertices at distance k from u.
         layers = []
         for du in d:

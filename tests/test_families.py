@@ -36,10 +36,13 @@ class TestSpecParsing:
         ):
             spec = parse_family_spec(text)
             assert spec.canonical() == text
+            assert generate(text).name == text
 
     def test_aliases(self):
-        assert parse_family_spec("gadget_gn:3").kind == "gn"
-        assert parse_family_spec("path_product:3x3").kind == "pathprod"
+        for text, kind in (("clique:4", "complete"), ("tree:6", "random_tree"),
+                           ("path_product:3x3", "pathprod"),
+                           ("gadget_gn:3", "gn"), ("gadget_ht:2", "ht")):
+            assert parse_family_spec(text).kind == kind
 
     def test_gprime_spec(self):
         spec = parse_family_spec("gprime:base.el:t=3")

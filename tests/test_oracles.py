@@ -5,8 +5,6 @@ import pytest
 
 from mvis import (
     BadParams,
-    UnsupportedFamily,
-    classify_set,
     comparison_table,
     generate,
     oracle,
@@ -84,14 +82,14 @@ class TestOracleEntries:
         assert oracle("grid:5x6", "outer").value == oracle("grid:6x5", "outer").value
         assert oracle("torus:3x5", "dual").value == oracle("torus:5x3", "dual").value
 
-    def test_gprime_oracle_with_alpha(self, tmp_path):
+    def test_gprime_oracle(self, tmp_path):
         from mvis import write_edge_list
 
         base = generate("path:5")
         path = str(tmp_path / "p5.el")
         write_edge_list(base, path)
         for variant in VARIANTS:
-            val = oracle(f"gprime:{path}:t=3", variant, alpha=3)
+            val = oracle(f"gprime:{path}:t=3", variant)
             assert val.value == (4 + 1) * 3 + 3
 
     def test_bad_kind(self):
