@@ -94,29 +94,10 @@ class VertexSet:
         """Members in ascending order."""
         return list(self)
 
-    def union(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.capacity, self.mask | other.mask)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.capacity, self.mask & other.mask)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.capacity, self.mask & ~other.mask)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def complement(self) -> "VertexSet":
-        full = (1 << self.capacity) - 1
-        return VertexSet.from_mask(self.capacity, full & ~self.mask)
-
     def with_vertex(self, v: int) -> "VertexSet":
         if not 0 <= v < self.capacity:
             raise InvalidVertexId(f"vertex {v} outside [0, {self.capacity})")
         return VertexSet.from_mask(self.capacity, self.mask | (1 << v))
-
-    def without_vertex(self, v: int) -> "VertexSet":
-        return VertexSet.from_mask(self.capacity, self.mask & ~(1 << v))
 
 
 def as_vertex_set(g: "Graph", x) -> VertexSet:

@@ -20,7 +20,7 @@ from .visibility import VARIANTS
 class OracleValue:
     """Exact value, directed bound, or unknown, with its source rule."""
 
-    kind: str  # "exact" | "upper_bound" | "lower_bound" | "unknown"
+    kind: str  # "exact" | "upper_bound" | "unknown"
     value: int | None
     source: str
 
@@ -29,8 +29,6 @@ class OracleValue:
             return solved == self.value
         if self.kind == "upper_bound":
             return solved <= self.value
-        if self.kind == "lower_bound":
-            return solved >= self.value
         return True
 
 

@@ -6,9 +6,25 @@ state is a pair of vertex masks (inside, open): inside is the set chosen so
 far and open the vertices still undecided; every other vertex is out. Each
 kind of search supplies two decisions on a vertex v, ``include`` and
 ``exclude``, which return the child state, or None when the branch dies.
-The kernel holds the only value DFS, the only decision DFS ("is there a
-solution of size t that extends this state?", answered with the solution it
-finds) and the only lexicographically least witness rebuild.
+The kernel holds one DFS, :meth:`_Search._dfs`, and the only
+lexicographically least witness rebuild. The DFS looks below a state for
+solutions X with floor < |X| <= cap, where a solution is any hereditary
+state, or a dual state with nothing open. With ``first`` set it returns
+the first one it finds: a decision query ("is there a solution of size t
+that extends this state?") is floor t - 1, cap t. Otherwise each solution
+found raises the floor, ``best`` and ``best_mask``: the value search is
+floor ``best``, cap n, from the root.
+
+The value search records hereditary states that are not leaves, yet it
+searches the same tree as when it recorded leaves only. Let S be such a
+state with |S| > best. Include never kills a hereditary child, since the
+branch vertex is open and so addable, so the include-first dive from S
+reaches a leaf L with |L| > |S| before any other check reads the floor.
+The checks on the dive pass either way: every state X on it is a
+solution, and while X has an open vertex v, X + v is one too, so both
+|X| + |open| and the partition bound exceed |X|, which is at least the
+floor. At L the floor becomes |L| either way. Only a budget that runs out
+on the dive sees a difference: it reports the larger set reached there.
 
 The witness phase. Once the value t is known, the rebuild decides the
 vertices in id order: v goes in when a solution of size t still exists with
@@ -33,8 +49,8 @@ becomes addable as inside grows; for independence the test is "no
 neighbour inside") and exclude drops v from open. The dual variant is not
 hereditary: both decisions run :meth:`_DualSearch._apply`, which decides v
 and everything it forces. That is the one rule in which the kinds differ:
-a hereditary state whose inside has the target size answers a decision
-query at once, while a dual state is a solution only when nothing is open.
+every hereditary state is a solution, while a dual state is one only when
+nothing is open.
 
 The hereditary root keeps open exactly the vertices v for which {v} is a
 solution. For total these are the bypass candidates, the vertices that are
@@ -97,6 +113,7 @@ phase handed it, so the lex-least witness does not depend on orbits.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -174,16 +191,17 @@ class SolveOptions:
 
 @dataclass
 class SearchStats:
-    """Search counters. ``prunes`` counts the nodes cut by the count or
-    the partition bound, the value-phase children whose decision killed
-    them, and the orbit vertices dropped; a vertex that an include drops
-    from open as unaddable is not a prune. ``bound_prunes`` counts the
-    prunes, included in ``prunes``, that only the convex-partition bound
-    made. ``orbit_prunes``, also included in ``prunes``, counts the
-    vertices that orbital branching dropped from exclude branches beyond
-    the branch vertex itself. ``witness_nodes`` counts the nodes, included
-    in ``nodes_explored``, of the lex-least witness rebuild, and
-    ``witness_queries`` the decision queries that rebuild ran."""
+    """Search counters. ``prunes`` counts the nodes cut by the count, by
+    the cap or by the partition bound, the children whose decision killed
+    them (in both phases), and the orbit vertices dropped; a vertex that
+    an include drops from open as unaddable is not a prune.
+    ``bound_prunes`` counts the prunes, included in ``prunes``, that only
+    the convex-partition bound made. ``orbit_prunes``, also included in
+    ``prunes``, counts the vertices that orbital branching dropped from
+    exclude branches beyond the branch vertex itself. ``witness_nodes``
+    counts the nodes, included in ``nodes_explored``, of the lex-least
+    witness rebuild, and ``witness_queries`` the decision queries that
+    rebuild ran."""
 
     nodes_explored: int = 0
     prunes: int = 0
@@ -442,13 +460,16 @@ def convex_partition(g: Graph, variant: str,
 
 class _Search:
     """Branch-and-bound over (inside, open) states; see the module
-    docstring. Subclasses supply :meth:`include` and :meth:`exclude`. The
-    root state leaves every vertex open unless a subclass narrows it.
-    ``bound``, when set, is the partition bound of the vertex mask it is
-    given."""
+    docstring. :meth:`_dfs` is the one DFS: it looks for solutions X with
+    floor < |X| <= cap, and either returns the first or records each in
+    ``best``. :meth:`run_value` and :meth:`exists` only choose its floor,
+    cap and stop rule. Subclasses supply :meth:`include` and
+    :meth:`exclude`. The root state leaves every vertex open unless a
+    subclass narrows it. ``bound``, when set, is the partition bound of
+    the vertex mask it is given."""
 
-    #: Whether every ``inside`` is itself a solution, so that a decision
-    #: query succeeds as soon as ``inside`` has the target size.
+    #: Whether every ``inside`` is itself a solution, not only the states
+    #: with nothing open.
     hereditary = True
 
     def __init__(self, g: Graph, kind: str, budget: _Budget):
@@ -466,10 +487,25 @@ class _Search:
         self.root = (0, self.full)
 
     def run_value(self) -> None:
-        """Value DFS from the root. Branches on the first open vertex in
-        branch order, include first; prunes on |inside| + |open| and on the
-        partition bound. On the include-only spine the exclude branch also
-        drops the branch vertex's orbit under the stabiliser of inside."""
+        """The value search: floor ``best``, cap n, from the root."""
+        self._dfs(*self.root, self.best, self.n, False)
+
+    def exists(self, inside: int, open_: int, target: int) -> int:
+        """Decision query: a solution of size ``target`` that contains
+        ``inside`` and lies within ``inside | open_``, as a mask, or 0 when
+        there is none. An overfull ``inside`` is refused without a node."""
+        if inside.bit_count() > target:
+            return 0
+        return self._dfs(inside, open_, target - 1, target, True)
+
+    def _dfs(self, inside: int, open_: int, floor: int, cap: int,
+             first: bool) -> int:
+        """The first solution found with ``first``, else 0. Branches on
+        the first open vertex in branch order, include first; prunes on
+        |inside| + |open| <= floor, on |inside| > cap and on the partition
+        bound. Without ``first`` (the value search, from the root) the
+        exclude branch of an include-only spine node also drops the branch
+        vertex's orbit under the stabiliser of inside."""
         g = self.g
         stats = self.stats
         tick = self.budget.tick
@@ -477,21 +513,26 @@ class _Search:
         bound = self.bound
         include = self.include
         exclude = self.exclude
+        hereditary = self.hereditary
 
-        def dfs(inside: int, open_: int, start: int, spine: bool) -> None:
+        def dfs(inside: int, open_: int, start: int, spine: bool) -> int:
+            nonlocal floor
             tick()
             count = inside.bit_count()
-            if count + open_.bit_count() <= self.best:
+            if count + open_.bit_count() <= floor or count > cap:
                 stats.prunes += 1
-                return
-            if not open_:
-                self.best = count
+                return 0
+            if count > floor and (hereditary or not open_):
+                if first:
+                    return inside
+                floor = self.best = count
                 self.best_mask = inside
-                return
-            if bound and bound(inside | open_) <= self.best:
+                if not open_:
+                    return 0
+            if bound and bound(inside | open_) <= floor:
                 stats.prunes += 1
                 stats.bound_prunes += 1
-                return
+                return 0
             i = start
             while not (open_ >> order[i]) & 1:
                 i += 1
@@ -500,11 +541,12 @@ class _Search:
             if child is None:
                 stats.prunes += 1
             else:
-                dfs(child[0], child[1], i + 1, spine)
+                found = dfs(child[0], child[1], i + 1, spine)
+                if found:
+                    return found
             child = exclude(inside, open_, v)
             if (spine and child is not None
-                    and child[0].bit_count() + child[1].bit_count()
-                    > self.best):
+                    and child[0].bit_count() + child[1].bit_count() > floor):
                 orbit = stabilizer_orbit(g, inside, v, open_) & ~(1 << v)
                 dropped = orbit.bit_count()
                 stats.prunes += dropped
@@ -515,50 +557,10 @@ class _Search:
                     child = exclude(child[0], child[1], low.bit_length() - 1)
             if child is None:
                 stats.prunes += 1
-            else:
-                dfs(child[0], child[1], i + 1, False)
-
-        dfs(self.root[0], self.root[1], 0, True)
-
-    def exists(self, inside: int, open_: int, target: int) -> int:
-        """Decision DFS: a solution of size ``target`` that contains
-        ``inside`` and lies within ``inside | open_``, as a mask, or 0 when
-        there is none."""
-        if inside.bit_count() > target:
-            return 0
-        stats = self.stats
-        tick = self.budget.tick
-        order = self.order
-        bound = self.bound
-        include = self.include
-        exclude = self.exclude
-        hereditary = self.hereditary
-
-        def dfs(inside: int, open_: int, start: int) -> int:
-            tick()
-            count = inside.bit_count()
-            if count == target and (hereditary or not open_):
-                return inside
-            if count > target or count + open_.bit_count() < target:
-                stats.prunes += 1
                 return 0
-            if bound and bound(inside | open_) < target:
-                stats.prunes += 1
-                stats.bound_prunes += 1
-                return 0
-            i = start
-            while not (open_ >> order[i]) & 1:
-                i += 1
-            v = order[i]
-            child = include(inside, open_, v)
-            if child is not None:
-                found = dfs(child[0], child[1], i + 1)
-                if found:
-                    return found
-            child = exclude(inside, open_, v)
-            return 0 if child is None else dfs(child[0], child[1], i + 1)
+            return dfs(child[0], child[1], i + 1, False)
 
-        return dfs(inside, open_, 0)
+        return dfs(inside, open_, 0, not first)
 
     def lex_least_witness(self, target: int) -> int:
         """Greedy lexicographically least maximum set: decide vertices in
@@ -808,7 +810,18 @@ def _search_for(g: Graph, kind: str, budget: _Budget) -> _Search:
     return search
 
 
+#: Frames a solve may need beyond one per vertex: its caller's and those of
+#: the calls around the search's recursion, which is at most n + 1 deep.
+STACK_HEADROOM = 100
+
+
 def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
+    limit = sys.getrecursionlimit()
+    if g.n > limit - STACK_HEADROOM:
+        raise GraphError(
+            f"order {g.n} is above {limit - STACK_HEADROOM}, the largest "
+            f"the recursive search takes at recursion limit {limit}"
+        )
     budget = _Budget(opts)
     search = _search_for(g, kind, budget)
     stats = search.stats

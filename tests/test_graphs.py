@@ -271,15 +271,6 @@ class TestVertexSet:
         assert 3 in s and 2 not in s
         assert s.ids() == [1, 3, 5]
 
-    def test_algebra(self):
-        a = VertexSet(6, [0, 1, 2])
-        b = VertexSet(6, [2, 3])
-        assert a.union(b).ids() == [0, 1, 2, 3]
-        assert a.intersection(b).ids() == [2]
-        assert a.difference(b).ids() == [0, 1]
-        assert b.issubset(a.union(b))
-        assert a.complement().ids() == [3, 4, 5]
-
     def test_capacity_enforced(self):
         with pytest.raises(InvalidVertexId):
             VertexSet(4, [4])

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+import mvis
 from mvis import (
     Incomplete,
     IncompleteCover,
@@ -21,8 +26,10 @@ from mvis import (
     solve_independence,
     total_is_zero,
 )
+from mvis.cli import main
 from mvis.solve import (
     PART_LIMIT,
+    STACK_HEADROOM,
     _Budget,
     _DualSearch,
     _HereditarySearch,
@@ -417,6 +424,43 @@ class TestLexLeastWitness:
         assert a.stats.nodes_explored == b.stats.nodes_explored
 
 
+class TestDecisionQuery:
+    def test_every_size_up_to_n(self):
+        # The witness phase asks only for sizes it knows are reached, so
+        # ask for every size from the root instead. The dual sets of C5,
+        # C6 and G_2 have sizes 0 and 2 only: a query for 1 must answer
+        # no, not with a larger set.
+        rng = random.Random(111)
+        graphs = [generate(spec) for spec in ("cycle:5", "cycle:6", "gn:2")]
+        graphs += [
+            random_connected_graph(rng.randint(2, 8), rng,
+                                   p=rng.choice((0.2, 0.3, 0.4)))
+            for _ in range(40)
+        ]
+        gaps = 0
+        for g in graphs:
+            sizes = {kind: set() for kind in VARIANTS}
+            for mask in range(1 << g.n):
+                rep = classify_set(g, mask)
+                for kind in VARIANTS:
+                    if rep.holds(kind):
+                        sizes[kind].add(mask.bit_count())
+            for kind in VARIANTS:
+                search = _search_for(g, kind, _Budget(SolveOptions()))
+                gaps += max(sizes[kind]) + 1 - len(sizes[kind])
+                for t in range(1, g.n + 1):
+                    found = search.exists(*search.root, t)
+                    assert bool(found) == (t in sizes[kind]), (
+                        kind, t, g.edges(),
+                    )
+                    if found:
+                        assert found.bit_count() == t, (kind, t, g.edges())
+                        assert classify_set(g, found).holds(kind), (
+                            kind, t, g.edges(),
+                        )
+        assert gaps >= 3
+
+
 def plain_lex_rebuild(search, target):
     """The lex-least rebuild without reuse: one decision query for every
     vertex that the decided prefix still lets in."""
@@ -683,6 +727,55 @@ class TestBudgets:
     def test_unlimited_by_default(self):
         res = solve(generate("cycle:8"), "mutual")
         assert res.value == 3
+
+    def test_first_dive_reports_the_set_it_reached(self):
+        # Every hereditary state is a solution, so a budget that runs out
+        # on the first include-only dive reports the set reached there:
+        # node k of the dive holds k - 1 vertices.
+        g = generate("grid:5x5")
+        for budget in range(1, 6):
+            with pytest.raises(Incomplete) as exc:
+                solve(g, "mutual", SolveOptions(node_budget=budget))
+            inc = exc.value
+            assert inc.lower_bound == inc.witness.card == budget - 1
+            assert classify_set(g, inc.witness).is_mutual
+
+
+class TestDepthGuard:
+    def test_cli_refuses_too_deep_a_graph(self, capsys):
+        # The guard refuses a graph too deep for the recursive search
+        # before any table is built, so this returns at once.
+        t0 = time.monotonic()
+        assert main(["solve", "star:1100", "--variant", "mutual"]) == 2
+        assert time.monotonic() - t0 < 10
+        err = capsys.readouterr().err
+        assert "order 1101" in err
+        assert f"recursion limit {sys.getrecursionlimit()}" in err
+
+    def test_largest_accepted_order_solves(self):
+        # At limit STACK_HEADROOM + 60 the guard takes at most 60
+        # vertices: star:59 (60 vertices) solves in every variant, and
+        # star:60 (61 vertices) is refused with exit 2.
+        limit = STACK_HEADROOM + 60
+        script = (
+            "import sys\n"
+            f"sys.setrecursionlimit({limit})\n"
+            "from mvis.cli import main\n"
+            "codes = [main(['solve', f'star:{k}', '--variant', v])\n"
+            "         for k in (59, 60)\n"
+            "         for v in ('mutual', 'total', 'outer', 'dual')]\n"
+            "print(codes)\n"
+        )
+        src = os.path.dirname(os.path.dirname(mvis.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert out.stdout.splitlines()[-1] == str([0] * 4 + [2] * 4), (
+            out.stdout, out.stderr,
+        )
+        assert "RecursionError" not in out.stderr
 
 
 class TestOrdering:

@@ -195,11 +195,10 @@ class TestHeredity:
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             if u == v or is_pair_visible(g, x, u, v):
                 continue
-            extra = [
-                w for w in range(g.n)
-                if w not in (u, v) and rng.random() < 0.4
-            ]
-            sup = x.union(VertexSet(g.n, extra))
+            sup = x.mask
+            for w in range(g.n):
+                if w not in (u, v) and rng.random() < 0.4:
+                    sup |= 1 << w
             assert not is_pair_visible(g, sup, u, v)
             hits += 1
 
