@@ -41,7 +41,7 @@ from .families import (
 )
 from .oracles import OracleValue, oracle
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -199,6 +199,19 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _exact(solver, *args) -> tuple[int, VertexSet]:
+    """The value of a solve and a maximum set, also when the budget ran out
+    only in the witness phase, where the value is already exact; a budget
+    stop before that re-raises :class:`Incomplete`."""
+    try:
+        res = solver(*args)
+    except Incomplete as inc:
+        if not inc.value_certified:
+            raise
+        return inc.lower_bound, inc.witness
+    return res.value, res.witness
+
+
 def cmd_reduce(args) -> int:
     opts = _solve_opts(args)
     base = _load_graph(args.graph)
@@ -206,33 +219,35 @@ def cmd_reduce(args) -> int:
     gp = record.gprime
     if args.out:
         write_edge_list(gp, args.out)
-    alpha = solve_independence(base, opts)
-    witness = reduction_witness(record, alpha.witness)
-    expected = (base.m + 1) * args.t + alpha.value
-    s_total = classify_set(gp, witness).is_total
     payload = {
         "base": base.name or args.graph,
         "t": args.t,
         "gprime_order": gp.n,
         "gprime_edges": gp.m,
-        "alpha": alpha.value,
-        "expected_value": expected,
-        "witness_size": witness.card,
-        "witness_is_total": s_total,
     }
-    incomplete = False
     try:
-        solved = solve(gp, "total", opts)
-        payload["solved_total"] = solved.value
-        payload["identity_certified"] = solved.value == expected
+        # Any maximum independent set builds the reduction's witness.
+        alpha, alpha_set = _exact(solve_independence, base, opts)
+        witness = reduction_witness(record, alpha_set)
+        expected = (base.m + 1) * args.t + alpha
+        s_total = classify_set(gp, witness).is_total
+        payload.update(
+            alpha=alpha,
+            expected_value=expected,
+            witness_size=witness.card,
+            witness_is_total=s_total,
+        )
+        total, _ = _exact(solve, gp, "total", opts)
     except Incomplete as inc:
-        incomplete = True
-        payload["solved_total_lower_bound"] = inc.lower_bound
+        solved = "alpha" if inc.variant == "independence" else "solved_total"
+        payload[f"{solved}_lower_bound"] = inc.lower_bound
         payload["identity_certified"] = None
-    _emit(payload, args.json)
-    if incomplete:
+        _emit(payload, args.json)
         return EXIT_INCOMPLETE
-    if not s_total or payload["identity_certified"] is not True:
+    payload["solved_total"] = total
+    payload["identity_certified"] = total == expected
+    _emit(payload, args.json)
+    if not s_total or total != expected:
         return EXIT_DISAGREE
     return EXIT_OK
 
@@ -249,7 +264,6 @@ def _stats_dict(stats) -> dict:
         "bound_prunes": stats.bound_prunes,
         "orbit_prunes": stats.orbit_prunes,
         "witness_nodes": stats.witness_nodes,
-        "witness_queries": stats.witness_queries,
         "elapsed_ms": round(stats.elapsed_ms, 2),
     }
 

@@ -6,14 +6,13 @@ state is a pair of vertex masks (inside, open): inside is the set chosen so
 far and open the vertices still undecided; every other vertex is out. Each
 kind of search supplies two decisions on a vertex v, ``include`` and
 ``exclude``, which return the child state, or None when the branch dies.
-The kernel holds one DFS, :meth:`_Search._dfs`, and the only
-lexicographically least witness rebuild. The DFS looks below a state for
-solutions X with floor < |X| <= cap, where a solution is any hereditary
-state, or a dual state with nothing open. With ``first`` set it returns
-the first one it finds: a decision query ("is there a solution of size t
-that extends this state?") is floor t - 1, cap t. Otherwise each solution
-found raises the floor, ``best`` and ``best_mask``: the value search is
-floor ``best``, cap n, from the root.
+The kernel holds one DFS, :meth:`_Search._dfs`, which looks below a state
+for solutions X with floor < |X| <= cap, where a solution is any
+hereditary state, or a dual state with nothing open. With ``first`` set it
+branches in id order and returns the first one it finds: a decision query
+("is there a solution of size t that extends this state?") is floor
+t - 1, cap t. Otherwise each solution found raises the floor, ``best`` and
+``best_mask``: the value search is floor ``best``, cap n, from the root.
 
 The value search records hereditary states that are not leaves, yet it
 searches the same tree as when it recorded leaves only. Let S be such a
@@ -26,20 +25,18 @@ solution, and while X has an open vertex v, X + v is one too, so both
 floor. At L the floor becomes |L| either way. Only a budget that runs out
 on the dive sees a difference: it reports the larger set reached there.
 
-The witness phase. Once the value t is known, the rebuild decides the
-vertices in id order: v goes in when a solution of size t still exists with
-v and the decisions before it, and out otherwise. It carries the decided
-state of its prefix forward instead of replaying it. It also carries
-``known``, a maximum set that agrees with every decision made so far; at
-the start this is the best set of the value phase. If v is in ``known``,
-then ``known`` itself answers the query for v with yes, so v goes in with
-no query, and ``known`` still agrees. Otherwise the query runs: a yes hands
-over the set it found, which holds the new prefix and so agrees with it,
-and a no puts v out, which ``known`` (not holding v) agrees with too. So
-every decision is the one the plain rebuild, which queries every vertex,
-would make: the witness is the same, and every query that still runs
-starts from the same state as in the plain rebuild and searches the same
-tree. Node counts can only fall.
+The witness phase. Once the value t is known, the lexicographically least
+maximum set is the first hit of one decision query from the root, which
+branches in id order, include first, with no orbits. The lex-least set is
+the greedy one: v goes in exactly when some solution of size t extends the
+decisions before v together with v. At a node that branches on v, the DFS
+searches everything below the include child before the exclude child, and
+its prunes (count, cap, partition bound) never cut a subtree that holds a
+solution of size t. So it leaves the include child without a hit exactly
+when no solution of size t extends the node's decisions and v, and then it
+puts v out: each decision on its path is the greedy one, and a vertex it
+never branches on was already decided by the ones before it. Its first hit
+is therefore the greedy set.
 
 The hereditary kinds are mutual, outer, total and independence: any subset
 of a solution is a solution. Their inside is always a solution, and open
@@ -106,9 +103,9 @@ therefore drops all of O, not just v. Orbits come from
 :func:`mvis.symmetry.stabilizer_orbit`, which counts only maps it has
 verified to be distance-preserving bijections and gives up on a map after
 a step limit proportional to n; a missed map only makes O smaller, which
-loses pruning but never a solution. The witness phase does not branch
-orbitally, and its decisions do not depend on which maximum set the value
-phase handed it, so the lex-least witness does not depend on orbits.
+loses pruning but never a solution. The witness search does not branch
+orbitally and starts from the root, not from the value phase's set, so the
+lex-least witness does not depend on orbits.
 """
 
 from __future__ import annotations
@@ -199,16 +196,15 @@ class SearchStats:
     the convex-partition bound made. ``orbit_prunes``, also included in
     ``prunes``, counts the vertices that orbital branching dropped from
     exclude branches beyond the branch vertex itself. ``witness_nodes``
-    counts the nodes, included in ``nodes_explored``, of the lex-least
-    witness rebuild, and ``witness_queries`` the decision queries that
-    rebuild ran."""
+    counts the nodes, included in ``nodes_explored``, of the witness phase:
+    the one id-order decision query whose first hit is the lex-least
+    maximum set."""
 
     nodes_explored: int = 0
     prunes: int = 0
     bound_prunes: int = 0
     orbit_prunes: int = 0
     witness_nodes: int = 0
-    witness_queries: int = 0
     elapsed_ms: float = 0.0
 
 
@@ -462,8 +458,8 @@ class _Search:
     """Branch-and-bound over (inside, open) states; see the module
     docstring. :meth:`_dfs` is the one DFS: it looks for solutions X with
     floor < |X| <= cap, and either returns the first or records each in
-    ``best``. :meth:`run_value` and :meth:`exists` only choose its floor,
-    cap and stop rule. Subclasses supply :meth:`include` and
+    ``best``. :meth:`run_value` and :meth:`lex_least_witness` only choose
+    its floor, cap and stop rule. Subclasses supply :meth:`include` and
     :meth:`exclude`. The root state leaves every vertex open unless a
     subclass narrows it. ``bound``, when set, is the partition bound of
     the vertex mask it is given."""
@@ -490,26 +486,19 @@ class _Search:
         """The value search: floor ``best``, cap n, from the root."""
         self._dfs(*self.root, self.best, self.n, False)
 
-    def exists(self, inside: int, open_: int, target: int) -> int:
-        """Decision query: a solution of size ``target`` that contains
-        ``inside`` and lies within ``inside | open_``, as a mask, or 0 when
-        there is none. An overfull ``inside`` is refused without a node."""
-        if inside.bit_count() > target:
-            return 0
-        return self._dfs(inside, open_, target - 1, target, True)
-
     def _dfs(self, inside: int, open_: int, floor: int, cap: int,
              first: bool) -> int:
         """The first solution found with ``first``, else 0. Branches on
-        the first open vertex in branch order, include first; prunes on
-        |inside| + |open| <= floor, on |inside| > cap and on the partition
-        bound. Without ``first`` (the value search, from the root) the
-        exclude branch of an include-only spine node also drops the branch
-        vertex's orbit under the stabiliser of inside."""
+        the first open vertex in branch order (in id order with ``first``),
+        include first; prunes on |inside| + |open| <= floor, on
+        |inside| > cap and on the partition bound. Without ``first`` (the
+        value search, from the root) the exclude branch of an include-only
+        spine node also drops the branch vertex's orbit under the
+        stabiliser of inside."""
         g = self.g
         stats = self.stats
         tick = self.budget.tick
-        order = self.order
+        order = range(self.n) if first else self.order
         bound = self.bound
         include = self.include
         exclude = self.exclude
@@ -563,42 +552,15 @@ class _Search:
         return dfs(inside, open_, 0, not first)
 
     def lex_least_witness(self, target: int) -> int:
-        """Greedy lexicographically least maximum set: decide vertices in
-        id order, each in when a solution of size ``target`` still exists
-        with it, out otherwise. ``state`` carries the decisions made so far
-        with everything they force, and ``known`` is a maximum set that
-        agrees with all of them: a vertex in ``known`` goes in with no
-        query, and a query that answers yes hands over the set it found."""
+        """The lexicographically least solution of size ``target``: the
+        first hit of the id-order decision query from the root (see the
+        module docstring)."""
         if target == 0:
             return 0
-        chosen = 0
-        count = 0
-        state = self.root
-        known = self.best_mask
-        for v in range(self.n):
-            if count == target:
-                break
-            vb = 1 << v
-            child = self.include(state[0], state[1], v)
-            found = 0
-            if child is not None:
-                if known & vb:
-                    found = known
-                else:
-                    self.stats.witness_queries += 1
-                    found = self.exists(child[0], child[1], target)
-            if found:
-                known = found
-                chosen |= vb
-                count += 1
-            else:
-                child = self.exclude(state[0], state[1], v)
-                if child is None:
-                    break
-            state = child
-        if count < target:
+        found = self._dfs(*self.root, target - 1, target, True)
+        if found.bit_count() != target:
             raise AssertionError("lex witness reconstruction failed")
-        return chosen
+        return found
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,16 @@ import random
 import pytest
 
 import mvis.cli
-from mvis import SolveOptions, generate, read_edge_list, write_edge_list
+from mvis import (
+    Incomplete,
+    SolveOptions,
+    generate,
+    read_edge_list,
+    reduction_gprime,
+    solve,
+    solve_independence,
+    write_edge_list,
+)
 from mvis.cli import _verify_record, main
 from mvis.oracles import OracleValue, oracle
 
@@ -151,8 +160,8 @@ class TestSolve:
         )
         assert code == 0
         stats = payload["stats"]
-        assert 0 < stats["witness_queries"] <= stats["witness_nodes"]
-        assert stats["witness_nodes"] < stats["nodes"]
+        assert "witness_queries" not in stats
+        assert 0 < stats["witness_nodes"] < stats["nodes"]
 
     def test_no_command_takes_parallel(self):
         for argv in (["solve", "cycle:5", "--variant", "dual"],
@@ -197,6 +206,56 @@ class TestReduce:
         assert payload["alpha"] == 1
         assert payload["witness_size"] == (3 + 1) * 3 + 1  # 13
 
+    def test_alpha_budget_out_reports_lower_bound(self, capsys):
+        code, payload = run_json(
+            capsys, "reduce", "grid:3x3", "--t", "3", "--budget-nodes", "3",
+            "--json",
+        )
+        assert code == 3
+        assert 0 < payload["alpha_lower_bound"] <= 5
+        assert payload["identity_certified"] is None
+        assert "alpha" not in payload
+
+    def test_certified_total_is_exact(self, capsys):
+        # A budget that certifies the total's value but runs out in its
+        # witness phase; the identity needs the value only.
+        gp = reduction_gprime(generate("path:4"), 3).gprime
+        budget = value_phase_nodes(gp, "total")
+        with pytest.raises(Incomplete) as exc:
+            solve(gp, "total", SolveOptions(node_budget=budget))
+        assert exc.value.value_certified
+        assert solve_independence(
+            generate("path:4"), SolveOptions(node_budget=budget)
+        ).value == 2
+        code, payload = run_json(
+            capsys, "reduce", "path:4", "--t", "3",
+            "--budget-nodes", str(budget), "--json",
+        )
+        assert code == 0
+        assert payload["solved_total"] == payload["expected_value"] == 14
+        assert payload["identity_certified"] is True
+        assert "solved_total_lower_bound" not in payload
+
+    def test_certified_alpha_builds_the_witness(self, capsys):
+        # A budget that certifies alpha but runs out in its witness phase:
+        # the maximum set it holds still builds a total witness, and the
+        # total's solve then stops uncertified.
+        base = generate("path:4")
+        budget = value_phase_nodes(base, "independence")
+        with pytest.raises(Incomplete) as exc:
+            solve_independence(base, SolveOptions(node_budget=budget))
+        assert exc.value.value_certified
+        code, payload = run_json(
+            capsys, "reduce", "path:4", "--t", "3",
+            "--budget-nodes", str(budget), "--json",
+        )
+        assert code == 3
+        assert payload["alpha"] == 2
+        assert payload["witness_size"] == payload["expected_value"] == 14
+        assert payload["witness_is_total"] is True
+        assert payload["solved_total_lower_bound"] <= 14
+        assert payload["identity_certified"] is None
+
 
 class TestVerify:
     def test_cycles_and_paths_agree(self, capsys):
@@ -207,10 +266,10 @@ class TestVerify:
         assert code == 0
         assert report["summary"]["disagreements"] == 0
         assert report["summary"]["instances"] > 40
-        assert report["format_version"] == 1
+        assert report["format_version"] == 2
         for r in report["records"]:
             assert r["stats"]["witness_nodes"] <= r["stats"]["nodes"]
-            assert r["stats"]["witness_queries"] >= 0
+            assert "witness_queries" not in r["stats"]
 
     def test_full_cycle_sweep_agreement_count(self, capsys):
         code, report = run_json(
