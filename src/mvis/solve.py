@@ -263,21 +263,18 @@ def _branch_order(g: Graph) -> list[int]:
 PART_LIMIT = 12
 
 
+@dataclass(frozen=True, slots=True)
 class ConvexPartition:
     """Disjoint convex parts with their capacities, and the bound they give.
 
     ``parts`` holds (vertex mask, capacity) pairs, only for parts whose
-    capacity is below their size; every other vertex counts in full.
+    capacity is below their size; ``free`` holds every other vertex, which
+    counts in full. Partitions are shared through the graph's cache, so
+    they are read-only.
     """
 
-    __slots__ = ("parts", "free")
-
-    def __init__(self, parts: list[tuple[int, int]], full: int):
-        self.parts = parts
-        covered = 0
-        for h, _ in parts:
-            covered |= h
-        self.free = full & ~covered
+    parts: list[tuple[int, int]]
+    free: int
 
     def bound(self, mask: int) -> int:
         """Upper bound on |X| for variant-sets X of the graph inside ``mask``."""
@@ -360,21 +357,23 @@ def convex_partition(g: Graph, variant: str,
     size. Parts are proper subsets, so computing their capacities with
     value searches terminates.
 
-    Chains from different seeds merge, so each hull on a chain is memoised
-    with the best key on the chain from it and the chain's last hull, which
-    holds every hull before it. Taking a part P out of the unused vertices
-    only makes hulls that meet P stop fitting. So a step from a hull that
-    misses P still picks the same first smallest hull, as long as that hull
-    misses P: every earlier or smaller candidate that fits now also fitted
-    before. An entry whose last hull misses P therefore still holds in the
-    next round, and only the others are dropped.
+    Chains from different seeds merge, so within a round each hull on a
+    chain is memoised with the best key on the chain from it.
+
+    The partition is built once per (variant, searched mask) and cached on
+    the graph.
     """
+    room = (1 << g.n) - 1 if searched is None else searched
+    if (variant, room) not in g._partitions:
+        g._partitions[variant, room] = _partition(g, variant, room)
+    return g._partitions[variant, room]
+
+
+def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
+    """The partition :func:`convex_partition` caches."""
     n = g.n
-    full = (1 << n) - 1
-    room = full if searched is None else searched
+    free = (1 << n) - 1
     limit = min(PART_LIMIT, n - 1)
-    if limit < 3:
-        return ConvexPartition([], full)
     interior = pair_visibility(g).interior
     adj = g.adjacency_masks()
     caps: dict[int, int] = {}
@@ -411,24 +410,25 @@ def convex_partition(g: Graph, variant: str,
                     break
         return nxt
 
-    # grown[h] = (best key on the chain from h, the chain's last hull).
-    grown: dict[int, tuple] = {}
+    # grown[h] is the best key on the chain from h, for this round's room.
+    grown: dict[int, tuple | None] = {}
 
     def grow(h: int):
         path = []
         while h and h not in grown:
             path.append(h)
             h = step(h)
-        best, last = grown[h] if h else (None, path[-1])
+        best = grown[h] if h else None
         for h in reversed(path):
             key = score(h)
             if key is not None and (best is None or key < best):
                 best = key
-            grown[h] = (best, last)
+            grown[h] = best
         return best
 
     parts: list[tuple[int, int]] = []
     while True:
+        grown.clear()
         best = None
         m = room
         while m:
@@ -442,11 +442,11 @@ def convex_partition(g: Graph, variant: str,
                 if key is not None and (best is None or key < best):
                     best = key
         if best is None:
-            return ConvexPartition(parts, full)
+            return ConvexPartition(parts, free)
         part = best[2]
         parts.append((part, best[3]))
         room &= ~part
-        grown = {h: e for h, e in grown.items() if not e[1] & part}
+        free &= ~part
 
 
 # --------------------------------------------------------------------------

@@ -187,8 +187,6 @@ class PairVisibility:
         "interior",
         "hint",
         "entries",
-        "vpred",
-        "abit",
         "pair_mask",
         "pairs_through",
         "pair_ids",
@@ -211,8 +209,6 @@ class PairVisibility:
         # Indexed by pid = u * n + v for u < v.
         self.interior: list[int] = [0] * (n * n)
         self.entries: list[tuple[tuple[int, int], ...]] = [()] * (n * n)
-        self.vpred: list[int] = [0] * (n * n)
-        self.abit: list[int] = [0] * (n * n)
         self.pair_mask: list[int] = [0] * (n * n)
         through: list[list[int]] = [[] for _ in range(n)]
         for u in range(n):
@@ -240,8 +236,6 @@ class PairVisibility:
                     prev = cur
                 self.interior[pid] = imask
                 self.entries[pid] = tuple(entries)
-                self.vpred[pid] = adj[v] & prev
-                self.abit[pid] = 1 << u
                 self.pair_mask[pid] = (1 << u) | (1 << v)
         self.pairs_through = [tuple(p) for p in through]
         # pair_ids[v][u] is the pid of the pair {u, v} (unused for u = v).
@@ -256,12 +250,15 @@ class PairVisibility:
         if not self.hint[pid] & xmask:
             return True
         blocked = self.interior[pid] & xmask
-        reach = self.abit[pid]
+        ends = self.pair_mask[pid]
+        reach = ends & -ends  # u, the lower end
         entries = self.entries[pid]
         for bit, pm in entries:
             if pm & reach and not bit & blocked:
                 reach |= bit
-        want = self.vpred[pid] & reach
+        # v's neighbours in reach lie in the last slice: u is one only
+        # when the interior is empty, and then the hint returned True.
+        want = self.adj[ends.bit_length() - 1] & reach
         if not want:
             return False
         # Walk back from v along reached predecessors; entries run in

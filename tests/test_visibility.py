@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -284,7 +285,10 @@ class TestPairVisibilityKernel:
                 for bit, pm in pv.entries[pid]:
                     z = bit.bit_length() - 1
                     assert pm == adj[z] & nearer(span, u, z), (u, v, z)
-                assert pv.vpred[pid] == adj[v] & nearer(span, u, v), (u, v)
+                # visible_pid's sweep reaches u and interior vertices only,
+                # and walks back from v's neighbours among them.
+                assert (adj[v] & (pv.interior[pid] | 1 << u)
+                        == adj[v] & nearer(span, u, v)), (u, v)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_visible_pid_matches_bfs(self, spec):
@@ -379,3 +383,39 @@ class TestOneTablePerGraph:
         dual_zero_sufficient(g)
         # Part capacities are solved on smaller graphs with their own tables.
         assert built.count(g.n) == 1
+
+
+class TestOnePartitionPerGraphAndKind:
+    def test_partition_is_cached_on_the_graph(self):
+        g = generate("grid:4x3")
+        full = (1 << g.n) - 1
+        root = sum(1 << v for v in range(g.n) if is_bypass_candidate(g, v))
+        assert root != full
+        outer = convex_partition(g, "outer", full)
+        assert convex_partition(g, "outer", full) is outer
+        assert convex_partition(g, "outer") is outer  # no mask: the full one
+        assert convex_partition(g, "mutual", full) is not outer
+        total = convex_partition(g, "total", root)
+        assert convex_partition(g, "total", root) is total
+        assert convex_partition(g, "total", full) is not total
+        assert convex_partition(generate("grid:4x3"), "outer") is not outer
+
+    def test_second_solve_builds_no_hull(self, monkeypatch):
+        calls = []
+        # mvis.solve is the function; the module is found through it.
+        module = sys.modules[convex_partition.__module__]
+        hull_with = module._hull_with
+
+        def counting(*args):
+            calls.append(args)
+            return hull_with(*args)
+
+        monkeypatch.setattr(module, "_hull_with", counting)
+        g = generate("grid:5x5")
+        solves = [lambda v=v: solve(g, v) for v in VARIANTS]
+        for run in solves + [lambda: solve_independence(g)]:
+            run()
+            built = len(calls)
+            run()
+            assert len(calls) == built
+        assert calls  # the first solves did build their partitions
