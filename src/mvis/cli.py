@@ -263,6 +263,7 @@ def _stats_dict(stats) -> dict:
         "prunes": stats.prunes,
         "bound_prunes": stats.bound_prunes,
         "orbit_prunes": stats.orbit_prunes,
+        "doll_prunes": stats.doll_prunes,
         "witness_nodes": stats.witness_nodes,
         "elapsed_ms": round(stats.elapsed_ms, 2),
     }

@@ -9,10 +9,11 @@ kind of search supplies two decisions on a vertex v, ``include`` and
 The kernel holds one DFS, :meth:`_Search._dfs`, which looks below a state
 for solutions X with floor < |X| <= cap, where a solution is any
 hereditary state, or a dual state with nothing open. With ``first`` set it
-branches in id order and returns the first one it finds: a decision query
-("is there a solution of size t that extends this state?") is floor
-t - 1, cap t. Otherwise each solution found raises the floor, ``best`` and
-``best_mask``: the value search is floor ``best``, cap n, from the root.
+returns the first one it finds: a decision query ("is there a solution of
+size t that extends this state?") is floor t - 1, cap t. Otherwise each
+solution found raises the floor, ``best`` and ``best_mask``: the value
+search is floor ``best``, cap n, from the root. It branches in the branch
+order (descending degree), or in id order with ``by_id``.
 
 The value search records hereditary states that are not leaves, yet it
 searches the same tree as when it recorded leaves only. Let S be such a
@@ -20,8 +21,9 @@ state with |S| > best. Include never kills a hereditary child, since the
 branch vertex is open and so addable, so the include-first dive from S
 reaches a leaf L with |L| > |S| before any other check reads the floor.
 The checks on the dive pass either way: every state X on it is a
-solution, and while X has an open vertex v, X + v is one too, so both
-|X| + |open| and the partition bound exceed |X|, which is at least the
+solution, and while X has an open vertex v, X + v is one too, so
+|X| + |open|, the partition bound and |X| + c[i] of the doll table (below;
+c[i] >= 1 when ``order[i]`` is open) all exceed |X|, which is at least the
 floor. At L the floor becomes |L| either way. Only a budget that runs out
 on the dive sees a difference: it reports the larger set reached there.
 
@@ -106,6 +108,35 @@ a step limit proportional to n; a missed map only makes O smaller, which
 loses pruning but never a solution. The witness search does not branch
 orbitally and starts from the root, not from the value phase's set, so the
 lex-least witness does not depend on orbits.
+
+The doll table (Russian-doll search: Verfaillie, Lemaitre & Schiex, AAAI
+1996; Ostergard, Discrete Applied Math. 2002). Before the value search of
+a hereditary kind, :meth:`_Search._build_doll` fills a table c over the
+branch order ``order``, from its tail: c[i] is the size of the largest
+solution inside ``order[i:]`` and the root's open vertices, and c[n] = 0.
+Any subset of a solution is a solution, so c[i] is c[i + 1] + 1 when some
+solution of that size holds v = ``order[i]`` and lies in v plus the
+suffix after it, and c[i + 1] otherwise. Level i asks exactly that, as
+one decision query from the state include(0, suffix + v, v) with floor
+c[i + 1] and cap c[i + 1] + 1, branching in branch order from index
+i + 1, with no orbits. Each hit raises ``best`` and ``best_mask`` at once,
+so a budget that runs out during the table reports the largest level set.
+A level that takes more than :data:`DOLL_LEVEL_LIMIT` nodes per vertex is
+abandoned, and it and every level below it keep c = n. Such an entry never
+prunes: a node past the count prune has floor < |inside| + |open| <= n.
+
+Every search in branch order, the value search and the level queries,
+prunes a node that branches at index i when |inside| + c[i] <= floor. At
+such a node open lies inside ``order[i:]``: a node branches on its first
+open vertex at or after the index where its parent branched, both children
+start past that index, and an exclude only removes vertices from open. The
+orbit vertices dropped on the spine are removed by excludes too, so they
+only shrink open. Any solution below the node is inside + Y with Y within
+open, and Y is a solution by heredity inside ``order[i:]`` and the root's
+open vertices, so |Y| <= c[i]. A level query reads only c[j] for j > i,
+which are built before it starts. The witness query does not use the
+table: it branches in id order, so the index of its branch vertex in
+``order`` says nothing about where its open vertices lie.
 """
 
 from __future__ import annotations
@@ -189,21 +220,25 @@ class SolveOptions:
 @dataclass
 class SearchStats:
     """Search counters. ``prunes`` counts the nodes cut by the count, by
-    the cap or by the partition bound, the children whose decision killed
-    them (in both phases), and the orbit vertices dropped; a vertex that
-    an include drops from open as unaddable is not a prune.
-    ``bound_prunes`` counts the prunes, included in ``prunes``, that only
-    the convex-partition bound made. ``orbit_prunes``, also included in
-    ``prunes``, counts the vertices that orbital branching dropped from
-    exclude branches beyond the branch vertex itself. ``witness_nodes``
-    counts the nodes, included in ``nodes_explored``, of the witness phase:
-    the one id-order decision query whose first hit is the lex-least
-    maximum set."""
+    the cap, by the partition bound or by the doll table, the children
+    whose decision killed them (in both phases), and the orbit vertices
+    dropped; a vertex that an include drops from open as unaddable is not a
+    prune. ``bound_prunes`` counts the prunes, included in ``prunes``, that
+    only the convex-partition bound made. ``doll_prunes``, also included in
+    ``prunes``, counts the nodes that only the doll table cut, in its own
+    level queries and in the value search. ``orbit_prunes``, also included
+    in ``prunes``, counts the vertices that orbital branching dropped from
+    exclude branches beyond the branch vertex itself. ``nodes_explored``
+    includes the doll table's nodes, which count in the value phase.
+    ``witness_nodes`` counts the nodes, included in ``nodes_explored``, of
+    the witness phase: the one id-order decision query whose first hit is
+    the lex-least maximum set."""
 
     nodes_explored: int = 0
     prunes: int = 0
     bound_prunes: int = 0
     orbit_prunes: int = 0
+    doll_prunes: int = 0
     witness_nodes: int = 0
     elapsed_ms: float = 0.0
 
@@ -218,6 +253,10 @@ class SolveResult:
 
 class _BudgetExceeded(Exception):
     pass
+
+
+class _LevelAbandoned(Exception):
+    """A doll level went past its node limit."""
 
 
 class _Budget:
@@ -262,6 +301,10 @@ def _branch_order(g: Graph) -> list[int]:
 #: an exact solve of the part, so parts stay small.
 PART_LIMIT = 12
 
+#: Most nodes one level of the doll table may take, per vertex of the
+#: graph, before the table is abandoned at that level.
+DOLL_LEVEL_LIMIT = 2
+
 
 @dataclass(frozen=True, slots=True)
 class ConvexPartition:
@@ -297,17 +340,44 @@ def _capacity(variant: str, n: int, edge_bits: int) -> int:
 
 
 def _part_capacity(g: Graph, variant: str, part: int) -> int:
-    """The variant's number of the subgraph induced by the mask ``part``,
-    memoised on its edge list relabelled in ascending id order."""
-    ids = [v for v in range(g.n) if (part >> v) & 1]
+    """The variant's number of the subgraph induced by the mask ``part``."""
+    adj = g.adjacency_masks()
+    low = (part & -part).bit_length() - 1
+    span = part.bit_length() - low
+    rows = shift = 0
+    m = part
+    while m:
+        b = m & -m
+        m ^= b
+        rows |= (adj[b.bit_length() - 1] & part) >> low << shift
+        shift += span
+    return _moved_capacity(variant, part >> low, rows)
+
+
+@lru_cache(maxsize=2048)
+def _moved_capacity(variant: str, part: int, rows: int) -> int:
+    """:func:`_part_capacity` of a part moved down to start at vertex 0,
+    memoised on the part and its neighbour masks, which ``rows`` packs one
+    per part vertex in ascending order, each ``part.bit_length()`` bits
+    wide. A lookup needs no relabelling. A miss relabels the part in
+    ascending id order and asks :func:`_capacity`, which shares one solve
+    between parts with equal relabellings. The default ``mvis verify``
+    asks for about 1,400 distinct moved parts; each entry holds the packed
+    masks, so the memo is kept to 2,048 entries."""
+    ids = []
+    m = part
+    while m:
+        b = m & -m
+        m ^= b
+        ids.append(b)
     k = len(ids)
-    new_id = {v: i for i, v in enumerate(ids)}
+    span = part.bit_length()
     edge_bits = 0
-    for u in ids:
-        base = new_id[u] * k
-        for w in g.adj[u]:
-            if u < w and (part >> w) & 1:
-                edge_bits |= 1 << (base + new_id[w])
+    for i in range(k):
+        row = rows >> (i * span)
+        for j in range(i + 1, k):
+            if row & ids[j]:
+                edge_bits |= 1 << (i * k + j)
     return _capacity(variant, k, edge_bits)
 
 
@@ -458,11 +528,12 @@ class _Search:
     """Branch-and-bound over (inside, open) states; see the module
     docstring. :meth:`_dfs` is the one DFS: it looks for solutions X with
     floor < |X| <= cap, and either returns the first or records each in
-    ``best``. :meth:`run_value` and :meth:`lex_least_witness` only choose
-    its floor, cap and stop rule. Subclasses supply :meth:`include` and
-    :meth:`exclude`. The root state leaves every vertex open unless a
-    subclass narrows it. ``bound``, when set, is the partition bound of
-    the vertex mask it is given."""
+    ``best``. :meth:`run_value`, :meth:`_build_doll` and
+    :meth:`lex_least_witness` only choose its start state, floor, cap, stop
+    rule and order. Subclasses supply :meth:`include` and :meth:`exclude`.
+    The root state leaves every vertex open unless a subclass narrows it.
+    ``bound``, when set, is the partition bound of the vertex mask it is
+    given. ``doll``, once built, is the doll table over the branch order."""
 
     #: Whether every ``inside`` is itself a solution, not only the states
     #: with nothing open.
@@ -475,6 +546,7 @@ class _Search:
         self.pv: PairVisibility = pair_visibility(g)
         self.order = _branch_order(g)
         self.bound: Callable[[int], int] | None = None
+        self.doll: list[int] | None = None
         self.budget = budget
         self.stats = SearchStats()
         self.best = 0
@@ -483,22 +555,68 @@ class _Search:
         self.root = (0, self.full)
 
     def run_value(self) -> None:
-        """The value search: floor ``best``, cap n, from the root."""
+        """The value search: the doll table first for a hereditary kind,
+        then floor ``best``, cap n, from the root."""
+        if self.hereditary:
+            self._build_doll()
         self._dfs(*self.root, self.best, self.n, False)
 
+    def _build_doll(self) -> None:
+        """Fill ``doll`` from the tail of the branch order: ``doll[i]`` is
+        the largest solution inside ``order[i:]`` and the root's open
+        vertices. Level i asks for a solution one larger than
+        ``doll[i + 1]`` that holds ``order[i]``; each one found raises
+        ``best``. A level that takes more than :data:`DOLL_LEVEL_LIMIT`
+        nodes per vertex is abandoned, and it and every level below it keep
+        n, which prunes nothing."""
+        n = self.n
+        order = self.order
+        root_open = self.root[1]
+        doll = self.doll = [n] * n + [0]
+        suffix = 0
+        for i in range(n - 1, -1, -1):
+            v = order[i]
+            c = doll[i + 1]
+            if (root_open >> v) & 1:
+                try:
+                    found = self._dfs(*self.include(0, suffix | 1 << v, v),
+                                      c, c + 1, True, start=i + 1,
+                                      limit=DOLL_LEVEL_LIMIT * n)
+                except _LevelAbandoned:
+                    return
+                if found:
+                    c = self.best = c + 1
+                    self.best_mask = found
+                suffix |= 1 << v
+            doll[i] = c
+
     def _dfs(self, inside: int, open_: int, floor: int, cap: int,
-             first: bool) -> int:
+             first: bool, by_id: bool = False, start: int = 0,
+             limit: int = 0) -> int:
         """The first solution found with ``first``, else 0. Branches on
-        the first open vertex in branch order (in id order with ``first``),
-        include first; prunes on |inside| + |open| <= floor, on
-        |inside| > cap and on the partition bound. Without ``first`` (the
-        value search, from the root) the exclude branch of an include-only
-        spine node also drops the branch vertex's orbit under the
-        stabiliser of inside."""
+        the first open vertex in branch order from index ``start`` (in id
+        order with ``by_id``), include first; prunes on
+        |inside| + |open| <= floor, on |inside| > cap, on the partition
+        bound and, in branch order, on the doll table. Without ``first``
+        (the value search, from the root) the exclude branch of an
+        include-only spine node also drops the branch vertex's orbit under
+        the stabiliser of inside. With ``limit``, the search raises
+        :class:`_LevelAbandoned` on its node after the first ``limit``."""
         g = self.g
         stats = self.stats
-        tick = self.budget.tick
-        order = range(self.n) if first else self.order
+        budget = self.budget
+        tick = budget.tick
+        if limit:
+            stop = budget.nodes + limit
+            budget_tick = tick
+
+            def tick() -> None:
+                budget_tick()
+                if budget.nodes > stop:
+                    raise _LevelAbandoned
+
+        order = range(self.n) if by_id else self.order
+        doll = None if by_id else self.doll
         bound = self.bound
         include = self.include
         exclude = self.exclude
@@ -525,6 +643,10 @@ class _Search:
             i = start
             while not (open_ >> order[i]) & 1:
                 i += 1
+            if doll and count + doll[i] <= floor:
+                stats.prunes += 1
+                stats.doll_prunes += 1
+                return 0
             v = order[i]
             child = include(inside, open_, v)
             if child is None:
@@ -549,7 +671,7 @@ class _Search:
                 return 0
             return dfs(child[0], child[1], i + 1, False)
 
-        return dfs(inside, open_, 0, not first)
+        return dfs(inside, open_, start, not first)
 
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the
@@ -557,7 +679,7 @@ class _Search:
         module docstring)."""
         if target == 0:
             return 0
-        found = self._dfs(*self.root, target - 1, target, True)
+        found = self._dfs(*self.root, target - 1, target, True, by_id=True)
         if found.bit_count() != target:
             raise AssertionError("lex witness reconstruction failed")
         return found

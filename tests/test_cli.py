@@ -154,6 +154,13 @@ class TestSolve:
         assert 0 < payload["stats"]["orbit_prunes"] <= payload["stats"]["prunes"]
         assert "method" not in payload
 
+    def test_stats_show_doll_prunes(self, capsys):
+        code, payload = run_json(
+            capsys, "solve", "torus:5x5", "--variant", "mutual", "--json"
+        )
+        assert code == 0
+        assert 0 < payload["stats"]["doll_prunes"] <= payload["stats"]["prunes"]
+
     def test_stats_show_witness_phase(self, capsys):
         code, payload = run_json(
             capsys, "solve", "grid:4x4", "--variant", "mutual", "--json"
@@ -269,6 +276,7 @@ class TestVerify:
         assert report["format_version"] == 2
         for r in report["records"]:
             assert r["stats"]["witness_nodes"] <= r["stats"]["nodes"]
+            assert r["stats"]["doll_prunes"] <= r["stats"]["prunes"]
             assert "witness_queries" not in r["stats"]
 
     def test_full_cycle_sweep_agreement_count(self, capsys):

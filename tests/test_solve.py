@@ -280,6 +280,32 @@ class TestPartitionBound:
                 assert (partition.parts, partition.free) == regrown_partition(
                     g, kind, root), (g.edges(), kind)
 
+    def test_part_capacity_is_the_induced_solve(self):
+        # The capacity memo is keyed on the part moved down to vertex 0
+        # with its own neighbour masks: parts with one mask in different
+        # graphs, or translates of one part, must each get their own
+        # subgraph's number.
+        rng = random.Random(14)
+        for _ in range(60):
+            g = random_connected_graph(rng.randint(3, 10), rng,
+                                       p=rng.choice((0.2, 0.3, 0.4)))
+            part = 1 << rng.randrange(g.n)
+            for _ in range(rng.randint(1, g.n - 1)):
+                grown = 0
+                for v in range(g.n):
+                    if part >> v & 1:
+                        for w in g.adj[v]:
+                            grown |= 1 << w
+                grown &= ~part
+                if not grown:
+                    break
+                choices = [w for w in range(g.n) if grown >> w & 1]
+                part |= 1 << rng.choice(choices)
+            sub, _ = induced_subgraph(g, VertexSet.from_mask(g.n, part))
+            for kind in KINDS:
+                assert _part_capacity(g, kind, part) == solve_kind(
+                    sub, kind).value, (kind, g.edges(), part)
+
     def test_grid_parts_are_long_lines(self):
         g = generate("grid:7x4")
         partition = convex_partition(g, "mutual")
@@ -462,7 +488,8 @@ class TestDecisionQuery:
                 search = _search_for(g, kind, _Budget(SolveOptions()))
                 gaps += max(sizes[kind]) + 1 - len(sizes[kind])
                 for t in range(1, g.n + 1):
-                    found = search._dfs(*search.root, t - 1, t, True)
+                    found = search._dfs(*search.root, t - 1, t, True,
+                                        by_id=True)
                     assert bool(found) == (t in sizes[kind]), (
                         kind, t, g.edges(),
                     )
@@ -484,7 +511,7 @@ def plain_lex_rebuild(search, target):
             break
         child = search.include(state[0], state[1], v)
         if child is not None and search._dfs(*child, target - 1, target,
-                                             True):
+                                             True, by_id=True):
             chosen |= 1 << v
             count += 1
         else:
@@ -528,23 +555,28 @@ class TestWitnessReuse:
         found = []
         dfs = _Search._dfs
 
-        def recording_dfs(self, inside, open_, floor, cap, first):
-            mask = dfs(self, inside, open_, floor, cap, first)
+        def recording_dfs(self, inside, open_, floor, cap, first,
+                          by_id=False, start=0, limit=0):
+            mask = dfs(self, inside, open_, floor, cap, first, by_id, start,
+                       limit)
             if first and mask:
-                found.append((self.g, self.kind, inside, open_, cap, mask))
+                found.append((self.g, self.kind, inside, open_, cap, mask,
+                              by_id))
             return mask
 
         monkeypatch.setattr(_Search, "_dfs", recording_dfs)
         rng = random.Random(78)
-        # Part capacities run no witness phase, so only the solves below
-        # make decision queries.
+        # The hereditary solves, part capacities included, make doll level
+        # queries in branch order; each solve makes one id-order witness
+        # query.
         for _ in range(60):
             g = random_connected_graph(rng.randint(2, 10), rng,
                                        p=rng.choice((0.2, 0.3, 0.4)))
             for kind in KINDS:
                 solve_kind(g, kind)
-        assert len(found) > 50
-        for g, kind, inside, open_, target, mask in found:
+        assert sum(1 for *_, by_id in found if by_id) > 50
+        assert sum(1 for *_, by_id in found if not by_id) > 50
+        for g, kind, inside, open_, target, mask, _ in found:
             assert mask & inside == inside, (kind, g.edges())
             assert not mask & ~(inside | open_), (kind, g.edges())
             assert mask.bit_count() == target, (kind, g.edges())
@@ -570,6 +602,57 @@ class TestWitnessReuse:
         res = solve(generate("grid:6x6"), "mutual")
         assert res.value == 12
         assert res.stats.witness_nodes == 1453
+
+
+HEREDITARY = ("mutual", "total", "outer", "independence")
+
+
+class TestDollTable:
+    def test_levels_are_the_largest_suffix_solutions(self):
+        # Each built level of the doll table is the largest solution inside
+        # the suffix of the branch order and the root's open vertices, by
+        # brute force over every subset; an abandoned level and every level
+        # below it read n. Clearing the table does not move the witness.
+        rng = random.Random(2026)
+        abandoned = 0
+        for _ in range(40):
+            g = random_connected_graph(rng.randint(2, 10), rng,
+                                       p=rng.choice((0.2, 0.3, 0.4)))
+            n = g.n
+            adj = g.adjacency_masks()
+            solutions = {kind: [] for kind in HEREDITARY}
+            for mask in range(1 << n):
+                rep = classify_set(g, mask)
+                for kind in VARIANTS:
+                    if kind in solutions and rep.holds(kind):
+                        solutions[kind].append(mask)
+                if not any(adj[v] & mask for v in range(n) if mask >> v & 1):
+                    solutions["independence"].append(mask)
+            for kind in HEREDITARY:
+                search = _search_for(g, kind, _Budget(SolveOptions()))
+                search.run_value()
+                root_open = search.root[1]
+                want = []
+                for i in range(n + 1):
+                    room = root_open & sum(1 << v for v in search.order[i:])
+                    want.append(max(x.bit_count() for x in solutions[kind]
+                                    if not x & ~room))
+                doll = search.doll
+                wrong = [i for i in range(n + 1) if doll[i] != want[i]]
+                if wrong:
+                    abandoned += 1
+                    assert doll[:wrong[-1] + 1] == [n] * (wrong[-1] + 1), (
+                        kind, g.edges())
+                    assert doll[wrong[-1] + 1:] == want[wrong[-1] + 1:], (
+                        kind, g.edges())
+                witness = search.lex_least_witness(search.best)
+                search.doll = None
+                assert search.lex_least_witness(search.best) == witness
+                assert witness == min(
+                    (x for x in solutions[kind]
+                     if x.bit_count() == search.best),
+                    key=lambda x: [v for v in range(n) if x >> v & 1])
+        assert abandoned > 0
 
 
 class TestIndependence:
@@ -609,12 +692,14 @@ class TestIndependence:
     def test_kernel_bounds_prune_independence(self):
         # The independence search runs the shared kernel, with its
         # partition bound and orbital branching: 12,826 nodes without them,
-        # 118 before the witness rebuild reused the value phase's set, and
-        # 27 before the witness phase became one id-order query.
+        # 118 before the witness rebuild reused the value phase's set, 27
+        # before the witness phase became one id-order query, and 41 before
+        # the doll table. The root bound already equals the value here, so
+        # the table's levels are pure cost: 41 -> 300.
         res = solve_independence(generate("ht:2"))
         assert res.value == 13
         assert res.witness.ids() == list(range(0, 26, 2))
-        assert res.stats.nodes_explored == 41
+        assert res.stats.nodes_explored == 300
 
 
 class TestTotalIsZero:
@@ -744,16 +829,24 @@ class TestBudgets:
         assert res.value == 3
 
     def test_first_dive_reports_the_set_it_reached(self):
-        # Every hereditary state is a solution, so a budget that runs out
-        # on the first include-only dive reports the set reached there:
-        # node k of the dive holds k - 1 vertices.
+        # Every hereditary state is a solution, and each doll level raises
+        # the best set as soon as it finds one, so a budget that runs out
+        # while the table is built reports the largest level set so far.
+        # A level that finds its set on its first dive costs one node per
+        # vertex of the set. Before the table, node k of the value search's
+        # first dive held k - 1 vertices.
         g = generate("grid:5x5")
-        for budget in range(1, 6):
+        reached = []
+        for budget in range(1, 25):
             with pytest.raises(Incomplete) as exc:
                 solve(g, "mutual", SolveOptions(node_budget=budget))
             inc = exc.value
-            assert inc.lower_bound == inc.witness.card == budget - 1
+            assert not inc.value_certified
+            assert inc.lower_bound == inc.witness.card
             assert classify_set(g, inc.witness).is_mutual
+            reached.append(inc.lower_bound)
+        assert reached == [1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4,
+                           4, 5, 5, 5, 5, 5, 5, 6]
 
 
 class TestDepthGuard:
