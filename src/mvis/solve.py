@@ -118,8 +118,9 @@ Any subset of a solution is a solution, so c[i] is c[i + 1] + 1 when some
 solution of that size holds v = ``order[i]`` and lies in v plus the
 suffix after it, and c[i + 1] otherwise. Level i asks exactly that, as
 one decision query from the state include(0, suffix + v, v) with floor
-c[i + 1] and cap c[i + 1] + 1, branching in branch order from index
-i + 1, with no orbits. Each hit raises ``best`` and ``best_mask`` at once,
+c[i + 1] and cap c[i + 1] + 1, branching in branch order with no orbits;
+that root's open vertices lie in the suffix, so its first open vertex is
+past index i. Each hit raises ``best`` and ``best_mask`` at once,
 so a budget that runs out during the table reports the largest level set.
 A level that takes more than :data:`DOLL_LEVEL_LIMIT` nodes per vertex is
 abandoned, and it and every level below it keep c = n. Such an entry never
@@ -229,7 +230,9 @@ class SearchStats:
     level queries and in the value search. ``orbit_prunes``, also included
     in ``prunes``, counts the vertices that orbital branching dropped from
     exclude branches beyond the branch vertex itself. ``nodes_explored``
-    includes the doll table's nodes, which count in the value phase.
+    includes the doll table's nodes, which count in the value phase; the
+    root ``include`` of each doll level runs one feasibility test per
+    suffix vertex, and ``nodes_explored`` does not count these tests.
     ``witness_nodes`` counts the nodes, included in ``nodes_explored``, of
     the witness phase: the one id-order decision query whose first hit is
     the lex-least maximum set."""
@@ -331,7 +334,9 @@ class ConvexPartition:
 @lru_cache(maxsize=4096)
 def _capacity(variant: str, n: int, edge_bits: int) -> int:
     """The variant's number of the connected graph on ``n`` vertices whose
-    edge (u, w), u < w, is bit ``u * n + w`` of ``edge_bits``."""
+    edge (u, w), u < w, is bit ``u * n + w`` of ``edge_bits``. This is the
+    one capacity memo: parts with equal relabellings, in one graph or in
+    several, share one solve."""
     edges = [divmod(i, n) for i in range(n * n) if (edge_bits >> i) & 1]
     search = _search_for(build_graph(n, edges), variant,
                          _Budget(SolveOptions()))
@@ -340,44 +345,22 @@ def _capacity(variant: str, n: int, edge_bits: int) -> int:
 
 
 def _part_capacity(g: Graph, variant: str, part: int) -> int:
-    """The variant's number of the subgraph induced by the mask ``part``."""
+    """The variant's number of the subgraph induced by the mask ``part``,
+    relabelled in ascending id order: a vertex's label is the number of
+    part vertices below it."""
     adj = g.adjacency_masks()
-    low = (part & -part).bit_length() - 1
-    span = part.bit_length() - low
-    rows = shift = 0
-    m = part
-    while m:
-        b = m & -m
-        m ^= b
-        rows |= (adj[b.bit_length() - 1] & part) >> low << shift
-        shift += span
-    return _moved_capacity(variant, part >> low, rows)
-
-
-@lru_cache(maxsize=2048)
-def _moved_capacity(variant: str, part: int, rows: int) -> int:
-    """:func:`_part_capacity` of a part moved down to start at vertex 0,
-    memoised on the part and its neighbour masks, which ``rows`` packs one
-    per part vertex in ascending order, each ``part.bit_length()`` bits
-    wide. A lookup needs no relabelling. A miss relabels the part in
-    ascending id order and asks :func:`_capacity`, which shares one solve
-    between parts with equal relabellings. The default ``mvis verify``
-    asks for about 1,400 distinct moved parts; each entry holds the packed
-    masks, so the memo is kept to 2,048 entries."""
-    ids = []
-    m = part
-    while m:
-        b = m & -m
-        m ^= b
-        ids.append(b)
-    k = len(ids)
-    span = part.bit_length()
+    k = part.bit_count()
     edge_bits = 0
-    for i in range(k):
-        row = rows >> (i * span)
-        for j in range(i + 1, k):
-            if row & ids[j]:
-                edge_bits |= 1 << (i * k + j)
+    m = part
+    while m:
+        b = m & -m
+        m ^= b
+        i = (part & (b - 1)).bit_count() * k
+        up = adj[b.bit_length() - 1] & part & ~(2 * b - 1)
+        while up:
+            w = up & -up
+            up ^= w
+            edge_bits |= 1 << (i + (part & (w - 1)).bit_count())
     return _capacity(variant, k, edge_bits)
 
 
@@ -427,11 +410,14 @@ def convex_partition(g: Graph, variant: str,
     size. Parts are proper subsets, so computing their capacities with
     value searches terminates.
 
-    Chains from different seeds merge, so within a round each hull on a
-    chain is memoised with the best key on the chain from it.
+    Chains from different seeds merge, so a round scores and steps each
+    hull once: a chain's walk stops at the first hull the round has seen,
+    whose chain onward it has already scored. Keys hold the mask, so they
+    are totally ordered and the round's choice does not depend on which
+    seed met a hull first.
 
     The partition is built once per (variant, searched mask) and cached on
-    the graph.
+    the graph; capacities come from :func:`_part_capacity`.
     """
     room = (1 << g.n) - 1 if searched is None else searched
     if (variant, room) not in g._partitions:
@@ -446,15 +432,12 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
     limit = min(PART_LIMIT, n - 1)
     interior = pair_visibility(g).interior
     adj = g.adjacency_masks()
-    caps: dict[int, int] = {}
 
     def score(h: int):
         size = h.bit_count()
         if size < 3:
             return None
-        cap = caps.get(h)
-        if cap is None:
-            cap = caps[h] = _part_capacity(g, variant, h)
+        cap = _part_capacity(g, variant, h)
         return (cap / size, -size, h, cap) if cap < size else None
 
     def step(h: int) -> int:
@@ -480,25 +463,9 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
                     break
         return nxt
 
-    # grown[h] is the best key on the chain from h, for this round's room.
-    grown: dict[int, tuple | None] = {}
-
-    def grow(h: int):
-        path = []
-        while h and h not in grown:
-            path.append(h)
-            h = step(h)
-        best = grown[h] if h else None
-        for h in reversed(path):
-            key = score(h)
-            if key is not None and (best is None or key < best):
-                best = key
-            grown[h] = best
-        return best
-
     parts: list[tuple[int, int]] = []
     while True:
-        grown.clear()
+        seen: set[int] = set()
         best = None
         m = room
         while m:
@@ -508,9 +475,13 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
             while nbrs:
                 lw = nbrs & -nbrs
                 nbrs ^= lw
-                key = grow(low | lw)
-                if key is not None and (best is None or key < best):
-                    best = key
+                h = low | lw
+                while h and h not in seen:
+                    seen.add(h)
+                    key = score(h)
+                    if key is not None and (best is None or key < best):
+                        best = key
+                    h = step(h)
         if best is None:
             return ConvexPartition(parts, free)
         part = best[2]
@@ -580,7 +551,7 @@ class _Search:
             if (root_open >> v) & 1:
                 try:
                     found = self._dfs(*self.include(0, suffix | 1 << v, v),
-                                      c, c + 1, True, start=i + 1,
+                                      c, c + 1, True,
                                       limit=DOLL_LEVEL_LIMIT * n)
                 except _LevelAbandoned:
                     return
@@ -591,30 +562,21 @@ class _Search:
             doll[i] = c
 
     def _dfs(self, inside: int, open_: int, floor: int, cap: int,
-             first: bool, by_id: bool = False, start: int = 0,
-             limit: int = 0) -> int:
+             first: bool, by_id: bool = False, limit: int = 0) -> int:
         """The first solution found with ``first``, else 0. Branches on
-        the first open vertex in branch order from index ``start`` (in id
-        order with ``by_id``), include first; prunes on
-        |inside| + |open| <= floor, on |inside| > cap, on the partition
-        bound and, in branch order, on the doll table. Without ``first``
-        (the value search, from the root) the exclude branch of an
-        include-only spine node also drops the branch vertex's orbit under
-        the stabiliser of inside. With ``limit``, the search raises
-        :class:`_LevelAbandoned` on its node after the first ``limit``."""
+        the first open vertex in branch order (in id order with ``by_id``),
+        include first; prunes on |inside| + |open| <= floor, on
+        |inside| > cap, on the partition bound and, in branch order, on the
+        doll table. Without ``first`` (the value search, from the root) the
+        exclude branch of an include-only spine node also drops the branch
+        vertex's orbit under the stabiliser of inside. With ``limit``, the
+        search raises :class:`_LevelAbandoned` on its node after the first
+        ``limit``."""
         g = self.g
         stats = self.stats
         budget = self.budget
         tick = budget.tick
-        if limit:
-            stop = budget.nodes + limit
-            budget_tick = tick
-
-            def tick() -> None:
-                budget_tick()
-                if budget.nodes > stop:
-                    raise _LevelAbandoned
-
+        stop = budget.nodes + limit
         order = range(self.n) if by_id else self.order
         doll = None if by_id else self.doll
         bound = self.bound
@@ -625,6 +587,8 @@ class _Search:
         def dfs(inside: int, open_: int, start: int, spine: bool) -> int:
             nonlocal floor
             tick()
+            if limit and budget.nodes > stop:
+                raise _LevelAbandoned
             count = inside.bit_count()
             if count + open_.bit_count() <= floor or count > cap:
                 stats.prunes += 1
@@ -671,7 +635,7 @@ class _Search:
                 return 0
             return dfs(child[0], child[1], i + 1, False)
 
-        return dfs(inside, open_, start, not first)
+        return dfs(inside, open_, 0, not first)
 
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the
@@ -751,27 +715,18 @@ class _HereditarySearch(_Search):
         if need is None:
             return not self.adj[v] & xm
         pv = self.pv
-        n = self.n
         visible = pv.visible_pid
         hint = pv.hint
         # Each pair is first tested against its cached geodesic, as
         # visible_pid itself does, which saves the call on a hit.
         ends = xm if need == 2 else self.full & ~xm2 if need == 1 else 0
         pids = pv.pair_ids[v]
-        # A sparse mask (mutual's X) is walked bit by bit, a dense one
-        # (outer's complement) in one pass over v's pairs.
-        if ends.bit_count() * 2 < n:
-            while ends:
-                low = ends & -ends
-                ends ^= low
-                pid = pids[low.bit_length() - 1]
-                if hint[pid] & xm2 and not visible(pid, xm2):
-                    return False
-        else:
-            for pid in pids:
-                if ends & 1 and hint[pid] & xm2 and not visible(pid, xm2):
-                    return False
-                ends >>= 1
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            pid = pids[low.bit_length() - 1]
+            if hint[pid] & xm2 and not visible(pid, xm2):
+                return False
         pair_mask = pv.pair_mask
         floor = self.floor
         for pid in pv.pairs_through[v]:

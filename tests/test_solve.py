@@ -31,6 +31,7 @@ from mvis.solve import (
     PART_LIMIT,
     STACK_HEADROOM,
     _Budget,
+    _capacity,
     _DualSearch,
     _HereditarySearch,
     _part_capacity,
@@ -281,10 +282,18 @@ class TestPartitionBound:
                     g, kind, root), (g.edges(), kind)
 
     def test_part_capacity_is_the_induced_solve(self):
-        # The capacity memo is keyed on the part moved down to vertex 0
-        # with its own neighbour masks: parts with one mask in different
-        # graphs, or translates of one part, must each get their own
-        # subgraph's number.
+        # The one capacity memo is keyed on the part's edges relabelled by
+        # rank within the part: parts with one mask in different graphs
+        # must each get their own subgraph's number, and translates of one
+        # part, in one graph or in several, share one solve.
+        g, other = generate("grid:7x4"), generate("grid:7x4")
+        for kind in KINDS:
+            path = solve_kind(generate("path:4"), kind).value
+            assert _part_capacity(g, kind, 0b1111) == path  # row 1
+            misses = _capacity.cache_info().misses
+            assert _part_capacity(g, kind, 0b1111 << 4) == path  # row 2
+            assert _part_capacity(other, kind, 0b1111) == path
+            assert _capacity.cache_info().misses == misses, kind
         rng = random.Random(14)
         for _ in range(60):
             g = random_connected_graph(rng.randint(3, 10), rng,
@@ -556,9 +565,8 @@ class TestWitnessReuse:
         dfs = _Search._dfs
 
         def recording_dfs(self, inside, open_, floor, cap, first,
-                          by_id=False, start=0, limit=0):
-            mask = dfs(self, inside, open_, floor, cap, first, by_id, start,
-                       limit)
+                          by_id=False, limit=0):
+            mask = dfs(self, inside, open_, floor, cap, first, by_id, limit)
             if first and mask:
                 found.append((self.g, self.kind, inside, open_, cap, mask,
                               by_id))

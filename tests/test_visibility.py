@@ -385,6 +385,22 @@ class TestOneTablePerGraph:
         assert built.count(g.n) == 1
 
 
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """The argument tuples of every ``_hull_with`` call from now on."""
+    calls = []
+    # mvis.solve is the function; the module is found through it.
+    module = sys.modules[convex_partition.__module__]
+    hull_with = module._hull_with
+
+    def counting(*args):
+        calls.append(args)
+        return hull_with(*args)
+
+    monkeypatch.setattr(module, "_hull_with", counting)
+    return calls
+
+
 class TestOnePartitionPerGraphAndKind:
     def test_partition_is_cached_on_the_graph(self):
         g = generate("grid:4x3")
@@ -400,22 +416,31 @@ class TestOnePartitionPerGraphAndKind:
         assert convex_partition(g, "total", full) is not total
         assert convex_partition(generate("grid:4x3"), "outer") is not outer
 
-    def test_second_solve_builds_no_hull(self, monkeypatch):
-        calls = []
-        # mvis.solve is the function; the module is found through it.
-        module = sys.modules[convex_partition.__module__]
-        hull_with = module._hull_with
-
-        def counting(*args):
-            calls.append(args)
-            return hull_with(*args)
-
-        monkeypatch.setattr(module, "_hull_with", counting)
+    def test_second_solve_builds_no_hull(self, hull_calls):
         g = generate("grid:5x5")
         solves = [lambda v=v: solve(g, v) for v in VARIANTS]
         for run in solves + [lambda: solve_independence(g)]:
             run()
-            built = len(calls)
+            built = len(hull_calls)
             run()
-            assert len(calls) == built
-        assert calls  # the first solves did build their partitions
+            assert len(hull_calls) == built
+        assert hull_calls  # the first solves did build their partitions
+
+    @pytest.mark.parametrize("spec, kind, hulls", [
+        ("grid:8x8", "dual", 6906),
+        ("torus:6x6", "mutual", 2266),
+        ("grid:5x5", "mutual", 604),
+    ])
+    def test_root_partition_tries_a_pinned_number_of_hulls(
+            self, hull_calls, spec, kind, hulls):
+        # A round scores and steps each hull once, however many seed
+        # chains meet it. The first build also solves the capacities of
+        # parts not yet met, whose own partitions try hulls; the second,
+        # on a fresh graph, finds every capacity memoised, so its count
+        # is the root partition's alone.
+        module = sys.modules[convex_partition.__module__]
+        budget = module._Budget(module.SolveOptions())
+        module._search_for(generate(spec), kind, budget)
+        hull_calls.clear()
+        module._search_for(generate(spec), kind, budget)
+        assert len(hull_calls) == hulls
