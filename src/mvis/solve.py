@@ -86,8 +86,10 @@ H keep exactly their geodesics; so |X intersect H| <= mu(H). This holds for
 all four variants, and for independence on any induced subgraph. Before
 searching, :func:`convex_partition` splits the root's open vertices into
 disjoint convex parts H_i of at most :data:`PART_LIMIT` vertices, each
-with capacity c_i = mu(H_i) computed by an exact value search of the
-part. Every node then bounds its best completion by the sum over parts of
+with capacity c_i = mu(H_i). A capacity is a plain value search of the
+part, with no partition bound of its own, so only the top of a solve
+builds a partition and no partition partitions its own parts. Every node
+then bounds its best completion by the sum over parts of
 min(c_i, |(inside + open) intersect H_i|). It plays the role of the
 colouring bound of max-clique branch-and-bound; on a grid the parts are
 geodesic lines of capacity 2.
@@ -301,7 +303,8 @@ def _branch_order(g: Graph) -> list[int]:
 # --------------------------------------------------------------------------
 
 #: Most vertices in one part of a convex partition. Each part's capacity is
-#: an exact solve of the part, so parts stay small.
+#: a value search of the part with no partition bound, so parts stay
+#: small.
 PART_LIMIT = 12
 
 #: Most nodes one level of the doll table may take, per vertex of the
@@ -336,10 +339,12 @@ def _capacity(variant: str, n: int, edge_bits: int) -> int:
     """The variant's number of the connected graph on ``n`` vertices whose
     edge (u, w), u < w, is bit ``u * n + w`` of ``edge_bits``. This is the
     one capacity memo: parts with equal relabellings, in one graph or in
-    several, share one solve."""
+    several, share one solve. That solve is a plain value search with no
+    partition bound, so a capacity never builds a partition of its own."""
     edges = [divmod(i, n) for i in range(n * n) if (edge_bits >> i) & 1]
-    search = _search_for(build_graph(n, edges), variant,
-                         _Budget(SolveOptions()))
+    search_class = _DualSearch if variant == "dual" else _HereditarySearch
+    search = search_class(build_graph(n, edges), variant,
+                          _Budget(SolveOptions()))
     search.run_value()
     return search.best
 
@@ -407,8 +412,8 @@ def convex_partition(g: Graph, variant: str,
     :data:`PART_LIMIT` vertices. Of all hulls met on the way, the round
     keeps the one with the lowest capacity per vertex (then the larger,
     then the lower mask). Rounds stop when no hull has capacity below its
-    size. Parts are proper subsets, so computing their capacities with
-    value searches terminates.
+    size. Parts are proper subsets: a part that was the whole graph would
+    make its capacity search the whole solve, with no partition bound.
 
     Chains from different seeds merge, so a round scores and steps each
     hull once: a chain's walk stops at the first hull the round has seen,
@@ -839,7 +844,9 @@ def solve_independence(g: Graph, opts: SolveOptions | None = None) -> SolveResul
 
 def _search_for(g: Graph, kind: str, budget: _Budget) -> _Search:
     """The search a solve of ``kind`` on ``g`` runs, with its partition
-    bound over the root's open vertices, before either phase."""
+    bound over the root's open vertices, before either phase. This is the
+    one place a partition bound is attached; part capacities search
+    without one."""
     search_class = _DualSearch if kind == "dual" else _HereditarySearch
     search = search_class(g, kind, budget)
     partition = convex_partition(g, kind, search.root[1])

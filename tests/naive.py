@@ -36,20 +36,29 @@ def all_geodesics(g: Graph, u: int, v: int) -> list[list[int]]:
     return paths
 
 
-def naive_visible(g: Graph, x, u: int, v: int) -> bool:
-    members = set(x.ids() if isinstance(x, VertexSet) else x)
+def member_set(x) -> set[int]:
+    """The vertex ids of ``x``, a :class:`VertexSet` or an iterable of ids."""
+    return set(x.ids() if isinstance(x, VertexSet) else x)
+
+
+def visible_past(g: Graph, members: set[int], u: int, v: int) -> bool:
+    """Whether some u,v-geodesic has no interior vertex in ``members``."""
     return any(
         all(z in (u, v) or z not in members for z in path)
         for path in all_geodesics(g, u, v)
     )
 
 
+def naive_visible(g: Graph, x, u: int, v: int) -> bool:
+    return visible_past(g, member_set(x), u, v)
+
+
 def naive_classify(g: Graph, x) -> dict[str, bool]:
-    members = set(x.ids() if isinstance(x, VertexSet) else x)
+    members = member_set(x)
     flags = {"mutual": True, "total": True, "outer": True, "dual": True}
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if naive_visible(g, x, u, v):
+            if visible_past(g, members, u, v):
                 continue
             u_in, v_in = u in members, v in members
             flags["total"] = False

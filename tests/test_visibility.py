@@ -386,19 +386,30 @@ class TestOneTablePerGraph:
 
 
 @pytest.fixture
-def hull_calls(monkeypatch):
-    """The argument tuples of every ``_hull_with`` call from now on."""
-    calls = []
+def solve_calls(monkeypatch):
+    """Counts the calls of a function of the solve module: given its name,
+    returns the list of the argument tuples of every call from now on."""
     # mvis.solve is the function; the module is found through it.
     module = sys.modules[convex_partition.__module__]
-    hull_with = module._hull_with
 
-    def counting(*args):
-        calls.append(args)
-        return hull_with(*args)
+    def count(name):
+        calls = []
+        func = getattr(module, name)
 
-    monkeypatch.setattr(module, "_hull_with", counting)
-    return calls
+        def counting(*args):
+            calls.append(args)
+            return func(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return count
+
+
+@pytest.fixture
+def hull_calls(solve_calls):
+    """The argument tuples of every ``_hull_with`` call from now on."""
+    return solve_calls("_hull_with")
 
 
 class TestOnePartitionPerGraphAndKind:
@@ -426,21 +437,24 @@ class TestOnePartitionPerGraphAndKind:
             assert len(hull_calls) == built
         assert hull_calls  # the first solves did build their partitions
 
-    @pytest.mark.parametrize("spec, kind, hulls", [
-        ("grid:8x8", "dual", 6906),
-        ("torus:6x6", "mutual", 2266),
-        ("grid:5x5", "mutual", 604),
+    @pytest.mark.parametrize("spec, kind, hulls, capacities", [
+        ("grid:8x8", "dual", 6906, 18),
+        ("torus:6x6", "mutual", 2266, 21),
+        ("grid:5x5", "mutual", 604, 8),
+        ("ht:3", "dual", 1223, 78),
     ])
     def test_root_partition_tries_a_pinned_number_of_hulls(
-            self, hull_calls, spec, kind, hulls):
+            self, solve_calls, hull_calls, spec, kind, hulls, capacities):
         # A round scores and steps each hull once, however many seed
-        # chains meet it. The first build also solves the capacities of
-        # parts not yet met, whose own partitions try hulls; the second,
-        # on a fresh graph, finds every capacity memoised, so its count
-        # is the root partition's alone.
+        # chains meet it. Part capacities are plain searches with no
+        # partition of their own, so even with a cold capacity memo the
+        # build runs one partition, every hull it tries is the root's and
+        # every capacity it solves is one of a root hull.
         module = sys.modules[convex_partition.__module__]
-        budget = module._Budget(module.SolveOptions())
-        module._search_for(generate(spec), kind, budget)
-        hull_calls.clear()
-        module._search_for(generate(spec), kind, budget)
+        partitions = solve_calls("_partition")
+        module._capacity.cache_clear()
+        module._search_for(generate(spec), kind,
+                           module._Budget(module.SolveOptions()))
         assert len(hull_calls) == hulls
+        assert len(partitions) == 1
+        assert module._capacity.cache_info().misses == capacities
