@@ -82,17 +82,28 @@ pair and kills the node. No leaf check is needed.
 The upper bound is a convex-partition bound. If H is convex in G (every
 geodesic between two vertices of H stays in H) and X is a variant-set of G,
 then X intersect H is a variant-set of the subgraph H, because the pairs of
-H keep exactly their geodesics; so |X intersect H| <= mu(H). This holds for
-all four variants, and for independence on any induced subgraph. Before
-searching, :func:`convex_partition` splits the root's open vertices into
-disjoint convex parts H_i of at most :data:`PART_LIMIT` vertices, each
-with capacity c_i = mu(H_i). A capacity is a plain value search of the
-part, with no partition bound of its own, so only the top of a solve
-builds a partition and no partition partitions its own parts. Every node
-then bounds its best completion by the sum over parts of
-min(c_i, |(inside + open) intersect H_i|). It plays the role of the
-colouring bound of max-clique branch-and-bound; on a grid the parts are
-geodesic lines of capacity 2.
+H keep exactly their geodesics. This holds for all four variants, and for
+independence on any induced subgraph. Before searching,
+:func:`convex_partition` splits the root's open vertices into disjoint
+convex parts H_i of at most :data:`PART_LIMIT` vertices. Every solution
+below a node lies inside its mask M = inside + open, so its part in H_i is
+a variant-set of H_i inside M intersect H_i. The node therefore bounds its
+best completion by |M minus the parts| plus the sum over parts of
+cap(H_i, M intersect H_i), the size of the largest variant-set of H_i
+inside that mask. cap(H_i, H_i) is the part's capacity mu(H_i), by which
+the parts are chosen. This is the colouring bound of max-clique
+branch-and-bound, re-coloured at every node (Tomita & Seki, DMTCS 2003);
+a part has at most :data:`PART_LIMIT` vertices, so each cap is memoised
+rather than recomputed. On a grid the parts are geodesic lines of
+capacity 2.
+
+Each cap is a plain value search of the part whose root keeps open only
+the part's vertices in the mask, with no partition bound of its own, so
+only the top of a solve builds a partition and no partition partitions
+its own parts. A search narrowed to a mask does not branch orbitally: an
+automorphism of the part that fixes the inside set need not map the mask
+onto itself, so dropping an orbit could drop every largest set inside the
+mask, and a cap too low would prune the optimum.
 
 The value phase also branches orbitally (Ostrowski et al., Orbital
 branching, 2011). On the spine, the nodes reached from the root by include
@@ -302,8 +313,8 @@ def _branch_order(g: Graph) -> list[int]:
 # Convex-partition bound
 # --------------------------------------------------------------------------
 
-#: Most vertices in one part of a convex partition. Each part's capacity is
-#: a value search of the part with no partition bound, so parts stay
+#: Most vertices in one part of a convex partition. Each of a part's caps
+#: is a value search of the part with no partition bound, so parts stay
 #: small.
 PART_LIMIT = 12
 
@@ -318,41 +329,89 @@ class ConvexPartition:
 
     ``parts`` holds (vertex mask, capacity) pairs, only for parts whose
     capacity is below their size; ``free`` holds every other vertex, which
-    counts in full. Partitions are shared through the graph's cache, so
-    they are read-only.
+    counts in full. ``edges`` maps each part to its edges relabelled as
+    :func:`_capacity` takes them. ``caps`` maps each proper submask m of a
+    part met by :meth:`bound` to the largest variant-set of the part inside
+    m; the parts are disjoint, so one dict serves them all. It fills
+    lazily, and partitions are shared through the graph's cache, so every
+    search on the graph shares it; nothing else in a partition changes
+    after it is built.
     """
 
     parts: list[tuple[int, int]]
     free: int
+    variant: str
+    edges: dict[int, int]
+    caps: dict[int, int]
 
     def bound(self, mask: int) -> int:
-        """Upper bound on |X| for variant-sets X of the graph inside ``mask``."""
+        """Upper bound on |X| for variant-sets X of the graph inside
+        ``mask``: |mask & free| plus, for each part H, the largest
+        variant-set of H inside mask & H."""
         b = (mask & self.free).bit_count()
+        caps = self.caps
         for h, c in self.parts:
-            k = (mask & h).bit_count()
-            b += c if c < k else k
+            m = mask & h
+            if m != h:
+                c = caps.get(m)
+                if c is None:
+                    c = caps[m] = _capacity(self.variant, h.bit_count(),
+                                            self.edges[h], _relabel(h, m))
+            b += c
         return b
 
 
+@lru_cache(maxsize=64)
+def _part_graph(n: int, edge_bits: int) -> Graph:
+    """The connected graph on ``n`` vertices whose edge (u, w), u < w, is
+    bit ``u * n + w`` of ``edge_bits``. Its tables (pair visibility,
+    distances) are built on first use and kept on the graph, so a part's
+    capacity searches inside different masks share them. The cache stays
+    small, as every graph in it keeps its tables alive."""
+    return build_graph(n, [divmod(i, n) for i in range(n * n)
+                           if (edge_bits >> i) & 1])
+
+
 @lru_cache(maxsize=4096)
-def _capacity(variant: str, n: int, edge_bits: int) -> int:
-    """The variant's number of the connected graph on ``n`` vertices whose
-    edge (u, w), u < w, is bit ``u * n + w`` of ``edge_bits``. This is the
-    one capacity memo: parts with equal relabellings, in one graph or in
-    several, share one solve. That solve is a plain value search with no
-    partition bound, so a capacity never builds a partition of its own."""
-    edges = [divmod(i, n) for i in range(n * n) if (edge_bits >> i) & 1]
+def _capacity(variant: str, n: int, edge_bits: int, within: int) -> int:
+    """The size of the largest variant-set inside the mask ``within`` of
+    the graph :func:`_part_graph` gives for ``n`` and ``edge_bits``. This
+    is the one capacity memo: parts with equal relabellings, in one graph
+    or in several, share one solve, and a part's own capacity is the call
+    with every label in ``within``.
+
+    The solve is a plain value search with no partition bound, so a
+    capacity never builds a partition of its own. Its root keeps open only
+    the vertices of ``within``. For the dual variant that root puts every
+    other vertex out, which forces nothing: with nothing inside, no pair
+    is blocked. Orbital branching assumes that the root's open set is
+    mapped onto itself by every automorphism that fixes the inside, which
+    ``within`` need not be, so a narrowed search does not branch
+    orbitally."""
+    g = _part_graph(n, edge_bits)
     search_class = _DualSearch if variant == "dual" else _HereditarySearch
-    search = search_class(build_graph(n, edges), variant,
-                          _Budget(SolveOptions()))
+    search = search_class(g, variant, _Budget(SolveOptions()))
+    if within != search.full:
+        search.root = (0, search.root[1] & within)
+        search.orbital = False
     search.run_value()
     return search.best
 
 
-def _part_capacity(g: Graph, variant: str, part: int) -> int:
-    """The variant's number of the subgraph induced by the mask ``part``,
-    relabelled in ascending id order: a vertex's label is the number of
-    part vertices below it."""
+def _relabel(part: int, m: int) -> int:
+    """The submask ``m`` of ``part`` in part labels: a vertex's label is
+    the number of part vertices below it."""
+    labels = 0
+    while m:
+        b = m & -m
+        m ^= b
+        labels |= 1 << (part & (b - 1)).bit_count()
+    return labels
+
+
+def _part_edges(g: Graph, part: int) -> int:
+    """The edges of the subgraph induced by the mask ``part``, relabelled
+    by :func:`_relabel`, as :func:`_capacity` takes them."""
     adj = g.adjacency_masks()
     k = part.bit_count()
     edge_bits = 0
@@ -360,13 +419,16 @@ def _part_capacity(g: Graph, variant: str, part: int) -> int:
     while m:
         b = m & -m
         m ^= b
-        i = (part & (b - 1)).bit_count() * k
         up = adj[b.bit_length() - 1] & part & ~(2 * b - 1)
-        while up:
-            w = up & -up
-            up ^= w
-            edge_bits |= 1 << (i + (part & (w - 1)).bit_count())
-    return _capacity(variant, k, edge_bits)
+        edge_bits |= _relabel(part, up) << (part & (b - 1)).bit_count() * k
+    return edge_bits
+
+
+def _part_capacity(g: Graph, variant: str, part: int) -> int:
+    """The variant's number of the subgraph induced by the mask ``part``:
+    its largest variant-set inside every vertex of the part."""
+    k = part.bit_count()
+    return _capacity(variant, k, _part_edges(g, part), (1 << k) - 1)
 
 
 def _hull_with(h: int, w: int, room: int, limit: int, interior: list[int],
@@ -488,7 +550,9 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
                         best = key
                     h = step(h)
         if best is None:
-            return ConvexPartition(parts, free)
+            return ConvexPartition(parts, free, variant,
+                                   {h: _part_edges(g, h) for h, _ in parts},
+                                   {})
         part = best[2]
         parts.append((part, best[3]))
         room &= ~part
@@ -507,13 +571,19 @@ class _Search:
     ``best``. :meth:`run_value`, :meth:`_build_doll` and
     :meth:`lex_least_witness` only choose its start state, floor, cap, stop
     rule and order. Subclasses supply :meth:`include` and :meth:`exclude`.
-    The root state leaves every vertex open unless a subclass narrows it.
+    The root state leaves every vertex open unless a subclass or
+    :func:`_capacity` narrows it.
     ``bound``, when set, is the partition bound of the vertex mask it is
     given. ``doll``, once built, is the doll table over the branch order."""
 
     #: Whether every ``inside`` is itself a solution, not only the states
     #: with nothing open.
     hereditary = True
+
+    #: Whether the value search branches orbitally. It may only when every
+    #: automorphism fixing the inside maps the root's open vertices onto
+    #: themselves, which a capacity search narrowed to a mask breaks.
+    orbital = True
 
     def __init__(self, g: Graph, kind: str, budget: _Budget):
         self.g = g
@@ -640,7 +710,14 @@ class _Search:
                 return 0
             return dfs(child[0], child[1], i + 1, False)
 
-        return dfs(inside, open_, 0, not first)
+        try:
+            return dfs(inside, open_, 0, self.orbital and not first)
+        finally:
+            # dfs refers to itself through its closure; breaking that cycle
+            # frees the search's state at once instead of at the next
+            # cyclic collection, which matters with many small capacity
+            # searches.
+            dfs = None
 
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the
@@ -723,8 +800,10 @@ class _HereditarySearch(_Search):
         visible = pv.visible_pid
         hint = pv.hint
         # Each pair is first tested against its cached geodesic, as
-        # visible_pid itself does, which saves the call on a hit.
+        # visible_pid itself does, which saves the call on a hit. A pair
+        # at distance 1 has no interior, so v's neighbours are skipped.
         ends = xm if need == 2 else self.full & ~xm2 if need == 1 else 0
+        ends &= ~self.adj[v]
         pids = pv.pair_ids[v]
         while ends:
             low = ends & -ends

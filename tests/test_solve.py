@@ -35,6 +35,7 @@ from mvis.solve import (
     _DualSearch,
     _HereditarySearch,
     _part_capacity,
+    _part_edges,
     _Search,
     _search_for,
     convex_partition,
@@ -315,6 +316,44 @@ class TestPartitionBound:
                 assert _part_capacity(g, kind, part) == solve_kind(
                     sub, kind).value, (kind, g.edges(), part)
 
+    def test_capacity_inside_a_mask_is_the_largest_set_there(self):
+        # A capacity narrowed to a mask ``within`` is the largest
+        # variant-set inside it, by brute force over every subset (for
+        # independence, no edge of the graph inside the set). A narrowed
+        # search that branched orbitally came out too low here: the
+        # stabiliser of the inside set need not map ``within`` onto itself.
+        rng = random.Random(17)
+        graphs = [generate(spec) for spec in ("cycle:6", "grid:4x3", "gn:2")]
+        graphs += [random_connected_graph(rng.randint(3, 9), rng,
+                                          p=rng.choice((0.2, 0.3, 0.4)))
+                   for _ in range(120)]
+        for g in graphs:
+            n = g.n
+            full = (1 << n) - 1
+            edges = [(1 << u) | (1 << w) for u, w in g.edges()]
+            largest = {kind: [0] * (1 << n) for kind in KINDS}
+            for mask in range(1 << n):
+                rep = classify_set(g, mask)
+                size = mask.bit_count()
+                for kind in KINDS:
+                    if kind == "independence":
+                        ok = not any(e & mask == e for e in edges)
+                    else:
+                        ok = rep.holds(kind)
+                    largest[kind][mask] = size if ok else 0
+            # largest[kind][m] becomes the largest solution inside m.
+            for v in range(n):
+                for kind in KINDS:
+                    table = largest[kind]
+                    for mask in range(1 << n):
+                        if mask >> v & 1 and table[mask ^ 1 << v] > table[mask]:
+                            table[mask] = table[mask ^ 1 << v]
+            edge_bits = _part_edges(g, full)
+            for within in [rng.getrandbits(n) for _ in range(5)]:
+                for kind in KINDS:
+                    assert _capacity(kind, n, edge_bits, within) == (
+                        largest[kind][within]), (kind, g.edges(), within)
+
     def test_grid_parts_are_long_lines(self):
         g = generate("grid:7x4")
         partition = convex_partition(g, "mutual")
@@ -339,17 +378,19 @@ class TestDualRegressionPin:
     already held without a query (ht:3 2863, torus:6x4 199,
     pathprod:3x3x3 2635 and gn:4 59 before it). The witness phase became
     one id-order decision query (ht:3 2351, torus:6x4 137, pathprod:3x3x3
-    2154 and gn:4 45 before it)."""
+    2154 and gn:4 45 before it). The partition bound began to count each
+    part by its largest dual set inside the node's mask (ht:3 2085,
+    torus:6x4 158, pathprod:3x3x3 2172 before it; gn:4 did not move)."""
 
     @pytest.mark.parametrize("spec, value, witness, nodes", [
         pytest.param(
             "ht:3", 15,
-            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 2085,
+            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 736,
             id="ht:3",
         ),
-        pytest.param("torus:6x4", 4, [0, 4, 10, 14], 158, id="torus:6x4"),
+        pytest.param("torus:6x4", 4, [0, 4, 10, 14], 89, id="torus:6x4"),
         pytest.param(
-            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 2172,
+            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 1780,
             id="pathprod:3x3x3",
         ),
         pytest.param("gn:4", 2, [2, 3], 55, id="gn:4"),
@@ -606,10 +647,11 @@ class TestWitnessReuse:
     def test_grid_6x6_mutual_witness_phase(self):
         # 10,054 witness-phase nodes when every vertex was queried, 6,133
         # when the queries reused the maximum sets they found; the target
-        # was at most 5,027, half of the first.
+        # was at most 5,027, half of the first. 1,453 before the partition
+        # bound counted each part by its largest set inside the node's mask.
         res = solve(generate("grid:6x6"), "mutual")
         assert res.value == 12
-        assert res.stats.witness_nodes == 1453
+        assert res.stats.witness_nodes == 555
 
 
 HEREDITARY = ("mutual", "total", "outer", "independence")
@@ -703,11 +745,12 @@ class TestIndependence:
         # 118 before the witness rebuild reused the value phase's set, 27
         # before the witness phase became one id-order query, and 41 before
         # the doll table. The root bound already equals the value here, so
-        # the table's levels are pure cost: 41 -> 300.
+        # the table's levels are pure cost: 41 -> 300. Counting each part
+        # by its largest independent set inside the node's mask: 300 -> 126.
         res = solve_independence(generate("ht:2"))
         assert res.value == 13
         assert res.witness.ids() == list(range(0, 26, 2))
-        assert res.stats.nodes_explored == 300
+        assert res.stats.nodes_explored == 126
 
 
 class TestTotalIsZero:
