@@ -41,18 +41,51 @@ never branches on was already decided by the ones before it. Its first hit
 is therefore the greedy set.
 
 The hereditary kinds are mutual, outer, total and independence: any subset
-of a solution is a solution. Their inside is always a solution, and open
-holds only vertices individually addable to it, so include filters open
-with the feasibility test (sound because a vertex unaddable now never
-becomes addable as inside grows; for independence the test is "no
-neighbour inside") and exclude drops v from open. The dual variant is not
-hereditary: both decisions run :meth:`_DualSearch._apply`, which decides v
-and everything it forces. That is the one rule in which the kinds differ:
+of a solution is a solution. Their inside X is always a solution, and open
+holds only vertices individually addable to it (the open invariant), so
+include keeps the open w for which X + v + w is still a solution, and
+exclude drops v from open. Dropping w is sound because a vertex unaddable
+now never becomes addable as inside grows. For independence include keeps
+the open vertices not adjacent to v. The dual variant is not hereditary:
+both decisions run :meth:`_DualSearch._apply`, which decides v and
+everything it forces. That is the one rule in which the kinds differ:
 every hereditary state is a solution, while a dual state is one only when
 nothing is open.
 
+The hereditary include makes one pass over the pairs near v. A pair is
+required when at least 2 (mutual), 1 (outer) or 0 (total) of its ends are
+in the set, and then it must stay visible, blocked only by its interior
+vertices in the set. By the open invariant X + v and X + w are solutions.
+A pair that has v neither as an end nor as an interior vertex has, under
+X + v + w, the blockers and the required status it has under X + w, so it
+passes; so does a pair that misses w, as under X + v. Only a pair that has
+both v and w among its ends and interior vertices can fail, in one of
+four ways:
+
+* v and w interior: the pair is in ``pairs_through[v]``, and it is
+  required under X + v + w exactly when it is under X. Then X + v keeps
+  it visible, so after a refresh against X + v its cached geodesic (the
+  hint) is free of X + v. If w is not on the hint, the hint stays free;
+  if it is, one ``visible_pid`` test against X + v + w decides. A w that
+  blocks the pair lies on every geodesic free of X + v, the hint among
+  them, so no vertex off the hint is tested.
+* v interior, w an end: the blockers are those under X + v. The pair
+  fails if it is blocked there and w's end makes it newly required: for
+  mutual when the other end is in X, for outer whenever no end is in X.
+  A pair already required under X + v is visible there.
+* v an end, w interior: the pair (v, b) with an interior is required
+  under X + v + w exactly when it is under X + v (b in X for mutual,
+  always for outer and total), and is then tested as in the first case.
+* v and w the ends: the blockers are those under X. For outer and total
+  X + v already requires the pair, so it is visible. For mutual it is
+  newly required, so a w whose pair (v, w) X blocks is dropped.
+
+So include visits each pair near v once, not once per open vertex.
+
 The hereditary root keeps open exactly the vertices v for which {v} is a
-solution. For total these are the bypass candidates, the vertices that are
+solution. For mutual, outer and independence that is every vertex: the
+pairs of {v} to the rest have v as an end, so nothing blocks them. For
+total these are the bypass candidates, the vertices that are
 the middle of no convex P3 (:func:`mvis.visibility.is_bypass_candidate`),
 so the search needs no filter of its own. If u-v-w is a convex P3, v is on
 the only u,w-geodesic, so {v} blocks the pair. Conversely, if v is on every
@@ -244,8 +277,7 @@ class SearchStats:
     in ``prunes``, counts the vertices that orbital branching dropped from
     exclude branches beyond the branch vertex itself. ``nodes_explored``
     includes the doll table's nodes, which count in the value phase; the
-    root ``include`` of each doll level runs one feasibility test per
-    suffix vertex, and ``nodes_explored`` does not count these tests.
+    root ``include`` of each doll level is not a node.
     ``witness_nodes`` counts the nodes, included in ``nodes_explored``, of
     the witness phase: the one id-order decision query whose first hit is
     the lex-least maximum set."""
@@ -291,13 +323,12 @@ class _Budget:
         )
 
     def tick(self) -> None:
-        """Count a node. The clock is read on the first node and every
-        2048th after it, so time spent before the search counts too."""
+        """Count a node. The clock is read on every node, so time spent
+        before the search counts too and no solve is too short to stop."""
         self.nodes += 1
         if self.node_budget and self.nodes > self.node_budget:
             raise _BudgetExceeded
-        if (self.deadline and self.nodes & 2047 == 1
-                and time.monotonic() > self.deadline):
+        if self.deadline and time.monotonic() > self.deadline:
             raise _BudgetExceeded
 
     def elapsed_ms(self) -> float:
@@ -742,82 +773,88 @@ _NEED = {"total": 0, "outer": 1, "mutual": 2}
 
 
 class _HereditarySearch(_Search):
-    """``open`` holds only vertices individually addable to ``inside``. The
-    root drops the vertices that are not a solution on their own."""
+    """``open`` holds only vertices individually addable to ``inside``, and
+    :meth:`include` keeps exactly the open vertices still addable after v
+    joins, by one pass over the pairs that have v as an end or an interior
+    vertex (see the module docstring). The root keeps open the vertices
+    that are a solution on their own: every vertex, or for total the bypass
+    candidates."""
 
     def __init__(self, g: Graph, kind: str, budget: _Budget):
         super().__init__(g, kind, budget)
         self.adj = g.adjacency_masks()
-        need = self.need = _NEED.get(kind)  # None for independence
-        if need is not None:
-            # A pair is required when xm & pair_mask >= floor[pid]: that
-            # submask reaches the pair's mask only with both ends in X,
-            # and 1 with either end in X.
-            pair_mask = self.pv.pair_mask
-            self.floor = pair_mask if need == 2 else [need] * len(pair_mask)
-        open_ = 0
-        for v in range(self.n):
-            if self._feasible_add(v, 0, 1 << v):
-                open_ |= 1 << v
-        self.root = (0, open_)
+        self.need = _NEED.get(kind)  # None for independence
+        if kind == "total":
+            self.root = (0, sum(1 << v for v in range(self.n)
+                                if is_bypass_candidate(g, v)))
 
     def include(self, inside: int, open_: int,
                 v: int) -> tuple[int, int] | None:
-        """Add v and keep the open vertices still addable; None when v is
-        not open."""
+        """Add v and keep the open vertices w for which inside + v + w is
+        still a solution; None when v is not open."""
         vb = 1 << v
         if not open_ & vb:
             return None
+        xm = inside
         inside |= vb
-        rest = open_ ^ vb
-        kept = 0
-        feasible_add = self._feasible_add
+        open_ ^= vb
+        need = self.need
+        apart = ~self.adj[v]
+        if need is None:
+            return inside, open_ & apart
+        pv = self.pv
+        visible = pv.visible_pid
+        hint = pv.hint
+        pair_mask = pv.pair_mask
+        pids = pv.pair_ids[v]
+        kill = 0
+        if need == 2:
+            # Mutual: the pair (v, w) becomes required when w joins, and as
+            # its ends are exempt, only X can block it.
+            rest = open_ & apart
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                pid = pids[low.bit_length() - 1]
+                if hint[pid] & xm and not visible(pid, xm):
+                    kill |= low
+        # The pairs that inside requires whatever w is: their open interior
+        # vertices on the hint are tested one by one below.
+        required = []
+        for pid in pv.pairs_through[v]:
+            ends = pair_mask[pid]
+            chosen = ends & xm
+            if chosen == ends or not need or need == 1 and chosen:
+                required.append(pid)
+            elif chosen or need == 1:
+                # Required once an open end w joins, with the blockers it
+                # has under inside.
+                grow = (ends ^ chosen) & open_ & ~kill
+                if grow and hint[pid] & inside and not visible(pid, inside):
+                    kill |= grow
+        # The pairs (v, b) with an interior that inside requires.
+        rest = (xm if need == 2 else self.full ^ vb) & apart
         while rest:
             low = rest & -rest
             rest ^= low
-            if feasible_add(low.bit_length() - 1, inside, inside | low):
-                kept |= low
-        return inside, kept
+            required.append(pids[low.bit_length() - 1])
+        for pid in required:
+            # Refresh the hint to a geodesic free of inside, which exists as
+            # inside is a solution. A vertex whose joining blocks the pair
+            # lies on every such geodesic, so only the hint is tested.
+            if hint[pid] & inside:
+                visible(pid, inside)
+            on = hint[pid] & open_ & ~kill
+            while on:
+                low = on & -on
+                on ^= low
+                if not visible(pid, inside | low):
+                    kill |= low
+        return inside, open_ & ~kill
 
     def exclude(self, inside: int, open_: int,
                 v: int) -> tuple[int, int] | None:
         return inside, open_ & ~(1 << v)
-
-    def _feasible_add(self, v: int, xm: int, xm2: int) -> bool:
-        """Would X + v still be a solution? Incremental re-checks only.
-
-        A pair is required when at least ``need`` of its ends are in the
-        set. Adding v changes the blockers of the pairs through v only, so
-        the required ones among them are re-tested. The pairs (v, u) keep
-        their blockers (ends are exempt), but v's own end makes some of
-        them newly required: those to X for mutual, and those to V - (X + v)
-        for outer. For independence, v must have no neighbour in X.
-        """
-        need = self.need
-        if need is None:
-            return not self.adj[v] & xm
-        pv = self.pv
-        visible = pv.visible_pid
-        hint = pv.hint
-        # Each pair is first tested against its cached geodesic, as
-        # visible_pid itself does, which saves the call on a hit. A pair
-        # at distance 1 has no interior, so v's neighbours are skipped.
-        ends = xm if need == 2 else self.full & ~xm2 if need == 1 else 0
-        ends &= ~self.adj[v]
-        pids = pv.pair_ids[v]
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            pid = pids[low.bit_length() - 1]
-            if hint[pid] & xm2 and not visible(pid, xm2):
-                return False
-        pair_mask = pv.pair_mask
-        floor = self.floor
-        for pid in pv.pairs_through[v]:
-            if (xm & pair_mask[pid] >= floor[pid] and hint[pid] & xm2
-                    and not visible(pid, xm2)):
-                return False
-        return True
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from mvis.solve import (
     PART_LIMIT,
     STACK_HEADROOM,
     _Budget,
+    _BudgetExceeded,
     _capacity,
     _DualSearch,
     _HereditarySearch,
@@ -461,6 +462,66 @@ class TestDualForcing:
         assert closed > 100
 
 
+def bits(mask):
+    """The vertex ids in ``mask``, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+class TestHereditaryInclude:
+    def test_include_keeps_exactly_the_addable_vertices(self):
+        # include decides which open vertices to drop from the pairs near v
+        # alone, so check it against classify_set (for independence: no
+        # edge inside the set). From a random
+        # solution X with open = every addable w, include(X, open, v) keeps
+        # exactly the w with X + v + w a solution; from a random part of
+        # that open set it keeps the same w inside the part. The root keeps
+        # open the vertices v with {v} a solution.
+        rng = random.Random(18)
+        graphs = [generate(spec) for spec in ("cycle:6", "grid:4x3", "gn:2")]
+        graphs += [random_connected_graph(rng.randint(3, 9), rng,
+                                          p=rng.choice((0.2, 0.3, 0.4)))
+                   for _ in range(150)]
+        checks = 0
+        for g in graphs:
+            edges = [(1 << u) | (1 << w) for u, w in g.edges()]
+            reports = {}
+
+            def holds(kind, mask):
+                if kind == "independence":
+                    return not any(e & mask == e for e in edges)
+                if mask not in reports:
+                    reports[mask] = classify_set(g, mask)
+                return reports[mask].holds(kind)
+
+            for kind in ("mutual", "outer", "total", "independence"):
+                def addable(x):
+                    return sum(1 << w for w in range(g.n) if not x >> w & 1
+                               and holds(kind, x | 1 << w))
+
+                search = _HereditarySearch(g, kind, _Budget(SolveOptions()))
+                assert search.root == (0, addable(0)), (kind, g.n, g.edges())
+                checks += 1
+                for _ in range(3):
+                    x = 0
+                    for _ in range(rng.randint(0, g.n)):
+                        grow = bits(addable(x))
+                        if not grow:
+                            break
+                        x |= 1 << rng.choice(grow)
+                    open_ = addable(x)
+                    for v in bits(open_):
+                        xv = x | 1 << v
+                        want = addable(xv)
+                        part = open_ & (rng.getrandbits(g.n) | 1 << v)
+                        assert search.include(x, open_, v) == (xv, want), (
+                            kind, g.n, g.edges(), x, v)
+                        assert search.include(x, part, v) == (
+                            xv, want & part), (kind, g.n, g.edges(), x, v,
+                                               part)
+                        checks += 2
+        assert checks > 5000
+
+
 class TestKnownValues:
     def test_c7_dual_zero(self):
         assert solve(generate("cycle:7"), "dual").value == 0
@@ -850,9 +911,21 @@ class TestBudgets:
         assert classify_set(g, inc.witness).is_mutual
 
     def test_time_budget(self):
-        g = generate("grid:6x6")
+        # The solve must run far past 30 ms. torus:6x6 mutual takes about
+        # a second; grid:6x6 mutual can finish within 30 ms once its part
+        # capacities are memoised.
+        g = generate("torus:6x6")
         with pytest.raises(Incomplete):
             solve(g, "mutual", SolveOptions(time_budget_ms=30))
+
+    def test_time_budget_read_on_every_node(self):
+        # A deadline that passes after the first node stops the next one,
+        # however few nodes the solve has.
+        budget = _Budget(SolveOptions(time_budget_ms=50))
+        budget.tick()
+        time.sleep(0.06)
+        with pytest.raises(_BudgetExceeded):
+            budget.tick()
 
     def test_witness_phase_exhaustion_certifies_value(self):
         g = generate("grid:4x4")
