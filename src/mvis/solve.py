@@ -188,7 +188,6 @@ table: it branches in id order, so the index of its branch vertex in
 
 from __future__ import annotations
 
-import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -301,10 +300,6 @@ class SolveResult:
 
 class _BudgetExceeded(Exception):
     pass
-
-
-class _LevelAbandoned(Exception):
-    """A doll level went past its node limit."""
 
 
 class _Budget:
@@ -597,13 +592,14 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
 
 class _Search:
     """Branch-and-bound over (inside, open) states; see the module
-    docstring. :meth:`_dfs` is the one DFS: it looks for solutions X with
-    floor < |X| <= cap, and either returns the first or records each in
-    ``best``. :meth:`run_value`, :meth:`_build_doll` and
-    :meth:`lex_least_witness` only choose its start state, floor, cap, stop
-    rule and order. Subclasses supply :meth:`include` and :meth:`exclude`.
-    The root state leaves every vertex open unless a subclass or
-    :func:`_capacity` narrows it.
+    docstring. :meth:`_dfs` is the one DFS, a loop over an explicit stack
+    of pending branches, so no recursion limit caps the order of a graph:
+    it looks for solutions X with floor < |X| <= cap, and either returns
+    the first or records each in ``best``. :meth:`run_value`,
+    :meth:`_build_doll` and :meth:`lex_least_witness` only choose its start
+    state, floor, cap, stop rule and order. Subclasses supply
+    :meth:`include` and :meth:`exclude`. The root state leaves every vertex
+    open unless a subclass or :func:`_capacity` narrows it.
     ``bound``, when set, is the partition bound of the vertex mask it is
     given. ``doll``, once built, is the doll table over the branch order."""
 
@@ -655,11 +651,9 @@ class _Search:
             v = order[i]
             c = doll[i + 1]
             if (root_open >> v) & 1:
-                try:
-                    found = self._dfs(*self.include(0, suffix | 1 << v, v),
-                                      c, c + 1, True,
-                                      limit=DOLL_LEVEL_LIMIT * n)
-                except _LevelAbandoned:
+                found = self._dfs(*self.include(0, suffix | 1 << v, v),
+                                  c, c + 1, True, limit=DOLL_LEVEL_LIMIT * n)
+                if found is None:
                     return
                 if found:
                     c = self.best = c + 1
@@ -668,7 +662,7 @@ class _Search:
             doll[i] = c
 
     def _dfs(self, inside: int, open_: int, floor: int, cap: int,
-             first: bool, by_id: bool = False, limit: int = 0) -> int:
+             first: bool, by_id: bool = False, limit: int = 0) -> int | None:
         """The first solution found with ``first``, else 0. Branches on
         the first open vertex in branch order (in id order with ``by_id``),
         include first; prunes on |inside| + |open| <= floor, on
@@ -676,8 +670,16 @@ class _Search:
         doll table. Without ``first`` (the value search, from the root) the
         exclude branch of an include-only spine node also drops the branch
         vertex's orbit under the stabiliser of inside. With ``limit``, the
-        search raises :class:`_LevelAbandoned` on its node after the first
-        ``limit``."""
+        search gives up and returns None on its node after the first
+        ``limit``.
+
+        The stack holds entries (inside, open, start, spine, v). One with
+        v < 0 is a node. One with v >= 0 is the exclude branch of the node
+        (inside, open) that branched on v; it sits beneath that node's
+        include child, so the exclude child is built only once the whole
+        include subtree is done, and its orbit test on the spine reads the
+        floor that subtree left. That keeps the visiting order, every prune
+        and every counter of a recursive search."""
         g = self.g
         stats = self.stats
         budget = self.budget
@@ -689,66 +691,59 @@ class _Search:
         include = self.include
         exclude = self.exclude
         hereditary = self.hereditary
-
-        def dfs(inside: int, open_: int, start: int, spine: bool) -> int:
-            nonlocal floor
+        stack = [(inside, open_, 0, self.orbital and not first, -1)]
+        while stack:
+            inside, open_, start, spine, v = stack.pop()
+            if v >= 0:
+                child = exclude(inside, open_, v)
+                if spine and child is not None and (
+                        child[0].bit_count() + child[1].bit_count() > floor):
+                    orbit = stabilizer_orbit(g, inside, v, open_) & ~(1 << v)
+                    dropped = orbit.bit_count()
+                    stats.prunes += dropped
+                    stats.orbit_prunes += dropped
+                    while orbit and child is not None:
+                        low = orbit & -orbit
+                        orbit ^= low
+                        child = exclude(*child, low.bit_length() - 1)
+                if child is None:
+                    stats.prunes += 1
+                    continue
+                inside, open_ = child
+                spine = False
             tick()
             if limit and budget.nodes > stop:
-                raise _LevelAbandoned
+                return None
             count = inside.bit_count()
             if count + open_.bit_count() <= floor or count > cap:
                 stats.prunes += 1
-                return 0
+                continue
             if count > floor and (hereditary or not open_):
                 if first:
                     return inside
                 floor = self.best = count
                 self.best_mask = inside
                 if not open_:
-                    return 0
+                    continue
             if bound and bound(inside | open_) <= floor:
                 stats.prunes += 1
                 stats.bound_prunes += 1
-                return 0
+                continue
             i = start
             while not (open_ >> order[i]) & 1:
                 i += 1
             if doll and count + doll[i] <= floor:
                 stats.prunes += 1
                 stats.doll_prunes += 1
-                return 0
+                continue
             v = order[i]
+            stack.append((inside, open_, i + 1, spine, v))
             child = include(inside, open_, v)
             if child is None:
                 stats.prunes += 1
             else:
-                found = dfs(child[0], child[1], i + 1, spine)
-                if found:
-                    return found
-            child = exclude(inside, open_, v)
-            if (spine and child is not None
-                    and child[0].bit_count() + child[1].bit_count() > floor):
-                orbit = stabilizer_orbit(g, inside, v, open_) & ~(1 << v)
-                dropped = orbit.bit_count()
-                stats.prunes += dropped
-                stats.orbit_prunes += dropped
-                while orbit and child is not None:
-                    low = orbit & -orbit
-                    orbit ^= low
-                    child = exclude(child[0], child[1], low.bit_length() - 1)
-            if child is None:
-                stats.prunes += 1
-                return 0
-            return dfs(child[0], child[1], i + 1, False)
-
-        try:
-            return dfs(inside, open_, 0, self.orbital and not first)
-        finally:
-            # dfs refers to itself through its closure; breaking that cycle
-            # frees the search's state at once instead of at the next
-            # cyclic collection, which matters with many small capacity
-            # searches.
-            dfs = None
+                stack.append((*child, i + 1, spine, -1))
+        return 0
 
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the
@@ -972,18 +967,7 @@ def _search_for(g: Graph, kind: str, budget: _Budget) -> _Search:
     return search
 
 
-#: Frames a solve may need beyond one per vertex: its caller's and those of
-#: the calls around the search's recursion, which is at most n + 1 deep.
-STACK_HEADROOM = 100
-
-
 def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
-    limit = sys.getrecursionlimit()
-    if g.n > limit - STACK_HEADROOM:
-        raise GraphError(
-            f"order {g.n} is above {limit - STACK_HEADROOM}, the largest "
-            f"the recursive search takes at recursion limit {limit}"
-        )
     budget = _Budget(opts)
     search = _search_for(g, kind, budget)
     stats = search.stats

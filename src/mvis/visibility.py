@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .graphs import (
     Graph,
+    GraphError,
     InvalidVertexId,
     UNREACHABLE,
     all_pairs_distances,
@@ -34,6 +35,11 @@ from .graphs import (
 
 #: The four set variants, in the canonical reporting order.
 VARIANTS = ("mutual", "total", "outer", "dual")
+
+#: The largest sum of d(u, v) over pairs u < v, a lower bound on the
+#: table's entries, for which a :class:`PairVisibility` is built. It admits
+#: ``star:1100`` and ``grid:20x20``, not ``path:600`` or ``grid:25x24``.
+PAIR_TABLE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -179,8 +185,9 @@ class PairVisibility:
     :meth:`row` gives all of one vertex's X-visible partners at once, by a
     BFS over its row of ``layers`` that expands no vertex of X.
 
-    Intended for solver-scale graphs; memory grows with n^2 times the mean
-    interval size.
+    Memory grows with n^2 times the mean interval size, so a graph whose
+    distance sum is above :data:`PAIR_TABLE_LIMIT` raises
+    :class:`GraphError` before the build.
     """
 
     __slots__ = (
@@ -196,7 +203,15 @@ class PairVisibility:
 
     def __init__(self, g: Graph):
         n = g.n
-        d = all_pairs_distances(g)
+        # A pair takes a slot and at least d(u, v) - 1 interior entries.
+        # The pair count bounds the distance sum, with no distance computed.
+        size = n * (n - 1) // 2
+        if size <= PAIR_TABLE_LIMIT:
+            d = all_pairs_distances(g)
+            size = sum(map(sum, d)) // 2
+        if size > PAIR_TABLE_LIMIT:
+            raise GraphError(f"graph on {n} vertices: pair table of at least "
+                             f"{size} entries, limit {PAIR_TABLE_LIMIT}")
         adj = self.adj = g.adjacency_masks()
         # layers[u][k] is the mask of the vertices at distance k from u.
         layers = []

@@ -8,6 +8,7 @@ import pytest
 
 import mvis
 from mvis import (
+    GraphError,
     Incomplete,
     IncompleteCover,
     SolveOptions,
@@ -29,7 +30,6 @@ from mvis import (
 from mvis.cli import main
 from mvis.solve import (
     PART_LIMIT,
-    STACK_HEADROOM,
     _Budget,
     _BudgetExceeded,
     _capacity,
@@ -41,6 +41,7 @@ from mvis.solve import (
     _search_for,
     convex_partition,
 )
+from mvis.visibility import PAIR_TABLE_LIMIT
 
 from naive import (
     brute_max,
@@ -973,30 +974,18 @@ class TestBudgets:
                            4, 5, 5, 5, 5, 5, 5, 6]
 
 
-class TestDepthGuard:
-    def test_cli_refuses_too_deep_a_graph(self, capsys):
-        # The guard refuses a graph too deep for the recursive search
-        # before any table is built, so this returns at once.
-        t0 = time.monotonic()
-        assert main(["solve", "star:1100", "--variant", "mutual"]) == 2
-        assert time.monotonic() - t0 < 10
-        err = capsys.readouterr().err
-        assert "order 1101" in err
-        assert f"recursion limit {sys.getrecursionlimit()}" in err
-
-    def test_largest_accepted_order_solves(self):
-        # At limit STACK_HEADROOM + 60 the guard takes at most 60
-        # vertices: star:59 (60 vertices) solves in every variant, and
-        # star:60 (61 vertices) is refused with exit 2.
-        limit = STACK_HEADROOM + 60
+class TestDeepGraphs:
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # The search keeps its pending branches on an explicit stack, so a
+        # graph far deeper than the recursion limit solves in every kind.
         script = (
             "import sys\n"
-            f"sys.setrecursionlimit({limit})\n"
+            "sys.setrecursionlimit(100)\n"
+            "from mvis import generate, solve_independence\n"
             "from mvis.cli import main\n"
-            "codes = [main(['solve', f'star:{k}', '--variant', v])\n"
-            "         for k in (59, 60)\n"
+            "codes = [main(['solve', 'star:150', '--variant', v])\n"
             "         for v in ('mutual', 'total', 'outer', 'dual')]\n"
-            "print(codes)\n"
+            "print(codes, solve_independence(generate('star:150')).value)\n"
         )
         src = os.path.dirname(os.path.dirname(mvis.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -1004,10 +993,29 @@ class TestDepthGuard:
             [sys.executable, "-c", script], env=env, capture_output=True,
             text=True, timeout=120,
         )
-        assert out.stdout.splitlines()[-1] == str([0] * 4 + [2] * 4), (
+        assert out.stdout.splitlines()[-1] == str([0] * 4) + " 150", (
             out.stdout, out.stderr,
         )
         assert "RecursionError" not in out.stderr
+
+    def test_cli_refuses_too_large_a_pair_table(self, capsys):
+        # path:600 has distance sum 35,999,900; the guard computes it from
+        # the distances and refuses before the table is built.
+        t0 = time.monotonic()
+        assert main(["solve", "path:600", "--variant", "mutual"]) == 2
+        assert time.monotonic() - t0 < 10
+        err = capsys.readouterr().err
+        assert "at least 35999900 entries" in err
+        assert f"limit {PAIR_TABLE_LIMIT}" in err
+
+    def test_too_many_pairs_refused_before_any_distance(self):
+        # star:2000 has 2,001 vertices and so 2,001,000 pairs: refused
+        # before the distance matrix is computed.
+        g = generate("star:2000")
+        with pytest.raises(GraphError, match="at least 2001000 entries"):
+            solve(g, "mutual")
+        assert g._dist is None
+        assert g._pairvis is None
 
 
 class TestOrdering:
