@@ -295,9 +295,6 @@ class ReductionRecord:
     gprime: Graph
     tags: tuple[str, ...]
     base: Graph
-    t: int
-    edge_vertex_ids: dict[tuple[int, int], int] = field(default_factory=dict)
-    apex_id: int = 0
     apex_clique_ids: tuple[int, ...] = ()
     pendant_ids: dict[tuple[int, int], tuple[int, ...]] = field(
         default_factory=dict
@@ -368,9 +365,6 @@ def reduction_gprime(g: Graph, t: int) -> ReductionRecord:
         gprime=gp,
         tags=tuple(tags),
         base=g,
-        t=t,
-        edge_vertex_ids=edge_vertex_ids,
-        apex_id=apex,
         apex_clique_ids=clique_ids,
         pendant_ids=pendant_ids,
     )

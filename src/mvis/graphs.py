@@ -431,6 +431,10 @@ def read_edge_list(path: str) -> Graph:
     n, m = header
     if len(edges) != m:
         raise GraphError(f"{path}: header promises {m} edges, found {len(edges)}")
+    # Refused before build_graph, which allocates n neighbour sets.
+    if n >= 2 and m < n - 1:
+        raise DisconnectedGraph(
+            f"{path}: {m} edges cannot connect {n} vertices")
     label_tuple = None
     if labels:
         if set(labels) != set(range(n)):

@@ -7,13 +7,15 @@ far and open the vertices still undecided; every other vertex is out. Each
 kind of search supplies two decisions on a vertex v, ``include`` and
 ``exclude``, which return the child state, or None when the branch dies.
 The kernel holds one DFS, :meth:`_Search._dfs`, which looks below a state
-for solutions X with floor < |X| <= cap, where a solution is any
-hereditary state, or a dual state with nothing open. With ``first`` set it
-returns the first one it finds: a decision query ("is there a solution of
-size t that extends this state?") is floor t - 1, cap t. Otherwise each
-solution found raises the floor, ``best`` and ``best_mask``: the value
-search is floor ``best``, cap n, from the root. It branches in the branch
-order (descending degree), or in id order with ``by_id``.
+for solutions X with |X| > floor, where a solution is any hereditary
+state, or a dual state with nothing open. With ``first`` set it is a
+decision query ("is there a solution of size t that extends this
+state?") for t = floor + 1: it returns the first solution of size t it
+finds, and prunes every state with more than t vertices inside.
+Otherwise each solution found raises the floor, ``best`` and
+``best_mask``: the value search is floor ``best`` from the root. It
+branches in the branch order (descending degree), or in id order with
+``by_id``.
 
 The value search records hereditary states that are not leaves, yet it
 searches the same tree as when it recorded leaves only. Let S be such a
@@ -33,7 +35,7 @@ branches in id order, include first, with no orbits. The lex-least set is
 the greedy one: v goes in exactly when some solution of size t extends the
 decisions before v together with v. At a node that branches on v, the DFS
 searches everything below the include child before the exclude child, and
-its prunes (count, cap, partition bound) never cut a subtree that holds a
+its prunes (count, size, partition bound) never cut a subtree that holds a
 solution of size t. So it leaves the include child without a hit exactly
 when no solution of size t extends the node's decisions and v, and then it
 puts v out: each decision on its path is the greedy one, and a vertex it
@@ -164,7 +166,7 @@ Any subset of a solution is a solution, so c[i] is c[i + 1] + 1 when some
 solution of that size holds v = ``order[i]`` and lies in v plus the
 suffix after it, and c[i + 1] otherwise. Level i asks exactly that, as
 one decision query from the state include(0, suffix + v, v) with floor
-c[i + 1] and cap c[i + 1] + 1, branching in branch order with no orbits;
+c[i + 1], branching in branch order with no orbits;
 that root's open vertices lie in the suffix, so its first open vertex is
 past index i. Each hit raises ``best`` and ``best_mask`` at once,
 so a budget that runs out during the table reports the largest level set.
@@ -265,8 +267,9 @@ class SolveOptions:
 
 @dataclass
 class SearchStats:
-    """Search counters. ``prunes`` counts the nodes cut by the count, by
-    the cap, by the partition bound or by the doll table, the children
+    """Search counters, which the search keeps itself as it runs.
+    ``prunes`` counts the nodes cut by the count, by a decision query's
+    size, by the partition bound or by the doll table, the children
     whose decision killed them (in both phases), and the orbit vertices
     dropped; a vertex that an include drops from open as unaddable is not a
     prune. ``bound_prunes`` counts the prunes, included in ``prunes``, that
@@ -300,34 +303,6 @@ class SolveResult:
 
 class _BudgetExceeded(Exception):
     pass
-
-
-class _Budget:
-    """Node/time budget shared across the phases of one solve call."""
-
-    __slots__ = ("nodes", "node_budget", "deadline", "t0")
-
-    def __init__(self, opts: SolveOptions):
-        self.nodes = 0
-        self.node_budget = opts.node_budget
-        self.t0 = time.monotonic()
-        self.deadline = (
-            self.t0 + opts.time_budget_ms / 1000.0
-            if opts.time_budget_ms
-            else 0.0
-        )
-
-    def tick(self) -> None:
-        """Count a node. The clock is read on every node, so time spent
-        before the search counts too and no solve is too short to stop."""
-        self.nodes += 1
-        if self.node_budget and self.nodes > self.node_budget:
-            raise _BudgetExceeded
-        if self.deadline and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
-
-    def elapsed_ms(self) -> float:
-        return (time.monotonic() - self.t0) * 1000.0
 
 
 def _branch_order(g: Graph) -> list[int]:
@@ -406,20 +381,10 @@ def _capacity(variant: str, n: int, edge_bits: int, within: int) -> int:
     or in several, share one solve, and a part's own capacity is the call
     with every label in ``within``.
 
-    The solve is a plain value search with no partition bound, so a
-    capacity never builds a partition of its own. Its root keeps open only
-    the vertices of ``within``. For the dual variant that root puts every
-    other vertex out, which forces nothing: with nothing inside, no pair
-    is blocked. Orbital branching assumes that the root's open set is
-    mapped onto itself by every automorphism that fixes the inside, which
-    ``within`` need not be, so a narrowed search does not branch
-    orbitally."""
-    g = _part_graph(n, edge_bits)
-    search_class = _DualSearch if variant == "dual" else _HereditarySearch
-    search = search_class(g, variant, _Budget(SolveOptions()))
-    if within != search.full:
-        search.root = (0, search.root[1] & within)
-        search.orbital = False
+    The solve is a plain value search, narrowed to ``within`` by
+    :func:`_search`, with no partition bound, so a capacity never builds a
+    partition of its own."""
+    search = _search(_part_graph(n, edge_bits), variant, within=within)
     search.run_value()
     return search.best
 
@@ -592,16 +557,19 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
 
 class _Search:
     """Branch-and-bound over (inside, open) states; see the module
-    docstring. :meth:`_dfs` is the one DFS, a loop over an explicit stack
-    of pending branches, so no recursion limit caps the order of a graph:
-    it looks for solutions X with floor < |X| <= cap, and either returns
-    the first or records each in ``best``. :meth:`run_value`,
-    :meth:`_build_doll` and :meth:`lex_least_witness` only choose its start
-    state, floor, cap, stop rule and order. Subclasses supply
-    :meth:`include` and :meth:`exclude`. The root state leaves every vertex
-    open unless a subclass or :func:`_capacity` narrows it.
-    ``bound``, when set, is the partition bound of the vertex mask it is
-    given. ``doll``, once built, is the doll table over the branch order."""
+    docstring. Build one with :func:`_search`. :meth:`_dfs` is the one DFS,
+    a loop over an explicit stack of pending branches, so no recursion
+    limit caps the order of a graph: it looks for solutions X with
+    |X| > floor, and either returns the first, of size floor + 1, or
+    records each in ``best``. :meth:`run_value`, :meth:`_build_doll` and
+    :meth:`lex_least_witness` only choose its start state, floor, stop rule
+    and order. Subclasses supply :meth:`include` and :meth:`exclude`. The
+    root state leaves every vertex open unless a subclass or
+    :func:`_search` narrows it. ``bound``, when set, is the partition bound
+    of the vertex mask it is given. ``doll``, once built, is the doll table
+    over the branch order. The search keeps the budget of ``opts`` itself:
+    its clock starts before the pair table and the partition are built,
+    and :meth:`_dfs` counts and checks every node of every phase."""
 
     #: Whether every ``inside`` is itself a solution, not only the states
     #: with nothing open.
@@ -612,7 +580,11 @@ class _Search:
     #: themselves, which a capacity search narrowed to a mask breaks.
     orbital = True
 
-    def __init__(self, g: Graph, kind: str, budget: _Budget):
+    def __init__(self, g: Graph, kind: str, opts: SolveOptions):
+        self.t0 = time.monotonic()
+        self.node_budget = opts.node_budget
+        self.deadline = (self.t0 + opts.time_budget_ms / 1000.0
+                         if opts.time_budget_ms else 0.0)
         self.g = g
         self.n = g.n
         self.kind = kind
@@ -620,7 +592,6 @@ class _Search:
         self.order = _branch_order(g)
         self.bound: Callable[[int], int] | None = None
         self.doll: list[int] | None = None
-        self.budget = budget
         self.stats = SearchStats()
         self.best = 0
         self.best_mask = 0
@@ -629,10 +600,10 @@ class _Search:
 
     def run_value(self) -> None:
         """The value search: the doll table first for a hereditary kind,
-        then floor ``best``, cap n, from the root."""
+        then floor ``best`` from the root."""
         if self.hereditary:
             self._build_doll()
-        self._dfs(*self.root, self.best, self.n, False)
+        self._dfs(*self.root, self.best, False)
 
     def _build_doll(self) -> None:
         """Fill ``doll`` from the tail of the branch order: ``doll[i]`` is
@@ -652,7 +623,7 @@ class _Search:
             c = doll[i + 1]
             if (root_open >> v) & 1:
                 found = self._dfs(*self.include(0, suffix | 1 << v, v),
-                                  c, c + 1, True, limit=DOLL_LEVEL_LIMIT * n)
+                                  c, True, limit=DOLL_LEVEL_LIMIT * n)
                 if found is None:
                     return
                 if found:
@@ -661,15 +632,20 @@ class _Search:
                 suffix |= 1 << v
             doll[i] = c
 
-    def _dfs(self, inside: int, open_: int, floor: int, cap: int,
-             first: bool, by_id: bool = False, limit: int = 0) -> int | None:
-        """The first solution found with ``first``, else 0. Branches on
-        the first open vertex in branch order (in id order with ``by_id``),
-        include first; prunes on |inside| + |open| <= floor, on
-        |inside| > cap, on the partition bound and, in branch order, on the
-        doll table. Without ``first`` (the value search, from the root) the
-        exclude branch of an include-only spine node also drops the branch
-        vertex's orbit under the stabiliser of inside. With ``limit``, the
+    def _dfs(self, inside: int, open_: int, floor: int, first: bool,
+             by_id: bool = False, limit: int = 0) -> int | None:
+        """With ``first``, the decision query for size floor + 1: the first
+        solution found of that size, else 0; ``floor`` stays put, and a
+        node with more than floor + 1 vertices inside is pruned. Without
+        it, the value search: each solution found raises ``floor``, and the
+        result is 0. Branches on the first open vertex in branch order (in
+        id order with ``by_id``), include first; prunes on
+        |inside| + |open| <= floor, on the partition bound and, in branch
+        order, on the doll table. Without ``first`` the exclude branch of an
+        include-only spine node also drops the branch vertex's orbit under
+        the stabiliser of inside. Each node counts in
+        ``stats.nodes_explored``, and the node past the node budget or the
+        deadline raises :class:`_BudgetExceeded`. With ``limit``, the
         search gives up and returns None on its node after the first
         ``limit``.
 
@@ -682,9 +658,11 @@ class _Search:
         and every counter of a recursive search."""
         g = self.g
         stats = self.stats
-        budget = self.budget
-        tick = budget.tick
-        stop = budget.nodes + limit
+        node_budget = self.node_budget
+        deadline = self.deadline
+        clock = time.monotonic
+        stop = stats.nodes_explored + limit
+        cap = floor + 1 if first else self.n
         order = range(self.n) if by_id else self.order
         doll = None if by_id else self.doll
         bound = self.bound
@@ -711,8 +689,11 @@ class _Search:
                     continue
                 inside, open_ = child
                 spine = False
-            tick()
-            if limit and budget.nodes > stop:
+            stats.nodes_explored += 1
+            if (node_budget and stats.nodes_explored > node_budget
+                    or deadline and clock() > deadline):
+                raise _BudgetExceeded
+            if limit and stats.nodes_explored > stop:
                 return None
             count = inside.bit_count()
             if count + open_.bit_count() <= floor or count > cap:
@@ -751,7 +732,7 @@ class _Search:
         module docstring)."""
         if target == 0:
             return 0
-        found = self._dfs(*self.root, target - 1, target, True, by_id=True)
+        found = self._dfs(*self.root, target - 1, True, by_id=True)
         if found.bit_count() != target:
             raise AssertionError("lex witness reconstruction failed")
         return found
@@ -775,8 +756,8 @@ class _HereditarySearch(_Search):
     that are a solution on their own: every vertex, or for total the bypass
     candidates."""
 
-    def __init__(self, g: Graph, kind: str, budget: _Budget):
-        super().__init__(g, kind, budget)
+    def __init__(self, g: Graph, kind: str, opts: SolveOptions):
+        super().__init__(g, kind, opts)
         self.adj = g.adjacency_masks()
         self.need = _NEED.get(kind)  # None for independence
         if kind == "total":
@@ -953,23 +934,33 @@ def solve_independence(g: Graph, opts: SolveOptions | None = None) -> SolveResul
     return _solve(g, "independence", opts or SolveOptions())
 
 
-def _search_for(g: Graph, kind: str, budget: _Budget) -> _Search:
-    """The search a solve of ``kind`` on ``g`` runs, with its partition
-    bound over the root's open vertices, before either phase. This is the
-    one place a partition bound is attached; part capacities search
-    without one."""
-    search_class = _DualSearch if kind == "dual" else _HereditarySearch
-    search = search_class(g, kind, budget)
-    partition = convex_partition(g, kind, search.root[1])
-    # Without a part below its size the bound equals the plain count.
-    if partition.parts:
-        search.bound = partition.bound
+def _search(g: Graph, kind: str, opts: SolveOptions | None = None,
+            within: int | None = None) -> _Search:
+    """The search of ``kind`` on ``g`` under the budget of ``opts``; the
+    one place that picks the search class.
+
+    With no ``within`` it is the search of a solve, with the partition
+    bound over the root's open vertices: the one place a bound is
+    attached. With ``within`` it is a capacity search with no bound, whose
+    root keeps open only the vertices of ``within``; for the dual variant
+    that puts every other vertex out, which forces nothing, as nothing is
+    inside. A narrowed search does not branch orbitally (see the module
+    docstring)."""
+    search = (_DualSearch if kind == "dual" else _HereditarySearch)(
+        g, kind, opts or SolveOptions())
+    if within is None:
+        partition = convex_partition(g, kind, search.root[1])
+        # Without a part below its size the bound equals the plain count.
+        if partition.parts:
+            search.bound = partition.bound
+    elif within != search.full:
+        search.root = (0, search.root[1] & within)
+        search.orbital = False
     return search
 
 
 def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
-    budget = _Budget(opts)
-    search = _search_for(g, kind, budget)
+    search = _search(g, kind, opts)
     stats = search.stats
 
     value_certified = False
@@ -977,14 +968,13 @@ def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
     try:
         search.run_value()
         value_certified = True
-        value_nodes = budget.nodes
+        value_nodes = stats.nodes_explored
         witness_mask = search.lex_least_witness(search.best)
     except _BudgetExceeded:
         pass
-    stats.nodes_explored = budget.nodes
     if value_certified:
-        stats.witness_nodes = budget.nodes - value_nodes
-    stats.elapsed_ms = budget.elapsed_ms()
+        stats.witness_nodes = stats.nodes_explored - value_nodes
+    stats.elapsed_ms = (time.monotonic() - search.t0) * 1000.0
     if witness_mask is None:
         raise Incomplete(
             kind,

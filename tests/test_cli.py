@@ -4,6 +4,7 @@ import random
 import pytest
 
 import mvis.cli
+import mvis.graphs
 from mvis import (
     Incomplete,
     SolveOptions,
@@ -473,6 +474,18 @@ class TestMalformedInput:
     def test_bad_edge_list(self, tmp_path, capsys, text):
         path = tmp_path / "bad.el"
         path.write_text(text)
+        assert main(["check", str(path), "--set", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_huge_order_too_few_edges(self, tmp_path, capsys, monkeypatch):
+        # A header whose edges cannot connect its order is refused before
+        # build_graph allocates a neighbour set per vertex.
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_graph was called")
+
+        monkeypatch.setattr(mvis.graphs, "build_graph", no_build)
+        path = tmp_path / "huge.el"
+        path.write_text("1000000000 0\n")
         assert main(["check", str(path), "--set", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -30,7 +30,6 @@ from mvis import (
 from mvis.cli import main
 from mvis.solve import (
     PART_LIMIT,
-    _Budget,
     _BudgetExceeded,
     _capacity,
     _DualSearch,
@@ -38,7 +37,7 @@ from mvis.solve import (
     _part_capacity,
     _part_edges,
     _Search,
-    _search_for,
+    _search,
     convex_partition,
 )
 from mvis.visibility import PAIR_TABLE_LIMIT
@@ -278,8 +277,7 @@ class TestPartitionBound:
         for g in graphs:
             for kind in KINDS:
                 # The root's open vertices, which the solver partitions.
-                search = (_DualSearch if kind == "dual" else _HereditarySearch)
-                root = search(g, kind, _Budget(SolveOptions())).root[1]
+                root = _search(g, kind).root[1]
                 partition = convex_partition(g, kind, root)
                 assert (partition.parts, partition.free) == regrown_partition(
                     g, kind, root), (g.edges(), kind)
@@ -418,7 +416,7 @@ class TestDualRegressionPin:
         res = solve(g, "dual")
         assert (res.value, res.witness.ids()) == (2, [1, 5])
         assert res.stats.nodes_explored == 33
-        search = _search_for(g, "dual", _Budget(SolveOptions()))
+        search = _search(g, "dual")
         search.run_value()
         overfull = []
         include = search.include
@@ -445,7 +443,7 @@ class TestDualForcing:
         for _ in range(40):
             g = random_connected_graph(rng.randint(2, 7), rng,
                                        p=rng.choice((0.2, 0.4)))
-            search = _DualSearch(g, "dual", _Budget(SolveOptions()))
+            search = _DualSearch(g, "dual", SolveOptions())
             stack = [search.root]
             while stack:
                 inside, open_ = stack.pop()
@@ -499,7 +497,7 @@ class TestHereditaryInclude:
                     return sum(1 << w for w in range(g.n) if not x >> w & 1
                                and holds(kind, x | 1 << w))
 
-                search = _HereditarySearch(g, kind, _Budget(SolveOptions()))
+                search = _HereditarySearch(g, kind, SolveOptions())
                 assert search.root == (0, addable(0)), (kind, g.n, g.edges())
                 checks += 1
                 for _ in range(3):
@@ -597,10 +595,10 @@ class TestDecisionQuery:
                     if rep.holds(kind):
                         sizes[kind].add(mask.bit_count())
             for kind in VARIANTS:
-                search = _search_for(g, kind, _Budget(SolveOptions()))
+                search = _search(g, kind)
                 gaps += max(sizes[kind]) + 1 - len(sizes[kind])
                 for t in range(1, g.n + 1):
-                    found = search._dfs(*search.root, t - 1, t, True,
+                    found = search._dfs(*search.root, t - 1, True,
                                         by_id=True)
                     assert bool(found) == (t in sizes[kind]), (
                         kind, t, g.edges(),
@@ -622,8 +620,8 @@ def plain_lex_rebuild(search, target):
         if count == target:
             break
         child = search.include(state[0], state[1], v)
-        if child is not None and search._dfs(*child, target - 1, target,
-                                             True, by_id=True):
+        if child is not None and search._dfs(*child, target - 1, True,
+                                             by_id=True):
             chosen |= 1 << v
             count += 1
         else:
@@ -638,7 +636,7 @@ def plain_lex_rebuild(search, target):
 def witness_of(g, kind, rebuild):
     """Witness mask of ``rebuild`` run after the value phase of the search
     a solve of ``kind`` on ``g`` builds."""
-    search = _search_for(g, kind, _Budget(SolveOptions()))
+    search = _search(g, kind)
     search.run_value()
     return rebuild(search, search.best)
 
@@ -667,12 +665,12 @@ class TestWitnessReuse:
         found = []
         dfs = _Search._dfs
 
-        def recording_dfs(self, inside, open_, floor, cap, first,
-                          by_id=False, limit=0):
-            mask = dfs(self, inside, open_, floor, cap, first, by_id, limit)
+        def recording_dfs(self, inside, open_, floor, first, by_id=False,
+                          limit=0):
+            mask = dfs(self, inside, open_, floor, first, by_id, limit)
             if first and mask:
-                found.append((self.g, self.kind, inside, open_, cap, mask,
-                              by_id))
+                found.append((self.g, self.kind, inside, open_, floor + 1,
+                              mask, by_id))
             return mask
 
         monkeypatch.setattr(_Search, "_dfs", recording_dfs)
@@ -741,7 +739,7 @@ class TestDollTable:
                 if not any(adj[v] & mask for v in range(n) if mask >> v & 1):
                     solutions["independence"].append(mask)
             for kind in HEREDITARY:
-                search = _search_for(g, kind, _Budget(SolveOptions()))
+                search = _search(g, kind)
                 search.run_value()
                 root_open = search.root[1]
                 want = []
@@ -921,12 +919,32 @@ class TestBudgets:
 
     def test_time_budget_read_on_every_node(self):
         # A deadline that passes after the first node stops the next one,
-        # however few nodes the solve has.
-        budget = _Budget(SolveOptions(time_budget_ms=50))
-        budget.tick()
-        time.sleep(0.06)
+        # however few nodes the solve has. The dual value search makes no
+        # include before its root node, so the first include sleeps past
+        # the deadline between node 1 and node 2.
+        search = _search(generate("cycle:6"), "dual",
+                         SolveOptions(time_budget_ms=50))
+        include = search.include
+        calls = []
+
+        def sleepy_include(inside, open_, v):
+            if not calls:
+                time.sleep(0.06)
+            calls.append(v)
+            return include(inside, open_, v)
+
+        search.include = sleepy_include
         with pytest.raises(_BudgetExceeded):
-            budget.tick()
+            search.run_value()
+        assert search.stats.nodes_explored == 2
+
+    def test_clock_starts_before_the_tables(self):
+        # The pair table and the partition of a fresh grid:8x8 take far
+        # more than 1 ms, so the deadline has passed by the first node.
+        with pytest.raises(Incomplete) as exc:
+            solve(generate("grid:8x8"), "dual",
+                  SolveOptions(time_budget_ms=1))
+        assert exc.value.stats.nodes_explored == 1
 
     def test_witness_phase_exhaustion_certifies_value(self):
         g = generate("grid:4x4")

@@ -453,8 +453,7 @@ class TestOnePartitionPerGraphAndKind:
         module = sys.modules[convex_partition.__module__]
         partitions = solve_calls("_partition")
         module._capacity.cache_clear()
-        module._search_for(generate(spec), kind,
-                           module._Budget(module.SolveOptions()))
+        module._search(generate(spec), kind)
         assert len(hull_calls) == hulls
         assert len(partitions) == 1
         assert module._capacity.cache_info().misses == capacities

@@ -27,12 +27,7 @@ from workloads import SOLVE_WORKLOADS  # noqa: E402
 
 from mvis import build_graph, generate, solve, solve_independence  # noqa: E402
 from mvis.cli import _verify_instances, build_parser  # noqa: E402
-from mvis.solve import (  # noqa: E402
-    SolveOptions,
-    _Budget,
-    _search_for,
-    convex_partition,
-)
+from mvis.solve import _search, convex_partition  # noqa: E402
 from mvis.visibility import VARIANTS  # noqa: E402
 
 KINDS = (*VARIANTS, "independence")
@@ -47,7 +42,7 @@ def record(g, kind: str) -> dict:
            else solve(g, kind))
     stats = dataclasses.asdict(res.stats)
     del stats["elapsed_ms"]
-    root = _search_for(g, kind, _Budget(SolveOptions())).root[1]
+    root = _search(g, kind).root[1]
     partition = convex_partition(g, kind, root)
     return {
         "kind": kind,
