@@ -10,6 +10,7 @@ unreadable path), 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -258,15 +259,12 @@ def cmd_reduce(args) -> int:
 
 
 def _stats_dict(stats) -> dict:
-    return {
-        "nodes": stats.nodes_explored,
-        "prunes": stats.prunes,
-        "bound_prunes": stats.bound_prunes,
-        "orbit_prunes": stats.orbit_prunes,
-        "doll_prunes": stats.doll_prunes,
-        "witness_nodes": stats.witness_nodes,
-        "elapsed_ms": round(stats.elapsed_ms, 2),
-    }
+    """The ``SearchStats`` fields in order, ``nodes_explored`` as ``nodes``
+    and ``elapsed_ms`` rounded."""
+    out = {"nodes" if f.name == "nodes_explored" else f.name:
+           getattr(stats, f.name) for f in dataclasses.fields(stats)}
+    out["elapsed_ms"] = round(out["elapsed_ms"], 2)
+    return out
 
 
 def _witness_for(spec: str, variant: str) -> VertexSet | None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
 
 from .graphs import (
     Graph,
@@ -101,10 +103,12 @@ def parse_family_spec(text: str) -> FamilySpec:
             t = int(parts[-1][2:])
             base = ":".join(parts[1:-1])
             return FamilySpec("gprime", (t,), base_path=base)
+        if len(parts) > (3 if kind == "random_tree" else 2):
+            raise BadParams(f"extra fields in family spec {text!r}")
         if kind == "random_tree":
             n = int(parts[1])
             seed = 0
-            if len(parts) > 2:
+            if len(parts) == 3:
                 if not parts[2].startswith("seed="):
                     raise BadParams(f"bad tree seed in {text!r}")
                 seed = int(parts[2][5:])
@@ -116,40 +120,22 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise BadParams(f"cannot parse family spec {text!r}: {exc}") from None
 
 
-def _path(n: int, name: str | None = None) -> Graph:
-    return build_graph(
-        n,
-        [(i, i + 1) for i in range(n - 1)],
-        labels=[str(i + 1) for i in range(n)],
-        name=name or f"path:{n}",
-    )
+def _numbered(n: int, edges) -> Graph:
+    """The graph on ``edges`` with vertex ``i`` labeled ``str(i + 1)``."""
+    return build_graph(n, edges, labels=[str(i + 1) for i in range(n)])
 
 
-def _cycle(n: int, name: str | None = None) -> Graph:
-    return build_graph(
-        n,
-        [(i, (i + 1) % n) for i in range(n)],
-        labels=[str(i + 1) for i in range(n)],
-        name=name or f"cycle:{n}",
-    )
+def _product(factor, dims) -> Graph:
+    """The Cartesian product of ``factor(d)`` over ``dims``, in order."""
+    return reduce(cartesian_product, map(factor, dims))
 
 
-def _complete(n: int) -> Graph:
-    return build_graph(
-        n,
-        [(i, j) for i in range(n) for j in range(i + 1, n)],
-        labels=[str(i + 1) for i in range(n)],
-        name=f"complete:{n}",
-    )
+def _path(n: int) -> Graph:
+    return _numbered(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _star(k: int) -> Graph:
-    return build_graph(
-        k + 1,
-        [(0, i) for i in range(1, k + 1)],
-        labels=[str(i + 1) for i in range(k + 1)],
-        name=f"star:{k}",
-    )
+def _cycle(n: int) -> Graph:
+    return _numbered(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def pruefer_sequence(n: int, seed: int) -> list[int]:
@@ -175,56 +161,24 @@ def _random_tree(n: int, seed: int) -> Graph:
         if degree[x] == 1:
             heapq.heappush(leaves, x)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return build_graph(n, edges, labels=[str(i + 1) for i in range(n)],
-                       name=f"random_tree:{n}:seed={seed}")
-
-
-def _grid(n: int, m: int) -> Graph:
-    a = _path(n) if n >= 2 else _single_vertex()
-    b = _path(m) if m >= 2 else _single_vertex()
-    g = cartesian_product(a, b)
-    return Graph(g.n, g.adj, g.labels, f"grid:{n}x{m}")
-
-
-def _single_vertex() -> Graph:
-    return build_graph(1, [], labels=["1"])
-
-
-def _torus(n: int, m: int) -> Graph:
-    g = cartesian_product(_cycle(n), _cycle(m))
-    return Graph(g.n, g.adj, g.labels, f"torus:{n}x{m}")
-
-
-def _path_product(dims: tuple[int, ...]) -> Graph:
-    g = _path(dims[0])
-    for d in dims[1:]:
-        g = cartesian_product(g, _path(d))
-    name = "pathprod:" + "x".join(str(d) for d in dims)
-    return Graph(g.n, g.adj, g.labels, name)
+    return _numbered(n, edges)
 
 
 def _gadget_gn(n: int) -> Graph:
-    """n five-cycles sharing the single edge uv; order 3n + 2.
-
-    Ids: u = 0, v = 1, then per cycle i (1-based) the path
-    u - x_i - z_i - y_i - v with x_i = 3i - 1, z_i = 3i, y_i = 3i + 1.
-    """
+    """n five-cycles u - x_i - z_i - y_i - v sharing the single edge uv;
+    order 3n + 2, with the ids of :func:`gn_vertex`."""
     edges = [(0, 1)]
-    labels = ["u", "v"]
+    labels = ["u", "v"] + [""] * (3 * n)
     for i in range(1, n + 1):
-        x, z, y = 3 * i - 1, 3 * i, 3 * i + 1
+        x, z, y = (gn_vertex(role, i) for role in "xzy")
         edges += [(0, x), (x, z), (z, y), (y, 1)]
-        labels += [f"x{i}", f"z{i}", f"y{i}"]
-    return build_graph(3 * n + 2, edges, labels=labels, name=f"gn:{n}")
+        labels[x], labels[z], labels[y] = f"x{i}", f"z{i}", f"y{i}"
+    return build_graph(3 * n + 2, edges, labels=labels)
 
 
 def gn_vertex(role: str, i: int) -> int:
-    """Id of u, v, x_i, z_i, or y_i in the five-cycle gadget."""
-    if role == "u":
-        return 0
-    if role == "v":
-        return 1
-    return {"x": 3 * i - 1, "z": 3 * i, "y": 3 * i + 1}[role]
+    """Id of u, v, x_i, z_i, or y_i (i 1-based) in the five-cycle gadget."""
+    return {"u": 0, "v": 1, "x": 3 * i - 1, "z": 3 * i, "y": 3 * i + 1}[role]
 
 
 def _gadget_ht(t: int) -> Graph:
@@ -233,18 +187,12 @@ def _gadget_ht(t: int) -> Graph:
     Copy c (0-based) occupies ids 12c .. 12c + 11 with the usual grid
     indexing; the apex has id 12t. Order 12t + 1.
     """
-    grid = _grid(4, 3)
-    edges = []
-    labels = []
-    for c in range(t):
-        off = 12 * c
-        edges += [(off + u, off + v) for u, v in grid.edges()]
-        labels += [f"g{c + 1}:{lab}" for lab in grid.labels]
-    apex = 12 * t
-    labels.append("x")
-    for c in range(t):
-        edges.append((apex, ht_copy_vertex(c, 2, 3)))
-    return build_graph(apex + 1, edges, labels=labels, name=f"ht:{t}")
+    grid = _product(_path, (4, 3))
+    edges = [(12 * c + u, 12 * c + v)
+             for c in range(t) for u, v in grid.edges()]
+    edges += [(12 * t, ht_copy_vertex(c, 2, 3)) for c in range(t)]
+    labels = [f"g{c + 1}:{lab}" for c in range(t) for lab in grid.labels]
+    return build_graph(12 * t + 1, edges, labels=labels + ["x"])
 
 
 def ht_copy_vertex(c: int, i: int, j: int) -> int:
@@ -253,34 +201,40 @@ def ht_copy_vertex(c: int, i: int, j: int) -> int:
 
 
 #: Per family kind: the number of parameters (0 for one or more), the test
-#: they must pass, that test in words, and the builder of a checked spec.
+#: they must pass, that test in words, and the builder of a checked spec,
+#: called with the spec and its parameters.
 _KINDS = {
-    "path": (1, lambda n: n >= 2, "n >= 2", lambda s: _path(*s.params)),
-    "cycle": (1, lambda n: n >= 3, "n >= 3", lambda s: _cycle(*s.params)),
+    "path": (1, lambda n: n >= 2, "n >= 2", lambda s, n: _path(n)),
+    "cycle": (1, lambda n: n >= 3, "n >= 3", lambda s, n: _cycle(n)),
     "complete": (1, lambda n: n >= 1, "n >= 1",
-                 lambda s: _complete(*s.params)),
-    "star": (1, lambda k: k >= 1, "k >= 1 leaves", lambda s: _star(*s.params)),
+                 lambda s, n: _numbered(n, combinations(range(n), 2))),
+    "star": (1, lambda k: k >= 1, "k >= 1 leaves",
+             lambda s, k: _numbered(k + 1, [(0, i) for i in range(1, k + 1)])),
     "random_tree": (1, lambda n: n >= 2, "n >= 2",
-                    lambda s: _random_tree(*s.params, s.seed)),
+                    lambda s, n: _random_tree(n, s.seed)),
     "grid": (2, lambda n, m: n >= 1 and m >= 1 and n * m >= 2,
-             "at least two vertices", lambda s: _grid(*s.params)),
+             "at least two vertices", lambda s, *dims: _product(_path, dims)),
     "torus": (2, lambda n, m: n >= 3 and m >= 3, "n, m >= 3",
-              lambda s: _torus(*s.params)),
+              lambda s, *dims: _product(_cycle, dims)),
     "pathprod": (0, lambda *dims: all(d >= 2 for d in dims), "factors >= 2",
-                 lambda s: _path_product(s.params)),
-    "gn": (1, lambda n: n >= 2, "n >= 2", lambda s: _gadget_gn(*s.params)),
-    "ht": (1, lambda t: t >= 2, "t >= 2", lambda s: _gadget_ht(*s.params)),
+                 lambda s, *dims: _product(_path, dims)),
+    "gn": (1, lambda n: n >= 2, "n >= 2", lambda s, n: _gadget_gn(n)),
+    "ht": (1, lambda t: t >= 2, "t >= 2", lambda s, t: _gadget_ht(t)),
     "gprime": (1, lambda t: t >= 3, "t >= 3",
-               lambda s: reduction_gprime(read_edge_list(s.base_path),
-                                          *s.params).gprime),
+               lambda s, t: reduction_gprime(read_edge_list(s.base_path),
+                                             t).gprime),
 }
 
 
 def generate(spec: FamilySpec | str) -> Graph:
-    """Build the graph described by a FamilySpec or its string form."""
+    """Build the graph described by a FamilySpec or its string form, named
+    by its canonical spec; G' keeps the name its reduction gives it."""
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
-    return _KINDS[spec.kind][3](spec)
+    g = _KINDS[spec.kind][3](spec, *spec.params)
+    if g.name is None:
+        g.name = spec.canonical()
+    return g
 
 
 # --------------------------------------------------------------------------
@@ -319,46 +273,32 @@ def reduction_gprime(g: Graph, t: int) -> ReductionRecord:
 
     edges: list[tuple[int, int]] = list(base_edges)
     tags: list[str] = ["original"] * n
-    labels: list[str] = [
-        g.labels[i] if g.labels is not None else str(i + 1) for i in range(n)
-    ]
+    labels: list[str] = (list(g.labels) if g.labels is not None
+                         else [str(i + 1) for i in range(n)])
 
-    edge_vertex_ids: dict[tuple[int, int], int] = {}
-    for k, (i, j) in enumerate(base_edges):
-        ve = n + k
-        edge_vertex_ids[(i, j)] = ve
+    for ve, (i, j) in enumerate(base_edges, start=n):
         tags.append("edge_vertex")
         labels.append(f"ve({i + 1},{j + 1})")
         edges += [(i, ve), (j, ve)]
-    ve_ids = sorted(edge_vertex_ids.values())
-    edges += [(a, b) for ai, a in enumerate(ve_ids) for b in ve_ids[ai + 1:]]
+    edges += combinations(range(n, n + m), 2)
 
     apex = n + m
-    tags.append("apex_x")
-    labels.append("x")
     clique_ids = tuple(range(apex + 1, apex + 1 + t))
-    for k, xid in enumerate(clique_ids):
-        tags.append("apex_clique")
-        labels.append(f"x{k + 1}")
-    apex_members = (apex,) + clique_ids
-    edges += [
-        (a, b)
-        for ai, a in enumerate(apex_members)
-        for b in apex_members[ai + 1:]
-    ]
+    tags += ["apex_x"] + ["apex_clique"] * t
+    labels += ["x"] + [f"x{k}" for k in range(1, t + 1)]
+    edges += combinations((apex,) + clique_ids, 2)
     edges += [(apex, i) for i in range(n)]
 
     pendant_ids: dict[tuple[int, int], tuple[int, ...]] = {}
     next_id = apex + 1 + t
-    for (i, j) in base_edges:
+    for ve, (i, j) in enumerate(base_edges, start=n):
         ids = tuple(range(next_id, next_id + t))
         next_id += t
         pendant_ids[(i, j)] = ids
-        for k, pid in enumerate(ids):
-            tags.append(f"pendant_clique({i}-{j})")
-            labels.append(f"e({i + 1},{j + 1})y{k + 1}")
-        edges += [(a, b) for ai, a in enumerate(ids) for b in ids[ai + 1:]]
-        edges += [(edge_vertex_ids[(i, j)], pid) for pid in ids]
+        tags += [f"pendant_clique({i}-{j})"] * t
+        labels += [f"e({i + 1},{j + 1})y{k}" for k in range(1, t + 1)]
+        edges += combinations(ids, 2)
+        edges += [(ve, pid) for pid in ids]
 
     gp = build_graph(next_id, edges, labels=labels, name=f"gprime:t={t}")
     return ReductionRecord(
@@ -380,10 +320,9 @@ def reduction_witness(record: ReductionRecord, independent_set) -> VertexSet:
         if isinstance(independent_set, VertexSet)
         else independent_set
     )
-    for ai, a in enumerate(ind):
-        for b in ind[ai + 1:]:
-            if base.has_edge(a, b):
-                raise NotIndependent(f"vertices {a} and {b} are adjacent")
+    for a, b in combinations(ind, 2):
+        if base.has_edge(a, b):
+            raise NotIndependent(f"vertices {a} and {b} are adjacent")
     members = list(ind) + list(record.apex_clique_ids)
     for ids in record.pendant_ids.values():
         members.extend(ids)

@@ -1002,15 +1002,17 @@ def total_is_zero(g: Graph) -> bool:
 def dual_zero_sufficient(g: Graph) -> str:
     """Sufficient conditions for a zero dual number.
 
-    Returns "proven_zero" when every edge is the center of a convex P4, or
-    when girth >= 7 and minimum degree >= 2. Returns "inconclusive"
-    otherwise; this is NOT a claim that the dual number is nonzero (e.g.
-    C5 x C5 fails both conditions yet has dual number 0).
+    Returns "proven_zero" when the graph has an edge and every edge is the
+    center of a convex P4, or when girth >= 7 and minimum degree >= 2.
+    Returns "inconclusive" otherwise; this is NOT a claim that the dual
+    number is nonzero (e.g. C5 x C5 fails both conditions yet has dual
+    number 0, and one vertex has dual number 1).
     """
     stats = graph_stats(g)
     if stats.girth >= 7 and stats.min_degree >= 2:
         return "proven_zero"
-    if all(_edge_center_of_convex_p4(g, u, v) for u, v in g.edges()):
+    edges = g.edges()
+    if edges and all(_edge_center_of_convex_p4(g, u, v) for u, v in edges):
         return "proven_zero"
     return "inconclusive"
 

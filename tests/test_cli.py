@@ -61,6 +61,10 @@ class TestGen:
         code = main(["gen", "blorp:9", str(tmp_path / "x.el")])
         assert code == 2
 
+    def test_extra_spec_field_usage_error(self, tmp_path, capsys):
+        assert main(["gen", "gn:3:seed=2", str(tmp_path / "x.el")]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_c6_adjacent_dual(self, capsys):

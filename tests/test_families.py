@@ -48,9 +48,12 @@ class TestSpecParsing:
         spec = parse_family_spec("gprime:base.el:t=3")
         assert spec.kind == "gprime"
         assert spec.base_path == "base.el" and spec.params == (3,)
+        assert parse_family_spec("gprime:a:b.el:t=3").base_path == "a:b.el"
 
     def test_bad_specs(self):
-        for text in ("nope:3", "cycle", "grid:4", "cycle:x", "gprime:f.el"):
+        for text in ("nope:3", "cycle", "grid:4", "cycle:x", "gprime:f.el",
+                     "gn:3:seed=2", "cycle:5:banana",
+                     "random_tree:5:seed=1:junk"):
             with pytest.raises(BadParams):
                 parse_family_spec(text)
 

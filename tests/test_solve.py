@@ -839,6 +839,11 @@ class TestDualZeroSufficient:
         assert dual_zero_sufficient(g) == "inconclusive"
         assert solve(g, "dual").value == 0
 
+    def test_one_vertex_inconclusive_and_nonzero(self):
+        g = generate("complete:1")
+        assert dual_zero_sufficient(g) == "inconclusive"
+        assert solve(g, "dual").value == 1
+
     def test_c6_inconclusive_and_nonzero(self):
         g = generate("cycle:6")
         assert dual_zero_sufficient(g) == "inconclusive"
