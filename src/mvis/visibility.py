@@ -14,9 +14,9 @@ BFS per source in which members of X may be reached but never expanded,
 compared against plain BFS distances. :class:`PairVisibility` precomputes
 per-pair geodesic DAGs and caches one witness geodesic per pair, so search
 code re-tests a single pair in a few integer operations and sweeps the DAG
-only on a hint miss; its ``row`` gives all of one vertex's visible partners
-at once. :func:`classify_set` does not use it, so it stays an independent
-check of the solvers.
+only on a hint miss under blockers not swept before; its ``row`` gives all
+of one vertex's visible partners at once. :func:`classify_set` does not
+use it, so it stays an independent check of the solvers.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ VARIANTS = ("mutual", "total", "outer", "dual")
 #: table's entries, for which a :class:`PairVisibility` is built. It admits
 #: ``star:1100`` and ``grid:20x20``, not ``path:600`` or ``grid:25x24``.
 PAIR_TABLE_LIMIT = 2_000_000
+
+#: The most sweep results a :class:`PairVisibility` keeps in its ``memo``;
+#: a full memo is cleared before the next result goes in.
+PAIR_MEMO_LIMIT = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,15 @@ class PairVisibility:
     back through the predecessor masks and stores the interior of the
     geodesic it found as the new hint. No hint is built ahead of use.
 
+    A sweep reads nothing but the pair and its blocked interior, so its
+    result is memoised: ``memo`` maps ``pid << n | (interior[pid] & xmask)``
+    to the geodesic interior the sweep found, or to 0 when the pair is
+    blocked, and a hint miss sweeps only on a memo miss. A memo hit gives
+    the answer and the new hint that a fresh sweep would, so hints, and
+    every search that reads them, do not depend on what the memo holds.
+    It keeps at most :data:`PAIR_MEMO_LIMIT` entries, about 120 bytes each
+    on graphs of up to 144 vertices, and is cleared when full.
+
     :meth:`row` gives all of one vertex's X-visible partners at once, by a
     BFS over its row of ``layers`` that expands no vertex of X.
 
@@ -191,6 +204,7 @@ class PairVisibility:
     """
 
     __slots__ = (
+        "n",
         "interior",
         "hint",
         "entries",
@@ -199,6 +213,7 @@ class PairVisibility:
         "pair_ids",
         "adj",
         "layers",
+        "memo",
     )
 
     def __init__(self, g: Graph):
@@ -212,6 +227,7 @@ class PairVisibility:
         if size > PAIR_TABLE_LIMIT:
             raise GraphError(f"graph on {n} vertices: pair table of at least "
                              f"{size} entries, limit {PAIR_TABLE_LIMIT}")
+        self.n = n
         adj = self.adj = g.adjacency_masks()
         # layers[u][k] is the mask of the vertices at distance k from u.
         layers = []
@@ -259,12 +275,31 @@ class PairVisibility:
             for v in range(n)
         ]
         self.hint = list(self.interior)
+        self.memo: dict[int, int] = {}
 
     def visible_pid(self, pid: int, xmask: int) -> bool:
         """True iff pair ``pid`` is X-visible for blocker mask ``xmask``."""
         if not self.hint[pid] & xmask:
             return True
         blocked = self.interior[pid] & xmask
+        key = pid << self.n | blocked
+        memo = self.memo
+        path = memo.get(key)
+        if path is None:
+            path = self._sweep(pid, blocked)
+            if len(memo) >= PAIR_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = path
+        # A missed hint is a nonempty interior, so a found path is nonzero.
+        if not path:
+            return False
+        self.hint[pid] = path
+        return True
+
+    def _sweep(self, pid: int, blocked: int) -> int:
+        """The interior of the u,v-geodesic that avoids ``blocked`` and
+        takes the lowest reached predecessor at each step back from v, or
+        0 when every u,v-geodesic meets ``blocked``."""
         ends = self.pair_mask[pid]
         reach = ends & -ends  # u, the lower end
         entries = self.entries[pid]
@@ -272,10 +307,10 @@ class PairVisibility:
             if pm & reach and not bit & blocked:
                 reach |= bit
         # v's neighbours in reach lie in the last slice: u is one only
-        # when the interior is empty, and then the hint returned True.
+        # when the interior is empty, and then no sweep is made.
         want = self.adj[ends.bit_length() - 1] & reach
         if not want:
-            return False
+            return 0
         # Walk back from v along reached predecessors; entries run in
         # layer order, so in reverse each wanted vertex comes up in turn.
         want &= -want
@@ -285,8 +320,7 @@ class PairVisibility:
                 path |= bit
                 want = pm & reach
                 want &= -want
-        self.hint[pid] = path
-        return True
+        return path
 
     def row(self, u: int, xmask: int) -> int:
         """Mask of every w such that the pair (u, w) is X-visible for

@@ -1,5 +1,8 @@
+import itertools
 import json
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -331,6 +334,12 @@ class TestVerify:
         assert report["summary"]["disagreements"] == 0
 
     def test_env_budget(self, capsys, monkeypatch):
+        # The solver reads a clock that moves 1 ms per read, so a 1 ms
+        # budget runs out by the second node of every search, however fast
+        # the host and however warm the caches of earlier solves.
+        ticks = itertools.count()
+        clock = SimpleNamespace(monotonic=lambda: next(ticks) / 1000)
+        monkeypatch.setattr(sys.modules["mvis.solve"], "time", clock)
         monkeypatch.setenv("MVIS_BUDGET_MS", "1")
         code, report = run_json(capsys, "verify", "--families", "gn", "--json")
         assert code == 3

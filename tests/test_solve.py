@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -40,7 +41,7 @@ from mvis.solve import (
     _search,
     convex_partition,
 )
-from mvis.visibility import PAIR_TABLE_LIMIT
+from mvis.visibility import PAIR_TABLE_LIMIT, pair_visibility
 
 from naive import (
     brute_max,
@@ -552,6 +553,28 @@ class TestKnownValues:
             g = generate(f"path:{n}")
             for variant in VARIANTS:
                 assert solve(g, variant).value == 2
+
+
+def outcome(result):
+    """A solve's value, witness and every counter but ``elapsed_ms``."""
+    counters = dataclasses.asdict(result.stats)
+    del counters["elapsed_ms"]
+    return result.value, result.witness.mask, counters
+
+
+class TestWarmResolve:
+    @pytest.mark.parametrize("spec, variant", [
+        ("ht:3", "dual"), ("torus:5x4", "mutual"), ("grid:5x5", "outer"),
+    ])
+    def test_same_graph_solves_as_a_fresh_one(self, spec, variant):
+        # Re-solves reuse the graph's pair table, with the hints and sweep
+        # results that earlier solves left in it.
+        g = generate(spec)
+        cold = outcome(solve(g, variant))
+        assert pair_visibility(g).memo
+        for _ in range(2):
+            assert outcome(solve(g, variant)) == cold
+            assert outcome(solve(generate(spec), variant)) == cold
 
 
 class TestLexLeastWitness:

@@ -350,6 +350,52 @@ class TestPairVisibilityKernel:
             want = sum(1 << w for w in range(n) if cd[w] == d[u][w])
             assert pv.row(u, xmask) == want, (u, x.ids())
 
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_memo_gives_what_a_fresh_sweep_gives(self, spec):
+        g = kernel_graph(spec)
+        n = g.n
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+        def calls():
+            rng = random.Random(8)
+            for xmask in walk_blockers(n, rng, 200):
+                for u, v in rng.sample(pairs, 15):
+                    yield u * n + v, xmask
+
+        warmed = PairVisibility(g)
+        for pid, xmask in calls():
+            warmed.visible_pid(pid, xmask)
+        # The replay starts from the same hints on both tables, so only
+        # the warmed table's memo differs.
+        warmed.hint = list(warmed.interior)
+        held = len(warmed.memo)
+        assert held > 0
+        fresh = PairVisibility(g)
+        for pid, xmask in calls():
+            assert (warmed.visible_pid(pid, xmask)
+                    == fresh.visible_pid(pid, xmask)), pid
+            assert warmed.hint[pid] == fresh.hint[pid], pid
+        # Every sweep of the replay was answered from the memo.
+        assert len(warmed.memo) == held
+        assert warmed.hint == fresh.hint
+
+    def test_memo_stays_within_its_limit(self, monkeypatch):
+        monkeypatch.setattr(mvis.visibility, "PAIR_MEMO_LIMIT", 7)
+        g = kernel_graph("grid:5x5")
+        n = g.n
+        pv = PairVisibility(g)
+        rng = random.Random(9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        largest = 0
+        for xmask in walk_blockers(n, rng, 200):
+            x = VertexSet.from_mask(n, xmask)
+            for u, v in rng.sample(pairs, 10):
+                got = pv.visible_pid(u * n + v, xmask)
+                assert got == is_pair_visible(g, x, u, v), (u, v, x.ids())
+                assert len(pv.memo) <= 7
+                largest = max(largest, len(pv.memo))
+        assert largest == 7
+
     def test_classify_set_does_not_use_the_kernel(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("classify_set built a PairVisibility")

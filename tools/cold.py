@@ -1,0 +1,88 @@
+"""Cold solves, parent against change, each in a fresh process.
+
+For each of :data:`INSTANCES`, runs ``solve(generate(spec), variant)`` in
+a new Python process that imports ``mvis`` from the checkout's own
+``src/``, :data:`RUNS` times per checkout, alternating which checkout runs
+first (parent first in even runs). The time is that of generating and
+solving, so it includes the pair table, the partition and every capacity
+search, and no warm reuse.
+Prints, per instance and checkout, the median time and the median peak
+resident memory of the process, with the value and node count, which must
+be the same on both sides. Standard library only::
+
+    python3 tools/cold.py PARENT CHANGE
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+#: Instances timed, as (spec, variant).
+INSTANCES = (
+    ("ht:4", "dual"),
+    ("torus:6x6", "mutual"),
+    ("torus:7x6", "mutual"),
+    ("pathprod:3x3x3", "dual"),
+)
+
+#: Alternating parent/change runs per instance.
+RUNS = 5
+
+#: What one fresh process runs; it prints one JSON line.
+CHILD = """\
+import json, resource, sys, time
+from mvis import generate, solve
+t0 = time.perf_counter()
+result = solve(generate(sys.argv[1]), sys.argv[2])
+seconds = time.perf_counter() - t0
+print(json.dumps({
+    "s": seconds,
+    "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "value": result.value,
+    "nodes": result.stats.nodes_explored,
+}))
+"""
+
+
+def run_once(checkout: Path, spec: str, variant: str) -> dict:
+    """One cold solve in a fresh process importing ``checkout/src``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, spec, variant],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    args = ap.parse_args()
+    checkouts = (args.parent, args.change)
+    print(f"{'instance':<24}{'parent s':>10}{'change s':>10}{'change':>9}"
+          f"{'parent MB':>11}{'change MB':>11}{'value':>7}{'nodes':>9}")
+    for spec, variant in INSTANCES:
+        runs = ([], [])
+        for i in range(RUNS):
+            for side in ((0, 1), (1, 0))[i % 2]:
+                runs[side].append(run_once(checkouts[side], spec, variant))
+        outcomes = {(r["value"], r["nodes"]) for side in runs for r in side}
+        if len(outcomes) != 1:
+            sys.exit(f"{spec} {variant}: the sides differ: {outcomes}")
+        value, nodes = outcomes.pop()
+        s = [statistics.median(r["s"] for r in side) for side in runs]
+        mb = [statistics.median(r["rss_mb"] for r in side) for side in runs]
+        print(f"{spec + ' ' + variant:<24}{s[0]:>10.3f}{s[1]:>10.3f}"
+              f"{s[1] / s[0] - 1:>+9.1%}{mb[0]:>11.1f}{mb[1]:>11.1f}"
+              f"{value:>7}{nodes:>9}")
+
+
+if __name__ == "__main__":
+    main()
