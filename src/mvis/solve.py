@@ -13,9 +13,9 @@ decision query ("is there a solution of size t that extends this
 state?") for t = floor + 1: it returns the first solution of size t it
 finds, and prunes every state with more than t vertices inside.
 Otherwise each solution found raises the floor, ``best`` and
-``best_mask``: the value search is floor ``best`` from the root. It
-branches in the branch order (descending degree), or in id order with
-``by_id``.
+``best_mask``: the value search is floor ``best`` from the root. Every
+search branches on its lowest open vertex, include first, so the searches
+differ only in start state, floor and stop rule.
 
 The value search records hereditary states that are not leaves, yet it
 searches the same tree as when it recorded leaves only. Let S be such a
@@ -24,23 +24,23 @@ branch vertex is open and so addable, so the include-first dive from S
 reaches a leaf L with |L| > |S| before any other check reads the floor.
 The checks on the dive pass either way: every state X on it is a
 solution, and while X has an open vertex v, X + v is one too, so
-|X| + |open|, the partition bound and |X| + c[i] of the doll table (below;
-c[i] >= 1 when ``order[i]`` is open) all exceed |X|, which is at least the
-floor. At L the floor becomes |L| either way. Only a budget that runs out
-on the dive sees a difference: it reports the larger set reached there.
+|X| + |open|, the partition bound and |X| + c[v] of the doll table (below;
+c[v] >= 1 when v is open) all exceed |X|, which is at least the floor. At
+L the floor becomes |L| either way. Only a budget that runs out on the
+dive sees a difference: it reports the larger set reached there.
 
 The witness phase. Once the value t is known, the lexicographically least
-maximum set is the first hit of one decision query from the root, which
-branches in id order, include first, with no orbits. The lex-least set is
-the greedy one: v goes in exactly when some solution of size t extends the
-decisions before v together with v. At a node that branches on v, the DFS
-searches everything below the include child before the exclude child, and
-its prunes (count, size, partition bound) never cut a subtree that holds a
-solution of size t. So it leaves the include child without a hit exactly
-when no solution of size t extends the node's decisions and v, and then it
-puts v out: each decision on its path is the greedy one, and a vertex it
-never branches on was already decided by the ones before it. Its first hit
-is therefore the greedy set.
+maximum set is the first hit of one decision query from the root, with no
+orbits. The lex-least set is the greedy one: v goes in exactly when some
+solution of size t extends the decisions before v together with v. At a
+node that branches on v, the DFS searches everything below the include
+child before the exclude child, and its prunes (count, size, partition
+bound, doll table) never cut a subtree that holds a solution of size t.
+So it leaves the include child without a hit exactly when no solution of
+size t extends the node's decisions and v, and then it puts v out: each
+decision on its path is the greedy one, and a vertex it never branches on
+was already decided by the ones before it. Its first hit is therefore the
+greedy set.
 
 The hereditary kinds are mutual, outer, total and independence: any subset
 of a solution is a solution. Their inside X is always a solution, and open
@@ -160,32 +160,28 @@ lex-least witness does not depend on orbits.
 The doll table (Russian-doll search: Verfaillie, Lemaitre & Schiex, AAAI
 1996; Ostergard, Discrete Applied Math. 2002). Before the value search of
 a hereditary kind, :meth:`_Search._build_doll` fills a table c over the
-branch order ``order``, from its tail: c[i] is the size of the largest
-solution inside ``order[i:]`` and the root's open vertices, and c[n] = 0.
-Any subset of a solution is a solution, so c[i] is c[i + 1] + 1 when some
-solution of that size holds v = ``order[i]`` and lies in v plus the
-suffix after it, and c[i + 1] otherwise. Level i asks exactly that, as
-one decision query from the state include(0, suffix + v, v) with floor
-c[i + 1], branching in branch order with no orbits;
-that root's open vertices lie in the suffix, so its first open vertex is
-past index i. Each hit raises ``best`` and ``best_mask`` at once,
-so a budget that runs out during the table reports the largest level set.
-A level that takes more than :data:`DOLL_LEVEL_LIMIT` nodes per vertex is
-abandoned, and it and every level below it keep c = n. Such an entry never
-prunes: a node past the count prune has floor < |inside| + |open| <= n.
+vertex ids, from the highest: c[v] is the size of the largest solution
+among the root's open vertices with id >= v, and c[n] = 0. Any subset of
+a solution is a solution, so c[v] is c[v + 1] + 1 when some solution of
+that size holds v and lies among those vertices, and c[v + 1] otherwise.
+Level v asks exactly that, as one decision query from the state
+include(0, those vertices, v) with floor c[v + 1] and no orbits; that
+root's open vertices have ids above v. Each hit raises ``best`` and
+``best_mask`` at once, so a budget that runs out during the table reports
+the largest level set. A level that takes more than
+:data:`DOLL_LEVEL_LIMIT` nodes per vertex is abandoned, and it and every
+level below it keep c = n. Such an entry never prunes: a node past the
+count prune has floor < |inside| + |open| <= n.
 
-Every search in branch order, the value search and the level queries,
-prunes a node that branches at index i when |inside| + c[i] <= floor. At
-such a node open lies inside ``order[i:]``: a node branches on its first
-open vertex at or after the index where its parent branched, both children
-start past that index, and an exclude only removes vertices from open. The
-orbit vertices dropped on the spine are removed by excludes too, so they
-only shrink open. Any solution below the node is inside + Y with Y within
-open, and Y is a solution by heredity inside ``order[i:]`` and the root's
-open vertices, so |Y| <= c[i]. A level query reads only c[j] for j > i,
-which are built before it starts. The witness query does not use the
-table: it branches in id order, so the index of its branch vertex in
-``order`` says nothing about where its open vertices lie.
+Every search once the table exists, the level queries, the value search
+and the witness query, prunes a node that branches on v when
+|inside| + c[v] <= floor. The node branches on its lowest open vertex, so
+open lies in ids >= v, and within the root's open vertices, as include and
+exclude only remove vertices from open; so do the orbit vertices dropped
+on the spine, by excludes. Any solution below the node is inside + Y with
+Y within open, and Y is a solution by heredity among the root's open
+vertices with id >= v, so |Y| <= c[v]. A level query reads only c[w] for
+w > v, which are built before it starts.
 """
 
 from __future__ import annotations
@@ -275,14 +271,14 @@ class SearchStats:
     prune. ``bound_prunes`` counts the prunes, included in ``prunes``, that
     only the convex-partition bound made. ``doll_prunes``, also included in
     ``prunes``, counts the nodes that only the doll table cut, in its own
-    level queries and in the value search. ``orbit_prunes``, also included
-    in ``prunes``, counts the vertices that orbital branching dropped from
-    exclude branches beyond the branch vertex itself. ``nodes_explored``
-    includes the doll table's nodes, which count in the value phase; the
-    root ``include`` of each doll level is not a node.
-    ``witness_nodes`` counts the nodes, included in ``nodes_explored``, of
-    the witness phase: the one id-order decision query whose first hit is
-    the lex-least maximum set."""
+    level queries, the value search and the witness query.
+    ``orbit_prunes``, also included in ``prunes``, counts the vertices
+    that orbital branching dropped from exclude branches beyond the branch
+    vertex itself. ``nodes_explored`` includes the doll table's nodes,
+    which count in the value phase; the root ``include`` of each doll level
+    is not a node. ``witness_nodes`` counts the nodes, included in
+    ``nodes_explored``, of the witness phase: the one decision query whose
+    first hit is the lex-least maximum set."""
 
     nodes_explored: int = 0
     prunes: int = 0
@@ -303,11 +299,6 @@ class SolveResult:
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def _branch_order(g: Graph) -> list[int]:
-    """Descending degree, ties by ascending vertex id."""
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
 
 
 # --------------------------------------------------------------------------
@@ -562,12 +553,12 @@ class _Search:
     limit caps the order of a graph: it looks for solutions X with
     |X| > floor, and either returns the first, of size floor + 1, or
     records each in ``best``. :meth:`run_value`, :meth:`_build_doll` and
-    :meth:`lex_least_witness` only choose its start state, floor, stop rule
-    and order. Subclasses supply :meth:`include` and :meth:`exclude`. The
+    :meth:`lex_least_witness` only choose its start state, floor and stop
+    rule. Subclasses supply :meth:`include` and :meth:`exclude`. The
     root state leaves every vertex open unless a subclass or
     :func:`_search` narrows it. ``bound``, when set, is the partition bound
-    of the vertex mask it is given. ``doll``, once built, is the doll table
-    over the branch order. The search keeps the budget of ``opts`` itself:
+    of the vertex mask it is given. ``doll``, once built, is the doll table,
+    indexed by vertex id. The search keeps the budget of ``opts`` itself:
     its clock starts before the pair table and the partition are built,
     and :meth:`_dfs` counts and checks every node of every phase."""
 
@@ -589,7 +580,6 @@ class _Search:
         self.n = g.n
         self.kind = kind
         self.pv: PairVisibility = pair_visibility(g)
-        self.order = _branch_order(g)
         self.bound: Callable[[int], int] | None = None
         self.doll: list[int] | None = None
         self.stats = SearchStats()
@@ -606,50 +596,44 @@ class _Search:
         self._dfs(*self.root, self.best, False)
 
     def _build_doll(self) -> None:
-        """Fill ``doll`` from the tail of the branch order: ``doll[i]`` is
-        the largest solution inside ``order[i:]`` and the root's open
-        vertices. Level i asks for a solution one larger than
-        ``doll[i + 1]`` that holds ``order[i]``; each one found raises
-        ``best``. A level that takes more than :data:`DOLL_LEVEL_LIMIT`
-        nodes per vertex is abandoned, and it and every level below it keep
-        n, which prunes nothing."""
+        """Fill ``doll`` from the highest vertex id: ``doll[v]`` is the
+        largest solution among the root's open vertices with id >= v.
+        Level v asks for a solution one larger than ``doll[v + 1]`` that
+        holds v; each one found raises ``best``. A level that takes more
+        than :data:`DOLL_LEVEL_LIMIT` nodes per vertex is abandoned, and it
+        and every level below it keep n, which prunes nothing."""
         n = self.n
-        order = self.order
         root_open = self.root[1]
         doll = self.doll = [n] * n + [0]
-        suffix = 0
-        for i in range(n - 1, -1, -1):
-            v = order[i]
-            c = doll[i + 1]
+        for v in range(n - 1, -1, -1):
+            c = doll[v + 1]
             if (root_open >> v) & 1:
-                found = self._dfs(*self.include(0, suffix | 1 << v, v),
+                found = self._dfs(*self.include(0, root_open >> v << v, v),
                                   c, True, limit=DOLL_LEVEL_LIMIT * n)
                 if found is None:
                     return
                 if found:
                     c = self.best = c + 1
                     self.best_mask = found
-                suffix |= 1 << v
-            doll[i] = c
+            doll[v] = c
 
     def _dfs(self, inside: int, open_: int, floor: int, first: bool,
-             by_id: bool = False, limit: int = 0) -> int | None:
+             limit: int = 0) -> int | None:
         """With ``first``, the decision query for size floor + 1: the first
         solution found of that size, else 0; ``floor`` stays put, and a
         node with more than floor + 1 vertices inside is pruned. Without
         it, the value search: each solution found raises ``floor``, and the
-        result is 0. Branches on the first open vertex in branch order (in
-        id order with ``by_id``), include first; prunes on
-        |inside| + |open| <= floor, on the partition bound and, in branch
-        order, on the doll table. Without ``first`` the exclude branch of an
-        include-only spine node also drops the branch vertex's orbit under
-        the stabiliser of inside. Each node counts in
+        result is 0. Branches on the lowest open vertex, include first;
+        prunes on |inside| + |open| <= floor, on the partition bound and,
+        once it is built, on the doll table. Without ``first`` the exclude
+        branch of an include-only spine node also drops the branch vertex's
+        orbit under the stabiliser of inside. Each node counts in
         ``stats.nodes_explored``, and the node past the node budget or the
         deadline raises :class:`_BudgetExceeded`. With ``limit``, the
         search gives up and returns None on its node after the first
         ``limit``.
 
-        The stack holds entries (inside, open, start, spine, v). One with
+        The stack holds entries (inside, open, spine, v). One with
         v < 0 is a node. One with v >= 0 is the exclude branch of the node
         (inside, open) that branched on v; it sits beneath that node's
         include child, so the exclude child is built only once the whole
@@ -663,15 +647,14 @@ class _Search:
         clock = time.monotonic
         stop = stats.nodes_explored + limit
         cap = floor + 1 if first else self.n
-        order = range(self.n) if by_id else self.order
-        doll = None if by_id else self.doll
+        doll = self.doll
         bound = self.bound
         include = self.include
         exclude = self.exclude
         hereditary = self.hereditary
-        stack = [(inside, open_, 0, self.orbital and not first, -1)]
+        stack = [(inside, open_, self.orbital and not first, -1)]
         while stack:
-            inside, open_, start, spine, v = stack.pop()
+            inside, open_, spine, v = stack.pop()
             if v >= 0:
                 child = exclude(inside, open_, v)
                 if spine and child is not None and (
@@ -710,29 +693,26 @@ class _Search:
                 stats.prunes += 1
                 stats.bound_prunes += 1
                 continue
-            i = start
-            while not (open_ >> order[i]) & 1:
-                i += 1
-            if doll and count + doll[i] <= floor:
+            v = (open_ & -open_).bit_length() - 1
+            if doll and count + doll[v] <= floor:
                 stats.prunes += 1
                 stats.doll_prunes += 1
                 continue
-            v = order[i]
-            stack.append((inside, open_, i + 1, spine, v))
+            stack.append((inside, open_, spine, v))
             child = include(inside, open_, v)
             if child is None:
                 stats.prunes += 1
             else:
-                stack.append((*child, i + 1, spine, -1))
+                stack.append((*child, spine, -1))
         return 0
 
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the
-        first hit of the id-order decision query from the root (see the
-        module docstring)."""
+        first hit of the decision query from the root (see the module
+        docstring)."""
         if target == 0:
             return 0
-        found = self._dfs(*self.root, target - 1, True, by_id=True)
+        found = self._dfs(*self.root, target - 1, True)
         if found.bit_count() != target:
             raise AssertionError("lex witness reconstruction failed")
         return found

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -271,6 +272,24 @@ class TestReduce:
         assert payload["solved_total_lower_bound"] <= 14
         assert payload["identity_certified"] is None
 
+    def test_missed_identity_exits_one(self, capsys, monkeypatch):
+        # A solved total that misses (m + 1) t + alpha is a disagreement.
+        exact = mvis.cli.solve
+
+        def one_short(g, variant, opts=None):
+            res = exact(g, variant, opts)
+            return dataclasses.replace(res, value=res.value - 1)
+
+        monkeypatch.setattr(mvis.cli, "solve", one_short)
+        code, payload = run_json(
+            capsys, "reduce", "path:3", "--t", "3", "--json"
+        )
+        assert code == 1
+        assert payload["expected_value"] == 11
+        assert payload["solved_total"] == 10
+        assert payload["witness_is_total"] is True
+        assert payload["identity_certified"] is False
+
 
 class TestVerify:
     def test_cycles_and_paths_agree(self, capsys):
@@ -483,7 +502,9 @@ class TestMalformedInput:
         "3 2\n0 1\n1\n",
         "3 2\n0 1 7\n1 2\n",
         "-2 0\n",
-    ], ids=["one-token-edge", "three-token-edge", "negative-order"])
+        "# a comment\n# another\n",
+    ], ids=["one-token-edge", "three-token-edge", "negative-order",
+            "comments-only"])
     def test_bad_edge_list(self, tmp_path, capsys, text):
         path = tmp_path / "bad.el"
         path.write_text(text)
@@ -500,6 +521,16 @@ class TestMalformedInput:
         path = tmp_path / "huge.el"
         path.write_text("1000000000 0\n")
         assert main(["check", str(path), "--set", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_coordinates_on_an_unlabelled_graph(self, tmp_path, capsys):
+        path = tmp_path / "p3.el"
+        path.write_text("3 2\n0 1\n1 2\n")
+        assert main(["check", str(path), "--set", "(1,1)"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_reduction_of_one_vertex(self, capsys):
+        assert main(["reduce", "complete:1", "--t", "3"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_gen_into_missing_directory(self, tmp_path, capsys):

@@ -48,12 +48,15 @@ class TestSpecParsing:
         spec = parse_family_spec("gprime:base.el:t=3")
         assert spec.kind == "gprime"
         assert spec.base_path == "base.el" and spec.params == (3,)
-        assert parse_family_spec("gprime:a:b.el:t=3").base_path == "a:b.el"
+        colon = parse_family_spec("gprime:a:b.el:t=3")
+        assert colon.base_path == "a:b.el"
+        assert colon.canonical() == "gprime:a:b.el:t=3"
+        assert parse_family_spec(colon.canonical()) == colon
 
     def test_bad_specs(self):
         for text in ("nope:3", "cycle", "grid:4", "cycle:x", "gprime:f.el",
                      "gn:3:seed=2", "cycle:5:banana",
-                     "random_tree:5:seed=1:junk"):
+                     "random_tree:5:seed=1:junk", "random_tree:5:sd=1"):
             with pytest.raises(BadParams):
                 parse_family_spec(text)
 

@@ -98,6 +98,15 @@ class TestOracleEntries:
 
 
 class TestOracleSolverAgreement:
+    def test_path_shaped_products(self):
+        # A grid or path product with one long side is a path.
+        for spec in ("grid:1x5", "pathprod:5"):
+            g = generate(spec)
+            for variant in VARIANTS:
+                val = oracle(spec, variant)
+                assert val.kind == "exact" and "path rule" in val.source
+                assert solve(g, variant).value == val.value == 2
+
     def test_cycles(self):
         for n in range(3, 9):
             for variant in VARIANTS:

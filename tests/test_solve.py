@@ -381,17 +381,20 @@ class TestDualRegressionPin:
     one id-order decision query (ht:3 2351, torus:6x4 137, pathprod:3x3x3
     2154 and gn:4 45 before it). The partition bound began to count each
     part by its largest dual set inside the node's mask (ht:3 2085,
-    torus:6x4 158, pathprod:3x3x3 2172 before it; gn:4 did not move)."""
+    torus:6x4 158, pathprod:3x3x3 2172 before it; gn:4 did not move).
+    Every search began to branch on its lowest open vertex, not in
+    descending degree (ht:3 736, pathprod:3x3x3 1780 before it; torus:6x4
+    and gn:4 did not move)."""
 
     @pytest.mark.parametrize("spec, value, witness, nodes", [
         pytest.param(
             "ht:3", 15,
-            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 736,
+            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 594,
             id="ht:3",
         ),
         pytest.param("torus:6x4", 4, [0, 4, 10, 14], 89, id="torus:6x4"),
         pytest.param(
-            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 1780,
+            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 972,
             id="pathprod:3x3x3",
         ),
         pytest.param("gn:4", 2, [2, 3], 55, id="gn:4"),
@@ -408,7 +411,8 @@ class TestDualRegressionPin:
         # In this graph's witness search, the forcing of an include puts
         # more vertices in than the value, and the cap cuts those states.
         # 18 nodes when the rebuild queried each vertex, refusing such a
-        # prefix without a node.
+        # prefix without a node; 33 when the value search branched in
+        # descending degree.
         g = build_graph(11, [
             (0, 1), (0, 7), (1, 2), (1, 5), (1, 7), (2, 4), (2, 7), (3, 8),
             (3, 9), (4, 5), (4, 6), (4, 8), (5, 6), (6, 9), (7, 9), (7, 10),
@@ -416,7 +420,7 @@ class TestDualRegressionPin:
         ])
         res = solve(g, "dual")
         assert (res.value, res.witness.ids()) == (2, [1, 5])
-        assert res.stats.nodes_explored == 33
+        assert res.stats.nodes_explored == 53
         search = _search(g, "dual")
         search.run_value()
         overfull = []
@@ -437,8 +441,8 @@ class TestDualForcing:
     def test_every_closed_state_is_a_dual_set(self):
         # The dual search keeps no leaf check: forcing must already have
         # tested every pair by the time nothing is open. Walk every
-        # include/exclude sequence in branch order and check each state
-        # with nothing open.
+        # include/exclude sequence on the lowest open vertex, as the search
+        # branches, and check each state with nothing open.
         rng = random.Random(88)
         closed = 0
         for _ in range(40):
@@ -454,7 +458,7 @@ class TestDualForcing:
                         g.edges(), inside,
                     )
                     continue
-                v = next(u for u in search.order if (open_ >> u) & 1)
+                v = (open_ & -open_).bit_length() - 1
                 for decide in (search.include, search.exclude):
                     child = decide(inside, open_, v)
                     if child is not None:
@@ -621,8 +625,7 @@ class TestDecisionQuery:
                 search = _search(g, kind)
                 gaps += max(sizes[kind]) + 1 - len(sizes[kind])
                 for t in range(1, g.n + 1):
-                    found = search._dfs(*search.root, t - 1, True,
-                                        by_id=True)
+                    found = search._dfs(*search.root, t - 1, True)
                     assert bool(found) == (t in sizes[kind]), (
                         kind, t, g.edges(),
                     )
@@ -643,8 +646,7 @@ def plain_lex_rebuild(search, target):
         if count == target:
             break
         child = search.include(state[0], state[1], v)
-        if child is not None and search._dfs(*child, target - 1, True,
-                                             by_id=True):
+        if child is not None and search._dfs(*child, target - 1, True):
             chosen |= 1 << v
             count += 1
         else:
@@ -672,7 +674,7 @@ def is_solution(g, kind, mask):
 
 
 class TestWitnessReuse:
-    """The witness phase: one id-order decision query from the root."""
+    """The witness phase: one decision query from the root."""
 
     def test_same_witness_as_querying_every_vertex(self):
         rng = random.Random(77)
@@ -688,26 +690,25 @@ class TestWitnessReuse:
         found = []
         dfs = _Search._dfs
 
-        def recording_dfs(self, inside, open_, floor, first, by_id=False,
-                          limit=0):
-            mask = dfs(self, inside, open_, floor, first, by_id, limit)
+        def recording_dfs(self, inside, open_, floor, first, limit=0):
+            mask = dfs(self, inside, open_, floor, first, limit)
             if first and mask:
                 found.append((self.g, self.kind, inside, open_, floor + 1,
-                              mask, by_id))
+                              mask, limit))
             return mask
 
         monkeypatch.setattr(_Search, "_dfs", recording_dfs)
         rng = random.Random(78)
         # The hereditary solves, part capacities included, make doll level
-        # queries in branch order; each solve makes one id-order witness
-        # query.
+        # queries, each under a node limit; each solve makes one witness
+        # query, with none.
         for _ in range(60):
             g = random_connected_graph(rng.randint(2, 10), rng,
                                        p=rng.choice((0.2, 0.3, 0.4)))
             for kind in KINDS:
                 solve_kind(g, kind)
-        assert sum(1 for *_, by_id in found if by_id) > 50
-        assert sum(1 for *_, by_id in found if not by_id) > 50
+        assert sum(1 for *_, limit in found if not limit) > 50
+        assert sum(1 for *_, limit in found if limit) > 50
         for g, kind, inside, open_, target, mask, _ in found:
             assert mask & inside == inside, (kind, g.edges())
             assert not mask & ~(inside | open_), (kind, g.edges())
@@ -737,13 +738,35 @@ class TestWitnessReuse:
         assert res.stats.witness_nodes == 555
 
 
+class TestLabelInvariance:
+    @pytest.mark.parametrize("spec", [
+        "grid:5x4", "ht:2", "pathprod:2x2x3", "gn:2", "torus:4x4",
+    ])
+    def test_relabelled_graphs_keep_their_values(self, spec):
+        # Every search branches on its lowest open vertex, so the ids steer
+        # the search; the value must not depend on them.
+        g = generate(spec)
+        rng = random.Random(spec)
+        values = {kind: solve_kind(g, kind).value for kind in KINDS}
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = build_graph(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+            for kind in KINDS:
+                res = solve_kind(h, kind)
+                assert res.value == values[kind], (spec, kind, perm)
+                assert res.witness.card == res.value, (spec, kind, perm)
+                assert is_solution(h, kind, res.witness.mask), (
+                    spec, kind, perm)
+
+
 HEREDITARY = ("mutual", "total", "outer", "independence")
 
 
 class TestDollTable:
     def test_levels_are_the_largest_suffix_solutions(self):
-        # Each built level of the doll table is the largest solution inside
-        # the suffix of the branch order and the root's open vertices, by
+        # Each built level v of the doll table is the largest solution
+        # inside the root's open vertices with id v or more, by
         # brute force over every subset; an abandoned level and every level
         # below it read n. Clearing the table does not move the witness.
         rng = random.Random(2026)
@@ -767,7 +790,7 @@ class TestDollTable:
                 root_open = search.root[1]
                 want = []
                 for i in range(n + 1):
-                    room = root_open & sum(1 << v for v in search.order[i:])
+                    room = root_open >> i << i
                     want.append(max(x.bit_count() for x in solutions[kind]
                                     if not x & ~room))
                 doll = search.doll
@@ -793,6 +816,10 @@ class TestIndependence:
         assert solve_independence(generate("path:5")).value == 3
         assert solve_independence(generate("cycle:5")).value == 2
         assert solve_independence(generate("complete:6")).value == 1
+
+    def test_solve_takes_only_the_visibility_variants(self):
+        with pytest.raises(ValueError):
+            solve(generate("path:5"), "independence")
 
     def test_witness_is_independent_and_lex_least(self):
         rng = random.Random(8)
@@ -830,10 +857,12 @@ class TestIndependence:
         # the doll table. The root bound already equals the value here, so
         # the table's levels are pure cost: 41 -> 300. Counting each part
         # by its largest independent set inside the node's mask: 300 -> 126.
+        # Branching on the lowest open vertex, not in descending degree:
+        # 126 -> 118.
         res = solve_independence(generate("ht:2"))
         assert res.value == 13
         assert res.witness.ids() == list(range(0, 26, 2))
-        assert res.stats.nodes_explored == 126
+        assert res.stats.nodes_explored == 118
 
 
 class TestTotalIsZero:
@@ -920,6 +949,14 @@ class TestDualZeroByCover:
     def test_self_cover(self):
         g = generate("cycle:7")
         assert dual_zero_by_cover(g, [VertexSet(7, range(7))])
+        # A convex part whose dual number is not 0 fails the certificate.
+        assert not dual_zero_by_cover(generate("path:3"),
+                                      [VertexSet(3, range(3))])
+
+    def test_non_convex_part_fails(self):
+        # The ends of P3 are not convex: their geodesic runs through 1.
+        cover = [VertexSet(3, [0, 2]), VertexSet(3, [1])]
+        assert not dual_zero_by_cover(generate("path:3"), cover)
 
     def test_incomplete_cover_rejected(self):
         g = generate("cycle:7")
@@ -1004,8 +1041,11 @@ class TestBudgets:
         # the best set as soon as it finds one, so a budget that runs out
         # while the table is built reports the largest level set so far.
         # A level that finds its set on its first dive costs one node per
-        # vertex of the set. Before the table, node k of the value search's
-        # first dive held k - 1 vertices.
+        # vertex of the set; one that finds none, as on the last row of the
+        # grid, where a third vertex blocks a pair, costs its whole search.
+        # Before the table, node k of the value search's first dive held
+        # k - 1 vertices. In descending-degree order the levels reached
+        # [1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5, ...].
         g = generate("grid:5x5")
         reached = []
         for budget in range(1, 25):
@@ -1016,8 +1056,8 @@ class TestBudgets:
             assert inc.lower_bound == inc.witness.card
             assert classify_set(g, inc.witness).is_mutual
             reached.append(inc.lower_bound)
-        assert reached == [1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4,
-                           4, 5, 5, 5, 5, 5, 5, 6]
+        assert reached == [1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,
+                           3, 3, 3, 3, 3, 3, 3, 4]
 
 
 class TestDeepGraphs:

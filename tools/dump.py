@@ -6,7 +6,8 @@ least witness, every ``SearchStats`` counter but ``elapsed_ms``, and the
 root convex partition (``parts`` as [mask, capacity] pairs, and ``free``).
 The instances are the benchmark's solve instances (``SOLVE_WORKLOADS`` in
 ``benchmarks/workloads.py``), the records of a default ``mvis verify`` and
-60 seeded random connected graphs of 3 to 11 vertices under all five kinds.
+60 seeded random connected graphs of 3 to 11 vertices
+(``tests/naive.py``'s ``random_connected_graph``) under all five kinds.
 
 The ``graphs`` section records order, name, labels and adjacency of
 ``generate(spec)`` for sample specs of every family kind and alias, and for
@@ -14,7 +15,7 @@ every spec of a default ``mvis verify`` and of the benchmark. For each of
 the benchmark's reductions, and for ``path:2`` with t = 3, it records the
 same of G' plus its tags, id bookkeeping and the witness that the base
 graph's lex-least maximum independent set builds.
-Standard library and ``src/`` only, no options::
+Standard library and the repository's own modules only, no options::
 
     python3 tools/dump.py > a.json    # in each tree, then: cmp a.json b.json
 """
@@ -31,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from workloads import (  # noqa: E402
     CHECK_GRAPHS,
@@ -39,7 +41,6 @@ from workloads import (  # noqa: E402
 )
 
 from mvis import (  # noqa: E402
-    build_graph,
     generate,
     reduction_gprime,
     reduction_witness,
@@ -51,6 +52,7 @@ from mvis.cli import _verify_instances, build_parser  # noqa: E402
 from mvis.families import _KIND_ALIASES, _KINDS  # noqa: E402
 from mvis.solve import _search, convex_partition  # noqa: E402
 from mvis.visibility import VARIANTS  # noqa: E402
+from naive import random_connected_graph  # noqa: E402
 
 KINDS = (*VARIANTS, "independence")
 
@@ -93,17 +95,6 @@ def record(g, kind: str) -> dict:
         "parts": [list(part) for part in partition.parts],
         "free": partition.free,
     }
-
-
-def random_connected_graph(n: int, rng: random.Random):
-    """A random spanning tree plus each other edge with probability 0.4."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    edges = {tuple(sorted((perm[i], perm[rng.randrange(i)])))
-             for i in range(1, n)}
-    edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
-              if rng.random() < 0.4}
-    return build_graph(n, sorted(edges))
 
 
 def graph_record(g) -> dict:
