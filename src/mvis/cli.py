@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -453,7 +454,11 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="max solve milliseconds (default MVIS_BUDGET_MS or unlimited)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, so every :func:`main` call shares it. It names the subcommand in
+    ``command``; :func:`main` looks up its ``cmd_`` function at each call."""
     ap = argparse.ArgumentParser(
         prog="mvis",
         description="exact mutual-visibility invariants: generators, solvers, "
@@ -464,27 +469,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a family graph as an edge list")
     p.add_argument("spec", help='family spec, e.g. "grid:4x3", "gn:2"')
     p.add_argument("out", help="output edge-list path")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("check", help="classify a vertex set under all four variants")
     p.add_argument("graph", help="edge-list path or family spec")
     p.add_argument("--set", required=True,
                    help='ids and/or coordinates: "0,1,2" or "(1,1),(2,3)"')
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="exact value and witness for one variant")
     p.add_argument("graph", help="edge-list path or family spec")
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="closed-form value for a family instance")
     p.add_argument("spec", help="family spec string")
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="oracle-vs-solver-vs-witness sweep")
     p.add_argument("--families", default=None,
@@ -498,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="build the hardness-reduction graph and "
                                       "certify its identity")
@@ -507,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the reduction edge list here")
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
-    p.set_defaults(func=cmd_reduce)
 
     return ap
 
@@ -518,8 +517,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = ap.parse_args(argv)
     args.argv = argv
+    # Looked up now, not when the shared parser was built, so a command
+    # function replaced on this module since then is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -147,7 +147,7 @@ class Graph:
         self.name = name
         self._dist: list[list[int]] | None = None
         self._pairvis = None  # mvis.visibility.pair_visibility's table
-        self._partitions = {}  # mvis.solve.convex_partition's cache
+        self._partitions = {}  # mvis.solve.convex_partitions' cache
         self._adj_masks: list[int] | None = None
         self._label_ids: dict[str, int] | None = None
 

@@ -24,7 +24,7 @@ branch vertex is open and so addable, so the include-first dive from S
 reaches a leaf L with |L| > |S| before any other check reads the floor.
 The checks on the dive pass either way: every state X on it is a
 solution, and while X has an open vertex v, X + v is one too, so
-|X| + |open|, the partition bound and |X| + c[v] of the doll table (below;
+|X| + |open|, the partition bounds and |X| + c[v] of the doll table (below;
 c[v] >= 1 when v is open) all exceed |X|, which is at least the floor. At
 L the floor becomes |L| either way. Only a budget that runs out on the
 dive sees a difference: it reports the larger set reached there.
@@ -35,7 +35,7 @@ orbits. The lex-least set is the greedy one: v goes in exactly when some
 solution of size t extends the decisions before v together with v. At a
 node that branches on v, the DFS searches everything below the include
 child before the exclude child, and its prunes (count, size, partition
-bound, doll table) never cut a subtree that holds a solution of size t.
+bounds, doll table) never cut a subtree that holds a solution of size t.
 So it leaves the include child without a hit exactly when no solution of
 size t extends the node's decisions and v, and then it puts v out: each
 decision on its path is the greedy one, and a vertex it never branches on
@@ -119,7 +119,7 @@ geodesic between two vertices of H stays in H) and X is a variant-set of G,
 then X intersect H is a variant-set of the subgraph H, because the pairs of
 H keep exactly their geodesics. This holds for all four variants, and for
 independence on any induced subgraph. Before searching,
-:func:`convex_partition` splits the root's open vertices into disjoint
+:func:`convex_partitions` splits the root's open vertices into disjoint
 convex parts H_i of at most :data:`PART_LIMIT` vertices. Every solution
 below a node lies inside its mask M = inside + open, so its part in H_i is
 a variant-set of H_i inside M intersect H_i. The node therefore bounds its
@@ -131,6 +131,24 @@ branch-and-bound, re-coloured at every node (Tomita & Seki, DMTCS 2003);
 a part has at most :data:`PART_LIMIT` vertices, so each cap is memoised
 rather than recomputed. On a grid the parts are geodesic lines of
 capacity 2.
+
+A second partition comes from the graph's symmetry, with no second build.
+An automorphism sigma preserves distances, so it maps each interval onto
+an interval: sigma(H) is convex when H is, and the parts sigma(H_i) with
+sigma(free) again split the vertices. sigma also maps the pairs of H onto
+those of sigma(H) with their geodesics, so it maps the variant-sets of H
+inside a mask m onto those of sigma(H) inside sigma(m), and
+cap(sigma(H), sigma(H)) = cap(H, H): the image's capacities are known
+without a search. The image is a convex partition like any other, so its
+bound holds for every mask; it needs no symmetry of the root's open
+vertices. :func:`convex_partitions` builds it with the verified map of
+:func:`mvis.symmetry.moving_automorphism` and leaves it out where it
+would repeat the parts. This is the colouring bound taken at two
+colourings. A node is pruned at the first of the bounds that is at most
+the floor. Neither bound ever cuts a solution above the floor, so the
+solutions the value search records, the floor after each, the value and
+the lex-least witness are those of one bound, and a node count can only
+fall.
 
 Each cap is a plain value search of the part whose root keeps open only
 the part's vertices in the mask, with no partition bound of its own, so
@@ -202,7 +220,7 @@ from .graphs import (
     induced_subgraph,
     is_convex,
 )
-from .symmetry import stabilizer_orbit
+from .symmetry import moving_automorphism, stabilizer_orbit
 from .visibility import (
     VARIANTS,
     PairVisibility,
@@ -265,13 +283,15 @@ class SolveOptions:
 class SearchStats:
     """Search counters, which the search keeps itself as it runs.
     ``prunes`` counts the nodes cut by the count, by a decision query's
-    size, by the partition bound or by the doll table, the children
+    size, by a partition bound or by the doll table, the children
     whose decision killed them (in both phases), and the orbit vertices
     dropped; a vertex that an include drops from open as unaddable is not a
     prune. ``bound_prunes`` counts the prunes, included in ``prunes``, that
-    only the convex-partition bound made. ``doll_prunes``, also included in
-    ``prunes``, counts the nodes that only the doll table cut, in its own
-    level queries, the value search and the witness query.
+    only the convex-partition bounds made. ``image_prunes``, included in
+    ``bound_prunes``, counts those that only the image partition made,
+    where the greedy partition's bound did not cut. ``doll_prunes``, also
+    included in ``prunes``, counts the nodes that only the doll table cut,
+    in its own level queries, the value search and the witness query.
     ``orbit_prunes``, also included in ``prunes``, counts the vertices
     that orbital branching dropped from exclude branches beyond the branch
     vertex itself. ``nodes_explored`` includes the doll table's nodes,
@@ -283,6 +303,7 @@ class SearchStats:
     nodes_explored: int = 0
     prunes: int = 0
     bound_prunes: int = 0
+    image_prunes: int = 0
     orbit_prunes: int = 0
     doll_prunes: int = 0
     witness_nodes: int = 0
@@ -446,9 +467,53 @@ def _hull_with(h: int, w: int, room: int, limit: int, interior: list[int],
     return h
 
 
-def convex_partition(g: Graph, variant: str,
-                     searched: int | None = None) -> ConvexPartition:
-    """Greedy partition of the ``searched`` vertex mask into convex parts.
+def convex_partitions(g: Graph, variant: str,
+                      searched: int | None = None
+                      ) -> tuple[ConvexPartition, ...]:
+    """The partitions a search over the ``searched`` vertex mask prunes on:
+    the greedy one of :func:`_partition`, then its image under the
+    automorphism of :func:`mvis.symmetry.moving_automorphism`. The image
+    is left out when there is no such map, when the partition has no parts
+    or when the map sends its set of parts onto itself. Both are built
+    once per (variant, searched mask) and cached on the graph together.
+    """
+    room = (1 << g.n) - 1 if searched is None else searched
+    if (variant, room) not in g._partitions:
+        partition = _partition(g, variant, room)
+        g._partitions[variant, room] = (partition, *_image(g, partition))
+    return g._partitions[variant, room]
+
+
+def _image(g: Graph, partition: ConvexPartition
+           ) -> tuple[ConvexPartition, ...]:
+    """The image of ``partition`` under a verified automorphism sigma, as a
+    one-tuple, or the empty tuple (see :func:`convex_partitions`). Its
+    parts are sigma(H), each with H's capacity, as sigma maps the subgraph
+    H onto the subgraph sigma(H), and its ``free`` is sigma(free). It maps
+    masks only: no hull is grown and no capacity is solved here."""
+    if not partition.parts:
+        return ()
+    sigma = moving_automorphism(g)
+    if sigma is None:
+        return ()
+
+    def image(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= 1 << sigma[low.bit_length() - 1]
+        return out
+
+    parts = [(image(h), c) for h, c in partition.parts]
+    if {h for h, _ in parts} == {h for h, _ in partition.parts}:
+        return ()
+    return (ConvexPartition(parts, image(partition.free), partition.variant,
+                            {h: _part_edges(g, h) for h, _ in parts}, {}),)
+
+
+def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
+    """Greedy partition of the ``room`` vertex mask into convex parts.
 
     Each round grows a hull from every edge inside the vertices not yet
     used: each step adds the neighbouring vertex with the smallest new hull
@@ -465,17 +530,9 @@ def convex_partition(g: Graph, variant: str,
     are totally ordered and the round's choice does not depend on which
     seed met a hull first.
 
-    The partition is built once per (variant, searched mask) and cached on
-    the graph; capacities come from :func:`_part_capacity`.
+    :func:`convex_partitions` builds it once per (variant, room) and caches
+    it on the graph; capacities come from :func:`_part_capacity`.
     """
-    room = (1 << g.n) - 1 if searched is None else searched
-    if (variant, room) not in g._partitions:
-        g._partitions[variant, room] = _partition(g, variant, room)
-    return g._partitions[variant, room]
-
-
-def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
-    """The partition :func:`convex_partition` caches."""
     n = g.n
     free = (1 << n) - 1
     limit = min(PART_LIMIT, n - 1)
@@ -556,11 +613,12 @@ class _Search:
     :meth:`lex_least_witness` only choose its start state, floor and stop
     rule. Subclasses supply :meth:`include` and :meth:`exclude`. The
     root state leaves every vertex open unless a subclass or
-    :func:`_search` narrows it. ``bound``, when set, is the partition bound
-    of the vertex mask it is given. ``doll``, once built, is the doll table,
-    indexed by vertex id. The search keeps the budget of ``opts`` itself:
-    its clock starts before the pair table and the partition are built,
-    and :meth:`_dfs` counts and checks every node of every phase."""
+    :func:`_search` narrows it. ``bound`` holds the partition bounds of
+    the vertex mask they are given, the greedy partition's first. ``doll``,
+    once built, is the doll table, indexed by vertex id. The search keeps
+    the budget of ``opts`` itself: its clock starts before the pair table
+    and the partitions are built, and :meth:`_dfs` counts and checks every
+    node of every phase."""
 
     #: Whether every ``inside`` is itself a solution, not only the states
     #: with nothing open.
@@ -580,7 +638,7 @@ class _Search:
         self.n = g.n
         self.kind = kind
         self.pv: PairVisibility = pair_visibility(g)
-        self.bound: Callable[[int], int] | None = None
+        self.bound: tuple[Callable[[int], int], ...] = ()
         self.doll: list[int] | None = None
         self.stats = SearchStats()
         self.best = 0
@@ -624,14 +682,14 @@ class _Search:
         node with more than floor + 1 vertices inside is pruned. Without
         it, the value search: each solution found raises ``floor``, and the
         result is 0. Branches on the lowest open vertex, include first;
-        prunes on |inside| + |open| <= floor, on the partition bound and,
-        once it is built, on the doll table. Without ``first`` the exclude
-        branch of an include-only spine node also drops the branch vertex's
-        orbit under the stabiliser of inside. Each node counts in
-        ``stats.nodes_explored``, and the node past the node budget or the
-        deadline raises :class:`_BudgetExceeded`. With ``limit``, the
-        search gives up and returns None on its node after the first
-        ``limit``.
+        prunes on |inside| + |open| <= floor, on the first partition bound
+        at most the floor and, once it is built, on the doll table. Without
+        ``first`` the exclude branch of an include-only spine node also
+        drops the branch vertex's orbit under the stabiliser of inside.
+        Each node counts in ``stats.nodes_explored``, and the node past the
+        node budget or the deadline raises :class:`_BudgetExceeded`. With
+        ``limit``, the search gives up and returns None on its node after
+        the first ``limit``.
 
         The stack holds entries (inside, open, spine, v). One with
         v < 0 is a node. One with v >= 0 is the exclude branch of the node
@@ -648,7 +706,7 @@ class _Search:
         stop = stats.nodes_explored + limit
         cap = floor + 1 if first else self.n
         doll = self.doll
-        bound = self.bound
+        bounds = self.bound
         include = self.include
         exclude = self.exclude
         hereditary = self.hereditary
@@ -689,10 +747,16 @@ class _Search:
                 self.best_mask = inside
                 if not open_:
                     continue
-            if bound and bound(inside | open_) <= floor:
-                stats.prunes += 1
-                stats.bound_prunes += 1
-                continue
+            if bounds:
+                mask = inside | open_
+                cut = next((i for i, bound in enumerate(bounds)
+                            if bound(mask) <= floor), None)
+                if cut is not None:
+                    stats.prunes += 1
+                    stats.bound_prunes += 1
+                    if cut:
+                        stats.image_prunes += 1
+                    continue
             v = (open_ & -open_).bit_length() - 1
             if doll and count + doll[v] <= floor:
                 stats.prunes += 1
@@ -920,7 +984,7 @@ def _search(g: Graph, kind: str, opts: SolveOptions | None = None,
     one place that picks the search class.
 
     With no ``within`` it is the search of a solve, with the partition
-    bound over the root's open vertices: the one place a bound is
+    bounds over the root's open vertices: the one place bounds are
     attached. With ``within`` it is a capacity search with no bound, whose
     root keeps open only the vertices of ``within``; for the dual variant
     that puts every other vertex out, which forces nothing, as nothing is
@@ -929,10 +993,10 @@ def _search(g: Graph, kind: str, opts: SolveOptions | None = None,
     search = (_DualSearch if kind == "dual" else _HereditarySearch)(
         g, kind, opts or SolveOptions())
     if within is None:
-        partition = convex_partition(g, kind, search.root[1])
-        # Without a part below its size the bound equals the plain count.
-        if partition.parts:
-            search.bound = partition.bound
+        # Without a part below its size a bound equals the plain count.
+        search.bound = tuple(p.bound for p in
+                             convex_partitions(g, kind, search.root[1])
+                             if p.parts)
     elif within != search.full:
         search.root = (0, search.root[1] & within)
         search.orbital = False

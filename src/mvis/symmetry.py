@@ -1,11 +1,14 @@
-"""Vertex orbits under graph automorphisms that fix a vertex set pointwise.
+"""Vertex orbits under graph automorphisms that fix a vertex set pointwise,
+and one automorphism that moves vertex 0.
 
-The searches use these orbits for orbital branching. Every map counted is
-verified: it is a bijection of the vertex set that preserves every
-distance, hence adjacency, so it is an automorphism. The maps are found by
-a bounded backtracking search; a search that runs out of steps counts as
-no map. The mask returned is therefore always a subset of the true orbit,
-which is all that soundness needs: a smaller orbit only prunes less.
+The searches use the orbits for orbital branching, and the map for a
+second partition bound. Every map counted or returned is verified: it is
+a bijection of the vertex set that preserves every distance, hence
+adjacency, so it is an automorphism. The maps are found by a bounded
+backtracking search; a search that runs out of steps counts as no map.
+The mask returned is therefore always a subset of the true orbit, which
+is all that soundness needs: a smaller orbit only prunes less, and a
+missing map only leaves out the second bound.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def stabilizer_orbit(g: Graph, fixed: int, v: int, within: int) -> int:
     applied to the orbit so far, so its images join without a search.
     """
     d = all_pairs_distances(g)
-    key = [(len(nbrs), sorted(row)) for nbrs, row in zip(g.adj, d)]
+    key = _keys(g, d)
     fixed_ids = VertexSet.from_mask(g.n, fixed).ids()
     dv = d[v]
     to_fixed = [dv[x] for x in fixed_ids]
@@ -57,6 +60,33 @@ def stabilizer_orbit(g: Graph, fixed: int, v: int, within: int) -> int:
                     orbit |= 1 << x
                     todo.append(x)
     return orbit & within
+
+
+def moving_automorphism(g: Graph) -> list[int] | None:
+    """A verified automorphism of ``g`` that moves vertex 0, as an image
+    list, or None when none is found. The images w = 1, 2, ... that match
+    vertex 0 in degree and sorted distance row are tried in turn, and the
+    first map :func:`_extend` finds with nothing fixed is returned, so
+    vertex 0 goes to the least vertex that a map reaches within the step
+    limit :func:`stabilizer_orbit` uses."""
+    if g.n < 2:
+        return None
+    d = all_pairs_distances(g)
+    key = _keys(g, d)
+    order, parent = _bfs_tree(g, 0, 0)
+    limit = STEPS_PER_VERTEX * g.n
+    for w in range(1, g.n):
+        if key[w] == key[0]:
+            sigma = _extend(g, d, key, [], 0, w, order, parent, limit)
+            if sigma is not None:
+                return sigma
+    return None
+
+
+def _keys(g: Graph, d: list[list[int]]) -> list:
+    """Each vertex's degree and sorted distance row, which an automorphism
+    preserves."""
+    return [(len(nbrs), sorted(row)) for nbrs, row in zip(g.adj, d)]
 
 
 def _bfs_tree(g: Graph, v: int, fixed: int) -> tuple[list[int], list[int]]:

@@ -19,7 +19,7 @@ from mvis import (
     solve_independence,
     write_edge_list,
 )
-from mvis.cli import _verify_record, main
+from mvis.cli import _verify_record, build_parser, main
 from mvis.oracles import OracleValue, oracle
 
 from test_solve import value_phase_nodes
@@ -34,6 +34,31 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+class TestParser:
+    def test_every_call_shares_one_parser(self, capsys):
+        assert build_parser() is build_parser()
+        # Parsing leaves nothing behind: a flag of one call is not set in
+        # the next, and the next call's own defaults hold.
+        code, payload = run_json(capsys, "solve", "cycle:5", "--variant",
+                                 "mutual", "--json", "--budget-nodes", "1")
+        assert code == 3 and payload["incomplete"] is True
+        code, out = run(capsys, "solve", "cycle:5", "--variant", "mutual")
+        assert code == 0
+        assert out.startswith("graph: cycle:5\n")
+        assert "value: 3\n" in out
+
+    def test_command_replaced_after_the_parser_is_built_runs(
+            self, monkeypatch):
+        # A tracer wraps the command functions on the module; the shared
+        # parser must not hold on to the ones it was built with.
+        build_parser()
+        specs = []
+        monkeypatch.setattr(mvis.cli, "cmd_oracle",
+                            lambda args: specs.append(args.spec) or 0)
+        assert main(["oracle", "grid:3x3", "--variant", "mutual"]) == 0
+        assert specs == ["grid:3x3"]
 
 
 class TestGen:
@@ -154,6 +179,14 @@ class TestSolve:
         )
         assert code == 0
         assert 0 < payload["stats"]["bound_prunes"] <= payload["stats"]["prunes"]
+
+    def test_stats_show_image_prunes(self, capsys):
+        code, payload = run_json(
+            capsys, "solve", "torus:5x5", "--variant", "mutual", "--json"
+        )
+        assert code == 0
+        stats = payload["stats"]
+        assert 0 < stats["image_prunes"] <= stats["bound_prunes"]
 
     def test_stats_show_orbit_prunes(self, capsys):
         code, payload = run_json(
@@ -304,6 +337,7 @@ class TestVerify:
         for r in report["records"]:
             assert r["stats"]["witness_nodes"] <= r["stats"]["nodes"]
             assert r["stats"]["doll_prunes"] <= r["stats"]["prunes"]
+            assert r["stats"]["image_prunes"] <= r["stats"]["bound_prunes"]
             assert "witness_queries" not in r["stats"]
 
     def test_full_cycle_sweep_agreement_count(self, capsys):

@@ -39,7 +39,7 @@ from mvis.solve import (
     _part_edges,
     _Search,
     _search,
-    convex_partition,
+    convex_partitions,
 )
 from mvis.visibility import PAIR_TABLE_LIMIT, pair_visibility
 
@@ -158,9 +158,10 @@ class TestExhaustiveAgreement:
 
 
 def regrown_partition(g, kind, searched=None):
-    """:func:`convex_partition` without its memo, as (parts, free): every
-    round regrows the chain of every seed edge from scratch, and a hull is
-    the closure of a vertex mask under the graph's intervals."""
+    """The greedy partition of :func:`convex_partitions` without its memo,
+    as (parts, free): every round regrows the chain of every seed edge from
+    scratch, and a hull is the closure of a vertex mask under the graph's
+    intervals."""
     n = g.n
     full = (1 << n) - 1
     room = full if searched is None else searched
@@ -242,27 +243,41 @@ class TestPartitionBound:
         ("random", VARIANTS),
     ])
     def test_parts_are_disjoint_convex_and_exact(self, spec, variants):
+        # Every partition a search prunes on: the greedy one and, where
+        # there is one, its automorphism image.
         if spec == "random":
             g = random_connected_graph(10, random.Random(12), p=0.2)
         else:
             g = generate(spec)
         brute_cache = {}
         full = (1 << g.n) - 1
+        images = 0
         for variant in variants:
-            partition = convex_partition(g, variant)
-            covered = 0
-            for part, cap in partition.parts:
-                assert not covered & part
-                covered |= part
-                vs = VertexSet.from_mask(g.n, part)
-                assert 3 <= vs.card < g.n
-                assert is_convex(g, vs)
-                sub, _ = induced_subgraph(g, vs)
-                key = tuple(sub.edges())
-                if key not in brute_cache:
-                    brute_cache[key] = brute_max_all(sub)
-                assert cap == brute_cache[key][variant] < vs.card
-            assert partition.bound(full) >= solve(g, variant).value
+            search = _search(g, variant)
+            partitions = convex_partitions(g, variant, search.root[1])
+            assert search.bound == tuple(p.bound for p in partitions
+                                         if p.parts)
+            images += len(partitions) - 1
+            value = solve(g, variant).value
+            for partition in partitions:
+                covered = 0
+                for part, cap in partition.parts:
+                    assert not covered & part
+                    covered |= part
+                    vs = VertexSet.from_mask(g.n, part)
+                    assert 3 <= vs.card < g.n
+                    assert is_convex(g, vs)
+                    sub, _ = induced_subgraph(g, vs)
+                    key = tuple(sub.edges())
+                    if key not in brute_cache:
+                        brute_cache[key] = brute_max_all(sub)
+                    assert cap == brute_cache[key][variant] < vs.card
+                assert covered | partition.free == full
+                assert not covered & partition.free
+                assert partition.bound(full) >= value
+        # grid:7x4's map is a reflection that keeps its set of lines, so it
+        # has no image; the torus and the gadget have one.
+        assert bool(images) == (spec in ("torus:5x5", "ht:3"))
 
     def test_memo_matches_regrown_chains(self):
         specs = ("grid:5x5", "grid:7x4", "torus:5x4", "ht:2", "gn:3",
@@ -279,7 +294,7 @@ class TestPartitionBound:
             for kind in KINDS:
                 # The root's open vertices, which the solver partitions.
                 root = _search(g, kind).root[1]
-                partition = convex_partition(g, kind, root)
+                partition = convex_partitions(g, kind, root)[0]
                 assert (partition.parts, partition.free) == regrown_partition(
                     g, kind, root), (g.edges(), kind)
 
@@ -357,7 +372,7 @@ class TestPartitionBound:
 
     def test_grid_parts_are_long_lines(self):
         g = generate("grid:7x4")
-        partition = convex_partition(g, "mutual")
+        partition = convex_partitions(g, "mutual")[0]
         assert sorted(cap for _, cap in partition.parts) == [2, 2, 2, 2]
         assert all(part.bit_count() == 7 for part, _ in partition.parts)
         assert partition.bound((1 << g.n) - 1) == solve(g, "mutual").value == 8
@@ -384,20 +399,22 @@ class TestDualRegressionPin:
     torus:6x4 158, pathprod:3x3x3 2172 before it; gn:4 did not move).
     Every search began to branch on its lowest open vertex, not in
     descending degree (ht:3 736, pathprod:3x3x3 1780 before it; torus:6x4
-    and gn:4 did not move)."""
+    and gn:4 did not move). The search began to prune on the partition's
+    automorphism image too (ht:3 594, torus:6x4 89, pathprod:3x3x3 972
+    and gn:4 55 before it)."""
 
     @pytest.mark.parametrize("spec, value, witness, nodes", [
         pytest.param(
             "ht:3", 15,
-            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 594,
+            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 567,
             id="ht:3",
         ),
-        pytest.param("torus:6x4", 4, [0, 4, 10, 14], 89, id="torus:6x4"),
+        pytest.param("torus:6x4", 4, [0, 4, 10, 14], 79, id="torus:6x4"),
         pytest.param(
-            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 972,
+            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 947,
             id="pathprod:3x3x3",
         ),
-        pytest.param("gn:4", 2, [2, 3], 55, id="gn:4"),
+        pytest.param("gn:4", 2, [2, 3], 30, id="gn:4"),
     ])
     def test_value_witness_and_nodes(self, spec, value, witness, nodes):
         g = generate(spec)
@@ -732,10 +749,12 @@ class TestWitnessReuse:
         # 10,054 witness-phase nodes when every vertex was queried, 6,133
         # when the queries reused the maximum sets they found; the target
         # was at most 5,027, half of the first. 1,453 before the partition
-        # bound counted each part by its largest set inside the node's mask.
+        # bound counted each part by its largest set inside the node's mask,
+        # 555 before the search pruned on the partition's automorphism image
+        # too.
         res = solve(generate("grid:6x6"), "mutual")
         assert res.value == 12
-        assert res.stats.witness_nodes == 555
+        assert res.stats.witness_nodes == 57
 
 
 class TestLabelInvariance:
@@ -1045,7 +1064,9 @@ class TestBudgets:
         # grid, where a third vertex blocks a pair, costs its whole search.
         # Before the table, node k of the value search's first dive held
         # k - 1 vertices. In descending-degree order the levels reached
-        # [1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5, ...].
+        # [1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5, ...]. Before
+        # the search pruned on the partition's automorphism image too, the
+        # fourth vertex came at budget 24, not 22.
         g = generate("grid:5x5")
         reached = []
         for budget in range(1, 25):
@@ -1057,7 +1078,7 @@ class TestBudgets:
             assert classify_set(g, inc.witness).is_mutual
             reached.append(inc.lower_bound)
         assert reached == [1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,
-                           3, 3, 3, 3, 3, 3, 3, 4]
+                           3, 3, 3, 3, 3, 4, 4, 4]
 
 
 class TestDeepGraphs:

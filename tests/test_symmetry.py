@@ -5,7 +5,8 @@ import pytest
 
 import mvis.symmetry
 from mvis import build_graph, generate, reduction_gprime, solve
-from mvis.symmetry import stabilizer_orbit
+from mvis.solve import _search, convex_partitions
+from mvis.symmetry import moving_automorphism, stabilizer_orbit
 
 from naive import brute_max_witnesses_all, random_connected_graph
 from test_solve import value_phase_nodes
@@ -131,6 +132,68 @@ class TestStabilizerOrbit:
         assert members(orbit) == sorted([a, b])
 
 
+class TestMovingAutomorphism:
+    @pytest.mark.parametrize("name", [
+        "grid:8x8", "torus:6x5", "ht:3", "gn:4", "pathprod:3x3x3", "gprime",
+        "random",
+    ])
+    def test_map_is_an_automorphism_that_moves_vertex_0(self, name):
+        rng = random.Random(5)
+        if name == "gprime":
+            graphs = [gprime()]
+        elif name == "random":
+            graphs = [random_connected_graph(rng.randint(3, 9), rng, p=0.3)
+                      for _ in range(40)]
+        else:
+            graphs = [generate(name)]
+        for g in graphs:
+            sigma = moving_automorphism(g)
+            if sigma is None:
+                assert name == "random"
+                continue
+            assert sorted(sigma) == list(range(g.n))
+            assert sigma[0] != 0
+            edges = set(g.edges())
+            assert {tuple(sorted((sigma[a], sigma[b])))
+                    for a, b in edges} == edges
+
+    def test_map_sends_0_to_the_least_vertex_of_its_orbit(self):
+        rng = random.Random(3)
+        graphs = [random_connected_graph(rng.randint(2, 7), rng, p=0.3)
+                  for _ in range(30)]
+        graphs += [generate("cycle:7"), prism3(), k33(), generate("star:4")]
+        for g in graphs:
+            moved = {p[0] for p in all_automorphisms(g)} - {0}
+            sigma = moving_automorphism(g)
+            assert (None if sigma is None else sigma[0]) == min(
+                moved, default=None), g.edges()
+
+    @pytest.mark.parametrize("spec", ["star:300", "random_tree:12:seed=0"])
+    def test_no_image_without_a_map(self, spec):
+        # star:300's vertex 0 is its centre, which every automorphism
+        # fixes; so does every automorphism of this tree fix its vertex 0.
+        g = generate(spec)
+        assert moving_automorphism(g) is None
+        for kind in (*VARIANTS, "independence"):
+            partitions = convex_partitions(g, kind, _search(g, kind).root[1])
+            assert len(partitions) == 1, kind
+
+    @pytest.mark.parametrize("spec", [
+        "cycle:7", "torus:3x3", "pathprod:2x2x2",
+    ])
+    def test_searches_with_an_image_match_brute_force(self, spec):
+        g = generate(spec)
+        maxima = brute_max_witnesses_all(g)
+        # Wherever the partition prunes, its image prunes too.
+        bounds = [len(_search(g, variant).bound) for variant in VARIANTS]
+        assert set(bounds) <= {0, 2} and 2 in bounds
+        for variant in VARIANTS:
+            res = solve(g, variant)
+            best = min(maxima[variant])
+            assert res.value == len(best), variant
+            assert tuple(res.witness.ids()) == best, variant
+
+
 SYMMETRIC = {
     **{f"cycle:{n}": (lambda n=n: generate(f"cycle:{n}")) for n in range(3, 10)},
     **{f"complete:{n}": (lambda n=n: generate(f"complete:{n}")) for n in (4, 5, 6)},
@@ -163,12 +226,12 @@ class TestOrbitalBranching:
             assert 0 < stats.orbit_prunes <= stats.prunes, spec
 
     @pytest.mark.parametrize("spec, variant, value, nodes, orbit_prunes", [
-        pytest.param("torus:5x5", "mutual", 10, 3014, 28,
+        pytest.param("torus:5x5", "mutual", 10, 1904, 28,
                      id="torus:5x5-mutual"),
-        pytest.param("torus:6x4", "mutual", 11, 434, 25,
+        pytest.param("torus:6x4", "mutual", 11, 278, 0,
                      id="torus:6x4-mutual"),
         pytest.param("grid:6x6", "outer", 8, 112, 0, id="grid:6x6-outer"),
-        pytest.param("pathprod:3x3x3", "outer", 9, 186, 0,
+        pytest.param("pathprod:3x3x3", "outer", 9, 182, 0,
                      id="pathprod:3x3x3-outer"),
     ])
     def test_hereditary_tree_is_pinned(self, spec, variant, value, nodes,
@@ -187,8 +250,12 @@ class TestOrbitalBranching:
         # than in descending degree, the grid and path-product nodes fell
         # from 226 and 664, and pathprod:3x3x3 outer's orbit prunes from
         # 14 to 0; the tori did not move, as all their vertices have one
-        # degree. The test ids name the instance only, so a count that
-        # moves does not rename the test.
+        # degree. When the search began to prune on the partition's
+        # automorphism image too, the nodes fell from 3014, 434 and 186 (the
+        # grid did not move), and torus:6x4 mutual's orbit prunes from 25 to
+        # 0: the image cuts its spine before an orbit is dropped there. The
+        # test ids name the instance only, so a count that moves does not
+        # rename the test.
         res = solve(generate(spec), variant)
         assert res.value == value
         assert res.stats.nodes_explored == nodes

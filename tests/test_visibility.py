@@ -18,7 +18,7 @@ from mvis import (
     solve,
     solve_independence,
 )
-from mvis.solve import convex_partition, dual_zero_sufficient
+from mvis.solve import convex_partitions, dual_zero_sufficient
 from mvis.visibility import pair_visibility
 
 from naive import (
@@ -425,7 +425,7 @@ class TestOneTablePerGraph:
         for variant in VARIANTS:
             solve(g, variant)
         solve_independence(g)
-        convex_partition(g, "outer")
+        convex_partitions(g, "outer")
         dual_zero_sufficient(g)
         # Part capacities are solved on smaller graphs with their own tables.
         assert built.count(g.n) == 1
@@ -436,7 +436,7 @@ def solve_calls(monkeypatch):
     """Counts the calls of a function of the solve module: given its name,
     returns the list of the argument tuples of every call from now on."""
     # mvis.solve is the function; the module is found through it.
-    module = sys.modules[convex_partition.__module__]
+    module = sys.modules[convex_partitions.__module__]
 
     def count(name):
         calls = []
@@ -464,14 +464,14 @@ class TestOnePartitionPerGraphAndKind:
         full = (1 << g.n) - 1
         root = sum(1 << v for v in range(g.n) if is_bypass_candidate(g, v))
         assert root != full
-        outer = convex_partition(g, "outer", full)
-        assert convex_partition(g, "outer", full) is outer
-        assert convex_partition(g, "outer") is outer  # no mask: the full one
-        assert convex_partition(g, "mutual", full) is not outer
-        total = convex_partition(g, "total", root)
-        assert convex_partition(g, "total", root) is total
-        assert convex_partition(g, "total", full) is not total
-        assert convex_partition(generate("grid:4x3"), "outer") is not outer
+        outer = convex_partitions(g, "outer", full)
+        assert convex_partitions(g, "outer", full) is outer
+        assert convex_partitions(g, "outer") is outer  # no mask: the full one
+        assert convex_partitions(g, "mutual", full) is not outer
+        total = convex_partitions(g, "total", root)
+        assert convex_partitions(g, "total", root) is total
+        assert convex_partitions(g, "total", full) is not total
+        assert convex_partitions(generate("grid:4x3"), "outer") is not outer
 
     def test_second_solve_builds_no_hull(self, hull_calls):
         g = generate("grid:5x5")
@@ -496,7 +496,7 @@ class TestOnePartitionPerGraphAndKind:
         # partition of their own, so even with a cold capacity memo the
         # build runs one partition, every hull it tries is the root's and
         # every capacity it solves is one of a root hull.
-        module = sys.modules[convex_partition.__module__]
+        module = sys.modules[convex_partitions.__module__]
         partitions = solve_calls("_partition")
         module._capacity.cache_clear()
         module._search(generate(spec), kind)

@@ -6,9 +6,11 @@ a new Python process that imports ``mvis`` from the checkout's own
 first (parent first in even runs). The time is that of generating and
 solving, so it includes the pair table, the partition and every capacity
 search, and no warm reuse.
-Prints, per instance and checkout, the median time and the median peak
-resident memory of the process, with the value and node count, which must
-be the same on both sides. Standard library only::
+Prints, per instance and checkout, the median time, the median peak
+resident memory of the process and the node count, with the value. The
+value must be the same on both sides, and a side's node count the same in
+each of its runs; the two sides' node counts may differ. Standard library
+only::
 
     python3 tools/cold.py PARENT CHANGE
 """
@@ -29,6 +31,8 @@ INSTANCES = (
     ("torus:6x6", "mutual"),
     ("torus:7x6", "mutual"),
     ("pathprod:3x3x3", "dual"),
+    ("grid:8x8", "mutual"),
+    ("torus:6x5", "mutual"),
 )
 
 #: Alternating parent/change runs per instance.
@@ -67,21 +71,27 @@ def main() -> None:
     args = ap.parse_args()
     checkouts = (args.parent, args.change)
     print(f"{'instance':<24}{'parent s':>10}{'change s':>10}{'change':>9}"
-          f"{'parent MB':>11}{'change MB':>11}{'value':>7}{'nodes':>9}")
+          f"{'parent MB':>11}{'change MB':>11}{'value':>7}"
+          f"{'parent nodes':>14}{'change nodes':>14}")
     for spec, variant in INSTANCES:
         runs = ([], [])
         for i in range(RUNS):
             for side in ((0, 1), (1, 0))[i % 2]:
                 runs[side].append(run_once(checkouts[side], spec, variant))
-        outcomes = {(r["value"], r["nodes"]) for side in runs for r in side}
-        if len(outcomes) != 1:
-            sys.exit(f"{spec} {variant}: the sides differ: {outcomes}")
-        value, nodes = outcomes.pop()
+        values = {r["value"] for side in runs for r in side}
+        if len(values) != 1:
+            sys.exit(f"{spec} {variant}: the values differ: {values}")
+        nodes = []
+        for side in runs:
+            counts = {r["nodes"] for r in side}
+            if len(counts) != 1:
+                sys.exit(f"{spec} {variant}: one side's nodes vary: {counts}")
+            nodes.append(counts.pop())
         s = [statistics.median(r["s"] for r in side) for side in runs]
         mb = [statistics.median(r["rss_mb"] for r in side) for side in runs]
         print(f"{spec + ' ' + variant:<24}{s[0]:>10.3f}{s[1]:>10.3f}"
               f"{s[1] / s[0] - 1:>+9.1%}{mb[0]:>11.1f}{mb[1]:>11.1f}"
-              f"{value:>7}{nodes:>9}")
+              f"{values.pop():>7}{nodes[0]:>14}{nodes[1]:>14}")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from mvis import (  # noqa: E402
 )
 from mvis.cli import _verify_instances, build_parser  # noqa: E402
 from mvis.families import _KIND_ALIASES, _KINDS  # noqa: E402
-from mvis.solve import _search, convex_partition  # noqa: E402
+from mvis.solve import _search, convex_partitions  # noqa: E402
 from mvis.visibility import VARIANTS  # noqa: E402
 from naive import random_connected_graph  # noqa: E402
 
@@ -86,7 +86,7 @@ def record(g, kind: str) -> dict:
     stats = dataclasses.asdict(res.stats)
     del stats["elapsed_ms"]
     root = _search(g, kind).root[1]
-    partition = convex_partition(g, kind, root)
+    partition = convex_partitions(g, kind, root)[0]
     return {
         "kind": kind,
         "value": res.value,
