@@ -130,6 +130,7 @@ class Graph:
         "_dist",
         "_pairvis",
         "_partitions",
+        "_moving",
         "_adj_masks",
         "_label_ids",
     )
@@ -148,6 +149,8 @@ class Graph:
         self._dist: list[list[int]] | None = None
         self._pairvis = None  # mvis.visibility.pair_visibility's table
         self._partitions = {}  # mvis.solve.convex_partitions' cache
+        # mvis.symmetry.moving_automorphism's map, False until it is sought
+        self._moving: tuple[int, ...] | None | bool = False
         self._adj_masks: list[int] | None = None
         self._label_ids: dict[str, int] | None = None
 

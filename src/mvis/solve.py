@@ -29,19 +29,6 @@ c[v] >= 1 when v is open) all exceed |X|, which is at least the floor. At
 L the floor becomes |L| either way. Only a budget that runs out on the
 dive sees a difference: it reports the larger set reached there.
 
-The witness phase. Once the value t is known, the lexicographically least
-maximum set is the first hit of one decision query from the root, with no
-orbits. The lex-least set is the greedy one: v goes in exactly when some
-solution of size t extends the decisions before v together with v. At a
-node that branches on v, the DFS searches everything below the include
-child before the exclude child, and its prunes (count, size, partition
-bounds, doll table) never cut a subtree that holds a solution of size t.
-So it leaves the include child without a hit exactly when no solution of
-size t extends the node's decisions and v, and then it puts v out: each
-decision on its path is the greedy one, and a vertex it never branches on
-was already decided by the ones before it. Its first hit is therefore the
-greedy set.
-
 The hereditary kinds are mutual, outer, total and independence: any subset
 of a solution is a solution. Their inside X is always a solution, and open
 holds only vertices individually addable to it (the open invariant), so
@@ -129,8 +116,12 @@ inside that mask. cap(H_i, H_i) is the part's capacity mu(H_i), by which
 the parts are chosen. This is the colouring bound of max-clique
 branch-and-bound, re-coloured at every node (Tomita & Seki, DMTCS 2003);
 a part has at most :data:`PART_LIMIT` vertices, so each cap is memoised
-rather than recomputed. On a grid the parts are geodesic lines of
-capacity 2.
+rather than recomputed. The memo keys a mask by the part's relabelled
+edges and its labels, taking the least labels under the part's
+automorphisms, which map the part's variant-sets inside m onto those
+inside the image of m: masks that a symmetry of the part swaps, in one
+part or in isomorphic parts, share one search. On a grid the parts are
+geodesic lines of capacity 2.
 
 A second partition comes from the graph's symmetry, with no second build.
 An automorphism sigma preserves distances, so it maps each interval onto
@@ -139,9 +130,11 @@ sigma(free) again split the vertices. sigma also maps the pairs of H onto
 those of sigma(H) with their geodesics, so it maps the variant-sets of H
 inside a mask m onto those of sigma(H) inside sigma(m), and
 cap(sigma(H), sigma(H)) = cap(H, H): the image's capacities are known
-without a search. The image is a convex partition like any other, so its
-bound holds for every mask; it needs no symmetry of the root's open
-vertices. :func:`convex_partitions` builds it with the verified map of
+without a search. Labelling sigma(x) as x, sigma(H) keys a mask m as H
+keys the mask sigma maps onto m, so the image shares H's memo. The image
+is a convex partition like any other, so its bound holds for every mask;
+it needs no symmetry of the root's open vertices.
+:func:`convex_partitions` builds it with the verified map of
 :func:`mvis.symmetry.moving_automorphism` and leaves it out where it
 would repeat the parts. This is the colouring bound taken at two
 colourings. A node is pruned at the first of the bounds that is at most
@@ -171,9 +164,9 @@ therefore drops all of O, not just v. Orbits come from
 :func:`mvis.symmetry.stabilizer_orbit`, which counts only maps it has
 verified to be distance-preserving bijections and gives up on a map after
 a step limit proportional to n; a missed map only makes O smaller, which
-loses pruning but never a solution. The witness search does not branch
-orbitally and starts from the root, not from the value phase's set, so the
-lex-least witness does not depend on orbits.
+loses pruning but never a solution. The witness query does not branch
+orbitally, and the value search's own set is the witness only where the
+orbits provably dropped no set of the value's size before it (below).
 
 The doll table (Russian-doll search: Verfaillie, Lemaitre & Schiex, AAAI
 1996; Ostergard, Discrete Applied Math. 2002). Before the value search of
@@ -200,6 +193,47 @@ on the spine, by excludes. Any solution below the node is inside + Y with
 Y within open, and Y is a solution by heredity among the root's open
 vertices with id >= v, so |Y| <= c[v]. A level query reads only c[w] for
 w > v, which are built before it starts.
+
+The witness phase. A solve returns the lexicographically least maximum
+set: of two sets of one size, the one holding the lowest vertex of their
+symmetric difference. Let t be the value. When the value search itself
+raised ``best`` to t, its last set is that witness, with no further
+search, in three steps.
+
+1. Preorder is lex order. The full tree, with no prunes, holds every
+   solution as the inside of a state: include the solution's vertices and
+   exclude the rest, lowest first; a hereditary solution's undecided
+   vertices are addable, so open. Take two states whose insides differ
+   and have the same size, so neither lies below the other. Where their
+   paths part, the node branched on its lowest open vertex v, so both
+   agree on every vertex below v, the one below the include child holds v
+   and the other does not: the state met first in preorder has the
+   lex-smaller inside. So the first state of size t in preorder, a leaf
+   for dual and any state for a hereditary kind, holds the lex-least set
+   of size t.
+2. Before that first hit the floor is below t: it is what the doll table
+   left, below t as the table did not reach t, or the size of a set the
+   search recorded. A count, partition, image or doll prune cuts only a
+   subtree whose solutions are at most the floor, and a killed child
+   holds none, so neither cuts a set of size t before the hit.
+3. An orbit drop at a spine node with inside X and branch vertex v comes
+   after the node's include subtree is done. Before the hit, that subtree
+   had no hit, so it holds no set of size t: no earlier cut removed one,
+   by steps 2 and 3 taken in the order the cuts happen. Then no set of
+   size t extending the node's decisions meets the dropped orbit O: an
+   automorphism fixing X would map it onto one holding v, which lies in
+   the include subtree.
+
+So nothing before the hit cuts a set of size t. The value search meets
+the first state of size t in preorder, records it as its floor is below
+t, and records nothing after it, as no solution is larger: its last set
+is the lex-least one. When the doll table reached t, the value search
+records nothing and ``best_mask`` is some set of size t. Then
+:meth:`_Search.lex_least_witness` finds the witness with a decision query
+from the root for size t, with no orbits: it visits states in the same
+preorder, its prunes cut no set of size t as its floor is t - 1, and the
+states its size cap cuts hold more than t vertices, so its first hit is
+the first state of size t, the lex-least set.
 """
 
 from __future__ import annotations
@@ -220,7 +254,7 @@ from .graphs import (
     induced_subgraph,
     is_convex,
 )
-from .symmetry import moving_automorphism, stabilizer_orbit
+from .symmetry import automorphisms, moving_automorphism, stabilizer_orbit
 from .visibility import (
     VARIANTS,
     PairVisibility,
@@ -241,9 +275,10 @@ class Incomplete(Exception):
     """A search budget was exhausted before the solve finished.
 
     ``lower_bound`` and ``witness`` describe the best set found so far. When
-    ``value_certified`` is set the budget ran out in the witness phase:
-    ``lower_bound`` is then the exact value, but ``witness`` is only some
-    maximum set, not the lexicographically least one.
+    ``value_certified`` is set the budget ran out in the witness phase,
+    which only a value that the doll table found has: ``lower_bound`` is
+    then the exact value, but ``witness`` is only some maximum set, not the
+    lexicographically least one.
     """
 
     def __init__(self, variant: str, lower_bound: int, witness: VertexSet,
@@ -298,7 +333,9 @@ class SearchStats:
     which count in the value phase; the root ``include`` of each doll level
     is not a node. ``witness_nodes`` counts the nodes, included in
     ``nodes_explored``, of the witness phase: the one decision query whose
-    first hit is the lex-least maximum set."""
+    first hit is the lex-least maximum set. It is 0 when the phase is
+    skipped, as the value search found the value and its set is
+    returned."""
 
     nodes_explored: int = 0
     prunes: int = 0
@@ -342,19 +379,19 @@ class ConvexPartition:
 
     ``parts`` holds (vertex mask, capacity) pairs, only for parts whose
     capacity is below their size; ``free`` holds every other vertex, which
-    counts in full. ``edges`` maps each part to its edges relabelled as
-    :func:`_capacity` takes them. ``caps`` maps each proper submask m of a
-    part met by :meth:`bound` to the largest variant-set of the part inside
-    m; the parts are disjoint, so one dict serves them all. It fills
-    lazily, and partitions are shared through the graph's cache, so every
-    search on the graph shares it; nothing else in a partition changes
-    after it is built.
+    counts in full. ``shape`` maps each part to its edges relabelled as
+    :func:`_capacity` takes them and its vertices in label order. ``caps``
+    maps each proper submask m of a part met by :meth:`bound` to the
+    largest variant-set of the part inside m; the parts are disjoint, so
+    one dict serves them all. It fills lazily, and partitions are shared
+    through the graph's cache, so every search on the graph shares it;
+    nothing else in a partition changes after it is built.
     """
 
     parts: list[tuple[int, int]]
     free: int
     variant: str
-    edges: dict[int, int]
+    shape: dict[int, tuple[int, tuple[int, ...]]]
     caps: dict[int, int]
 
     def bound(self, mask: int) -> int:
@@ -368,8 +405,9 @@ class ConvexPartition:
             if m != h:
                 c = caps.get(m)
                 if c is None:
-                    c = caps[m] = _capacity(self.variant, h.bit_count(),
-                                            self.edges[h], _relabel(h, m))
+                    edge_bits, ids = self.shape[h]
+                    c = caps[m] = _capacity(self.variant, len(ids),
+                                            edge_bits, _relabel(ids, m))
             b += c
         return b
 
@@ -385,36 +423,57 @@ def _part_graph(n: int, edge_bits: int) -> Graph:
                            if (edge_bits >> i) & 1])
 
 
+@lru_cache(maxsize=64)
+def _part_maps(n: int, edge_bits: int) -> list[tuple[int, ...]]:
+    """The automorphisms of the graph :func:`_part_graph` gives for ``n``
+    and ``edge_bits`` that :func:`mvis.symmetry.automorphisms` finds."""
+    return automorphisms(_part_graph(n, edge_bits))
+
+
 @lru_cache(maxsize=4096)
 def _capacity(variant: str, n: int, edge_bits: int, within: int) -> int:
     """The size of the largest variant-set inside the mask ``within`` of
     the graph :func:`_part_graph` gives for ``n`` and ``edge_bits``. This
     is the one capacity memo: parts with equal relabellings, in one graph
     or in several, share one solve, and a part's own capacity is the call
-    with every label in ``within``.
+    with every label in ``within``. An automorphism tau of the graph maps
+    its variant-sets inside tau^-1(within) onto those inside ``within``,
+    so a proper mask is first replaced by the least tau^-1(within) over
+    the maps of :func:`_part_maps`: masks that a symmetry of the part
+    swaps share one solve too.
 
     The solve is a plain value search, narrowed to ``within`` by
     :func:`_search`, with no partition bound, so a capacity never builds a
     partition of its own."""
+    if within != (1 << n) - 1:
+        least = min((_relabel(tau, within) for tau in _part_maps(
+            n, edge_bits)), default=within)
+        if least < within:
+            return _capacity(variant, n, edge_bits, least)
     search = _search(_part_graph(n, edge_bits), variant, within=within)
     search.run_value()
     return search.best
 
 
-def _relabel(part: int, m: int) -> int:
-    """The submask ``m`` of ``part`` in part labels: a vertex's label is
-    the number of part vertices below it."""
+def _relabel(ids: tuple[int, ...], m: int) -> int:
+    """The mask of the labels i whose vertex ``ids[i]`` is in the mask
+    ``m``."""
     labels = 0
-    while m:
-        b = m & -m
-        m ^= b
-        labels |= 1 << (part & (b - 1)).bit_count()
+    for i, v in enumerate(ids):
+        if m >> v & 1:
+            labels |= 1 << i
     return labels
+
+
+def _part_ids(part: int) -> tuple[int, ...]:
+    """The vertices of the mask ``part`` in label order: by id."""
+    return tuple(v for v in range(part.bit_length()) if part >> v & 1)
 
 
 def _part_edges(g: Graph, part: int) -> int:
     """The edges of the subgraph induced by the mask ``part``, relabelled
-    by :func:`_relabel`, as :func:`_capacity` takes them."""
+    by :func:`_part_ids`, as :func:`_capacity` takes them: a vertex's label
+    is the number of part vertices below it."""
     adj = g.adjacency_masks()
     k = part.bit_count()
     edge_bits = 0
@@ -423,7 +482,12 @@ def _part_edges(g: Graph, part: int) -> int:
         b = m & -m
         m ^= b
         up = adj[b.bit_length() - 1] & part & ~(2 * b - 1)
-        edge_bits |= _relabel(part, up) << (part & (b - 1)).bit_count() * k
+        row = 0
+        while up:
+            c = up & -up
+            up ^= c
+            row |= 1 << (part & (c - 1)).bit_count()
+        edge_bits |= row << (part & (b - 1)).bit_count() * k
     return edge_bits
 
 
@@ -490,7 +554,10 @@ def _image(g: Graph, partition: ConvexPartition
     one-tuple, or the empty tuple (see :func:`convex_partitions`). Its
     parts are sigma(H), each with H's capacity, as sigma maps the subgraph
     H onto the subgraph sigma(H), and its ``free`` is sigma(free). It maps
-    masks only: no hull is grown and no capacity is solved here."""
+    masks only: no hull is grown and no capacity is solved here. Each
+    vertex sigma(x) of a part takes the label of x in H, so sigma(H) has
+    H's relabelled edges, and a submask m of sigma(H) keys the capacity
+    memo as the submask of H that sigma maps onto m."""
     if not partition.parts:
         return ()
     sigma = moving_automorphism(g)
@@ -508,8 +575,10 @@ def _image(g: Graph, partition: ConvexPartition
     parts = [(image(h), c) for h, c in partition.parts]
     if {h for h, _ in parts} == {h for h, _ in partition.parts}:
         return ()
+    shape = {image(h): (edge_bits, tuple(sigma[v] for v in ids))
+             for h, (edge_bits, ids) in partition.shape.items()}
     return (ConvexPartition(parts, image(partition.free), partition.variant,
-                            {h: _part_edges(g, h) for h, _ in parts}, {}),)
+                            shape, {}),)
 
 
 def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
@@ -589,9 +658,8 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
                         best = key
                     h = step(h)
         if best is None:
-            return ConvexPartition(parts, free, variant,
-                                   {h: _part_edges(g, h) for h, _ in parts},
-                                   {})
+            shape = {h: (_part_edges(g, h), _part_ids(h)) for h, _ in parts}
+            return ConvexPartition(parts, free, variant, shape, {})
         part = best[2]
         parts.append((part, best[3]))
         room &= ~part
@@ -646,12 +714,17 @@ class _Search:
         self.full = (1 << g.n) - 1
         self.root = (0, self.full)
 
-    def run_value(self) -> None:
+    def run_value(self) -> bool:
         """The value search: the doll table first for a hereditary kind,
-        then floor ``best`` from the root."""
+        then floor ``best`` from the root. True when that DFS raised
+        ``best``, so that ``best_mask`` is the lex-least maximum set (see
+        the module docstring); False when the doll table already reached
+        the value, or the value is 0."""
         if self.hereditary:
             self._build_doll()
-        self._dfs(*self.root, self.best, False)
+        before = self.best
+        self._dfs(*self.root, before, False)
+        return self.best > before
 
     def _build_doll(self) -> None:
         """Fill ``doll`` from the highest vertex id: ``doll[v]`` is the
@@ -773,7 +846,8 @@ class _Search:
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the
         first hit of the decision query from the root (see the module
-        docstring)."""
+        docstring). A solve asks it only when the doll table, not
+        :meth:`run_value`'s DFS, found the value."""
         if target == 0:
             return 0
         found = self._dfs(*self.root, target - 1, True)
@@ -1010,10 +1084,11 @@ def _solve(g: Graph, kind: str, opts: SolveOptions) -> SolveResult:
     value_certified = False
     witness_mask = None
     try:
-        search.run_value()
+        found = search.run_value()
         value_certified = True
         value_nodes = stats.nodes_explored
-        witness_mask = search.lex_least_witness(search.best)
+        witness_mask = (search.best_mask if found
+                        else search.lex_least_witness(search.best))
     except _BudgetExceeded:
         pass
     if value_certified:

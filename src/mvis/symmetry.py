@@ -1,19 +1,22 @@
 """Vertex orbits under graph automorphisms that fix a vertex set pointwise,
-and one automorphism that moves vertex 0.
+one automorphism that moves vertex 0, and the automorphisms of a graph.
 
-The searches use the orbits for orbital branching, and the map for a
-second partition bound. Every map counted or returned is verified: it is
-a bijection of the vertex set that preserves every distance, hence
-adjacency, so it is an automorphism. The maps are found by a bounded
-backtracking search; a search that runs out of steps counts as no map.
-The mask returned is therefore always a subset of the true orbit, which
-is all that soundness needs: a smaller orbit only prunes less, and a
-missing map only leaves out the second bound.
+The searches use the orbits for orbital branching, the map for a second
+partition bound, and the automorphisms of a part so that capacity
+searches inside masks that a symmetry swaps run once. Every map counted
+or returned is verified: it is a bijection of the vertex set that
+preserves every distance, hence adjacency, so it is an automorphism. The
+maps are found by a bounded backtracking search; a search that runs out
+of steps counts as no map. The mask returned is therefore always a
+subset of the true orbit, which is all that soundness needs: a smaller
+orbit only prunes less, a missing map only leaves out the second bound,
+and a missing automorphism of a part only runs a capacity search twice.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 
 from .graphs import Graph, VertexSet, all_pairs_distances
 
@@ -39,7 +42,7 @@ def stabilizer_orbit(g: Graph, fixed: int, v: int, within: int) -> int:
     to_fixed = [dv[x] for x in fixed_ids]
     order, parent = _bfs_tree(g, v, fixed)
     limit = STEPS_PER_VERTEX * g.n
-    maps: list[list[int]] = []
+    maps: list[tuple[int, ...]] = []
     orbit = 1 << v
     for w in VertexSet.from_mask(g.n, within & ~orbit):
         if (orbit >> w) & 1 or key[w] != key[v]:
@@ -62,13 +65,20 @@ def stabilizer_orbit(g: Graph, fixed: int, v: int, within: int) -> int:
     return orbit & within
 
 
-def moving_automorphism(g: Graph) -> list[int] | None:
+def moving_automorphism(g: Graph) -> tuple[int, ...] | None:
     """A verified automorphism of ``g`` that moves vertex 0, as an image
-    list, or None when none is found. The images w = 1, 2, ... that match
+    tuple, or None when none is found. The images w = 1, 2, ... that match
     vertex 0 in degree and sorted distance row are tried in turn, and the
     first map :func:`_extend` finds with nothing fixed is returned, so
     vertex 0 goes to the least vertex that a map reaches within the step
-    limit :func:`stabilizer_orbit` uses."""
+    limit :func:`stabilizer_orbit` uses. It depends on the graph alone, so
+    it is sought once and kept on the graph."""
+    if g._moving is False:
+        g._moving = _moving_automorphism(g)
+    return g._moving
+
+
+def _moving_automorphism(g: Graph) -> tuple[int, ...] | None:
     if g.n < 2:
         return None
     d = all_pairs_distances(g)
@@ -81,6 +91,21 @@ def moving_automorphism(g: Graph) -> list[int] | None:
             if sigma is not None:
                 return sigma
     return None
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Verified automorphisms of ``g``, as image tuples: for each vertex w
+    that matches vertex 0 in degree and sorted distance row, the maps
+    sending 0 to w that :func:`_extensions` finds within the step limit
+    :func:`stabilizer_orbit` gives one map. A graph with few automorphisms
+    gets them all; a map left out is only a symmetry not used."""
+    d = all_pairs_distances(g)
+    key = _keys(g, d)
+    order, parent = _bfs_tree(g, 0, 0)
+    limit = STEPS_PER_VERTEX * g.n
+    return [sigma for w in range(g.n) if key[w] == key[0]
+            for sigma in _extensions(g, d, key, [], 0, w, order, parent,
+                                     limit)]
 
 
 def _keys(g: Graph, d: list[list[int]]) -> list:
@@ -109,18 +134,28 @@ def _bfs_tree(g: Graph, v: int, fixed: int) -> tuple[list[int], list[int]]:
 
 def _extend(g: Graph, d: list[list[int]], key: list, fixed_ids: list[int],
             v: int, w: int, order: list[int], parent: list[int],
-            limit: int) -> list[int] | None:
+            limit: int) -> tuple[int, ...] | None:
     """An automorphism that fixes ``fixed_ids``, sends ``v`` to ``w`` and
-    is found within ``limit`` steps, as an image list; else None. ``w``
+    is found within ``limit`` steps, as an image tuple; else None: the
+    first map :func:`_extensions` yields."""
+    return next(_extensions(g, d, key, fixed_ids, v, w, order, parent,
+                            limit), None)
+
+
+def _extensions(g: Graph, d: list[list[int]], key: list,
+                fixed_ids: list[int], v: int, w: int, order: list[int],
+                parent: list[int], limit: int) -> Iterator[tuple[int, ...]]:
+    """Each automorphism that fixes ``fixed_ids`` and sends ``v`` to ``w``
+    that a search of ``limit`` steps in all finds, as an image tuple. ``w``
     must already match ``v`` in its distance to each fixed vertex.
 
     The vertices of ``order`` are mapped in turn, each z to an unused
     neighbour of the image of its BFS parent that has z's ``key`` (degree
     and sorted distance row) and whose distance to the image of every
     vertex mapped so far equals z's distance to that vertex. A dead end
-    backtracks to the previous vertex's next choice. The map is complete
-    only when every vertex is mapped, and then it is a distance-preserving
-    bijection.
+    backtracks to the previous vertex's next choice, and so does a
+    complete map once it is yielded. The map is complete only when every
+    vertex is mapped, and then it is a distance-preserving bijection.
     """
     sigma = [-1] * g.n
     for x in fixed_ids:
@@ -135,14 +170,20 @@ def _extend(g: Graph, d: list[list[int]], key: list, fixed_ids: list[int],
     pending: list[list[int]] = []
     steps = 0
     k = 0
-    while k < len(order):
+    while True:
+        if k == len(order):
+            yield tuple(sigma)
+            k -= 1
+            if k < 0:
+                return
         z = order[k]
         if k == len(pending):
             pending.append(
                 [c for c in adj[sigma[parent[z]]] if not (used >> c) & 1]
             )
         else:
-            # Back at z after a dead end further on: drop z's last choice.
+            # Back at z after a dead end or a complete map further on:
+            # drop z's last choice.
             used ^= 1 << sigma[z]
             domain.pop()
             images.pop()
@@ -152,7 +193,7 @@ def _extend(g: Graph, d: list[list[int]], key: list, fixed_ids: list[int],
             c = options.pop()
             steps += 1
             if steps > limit:
-                return None
+                return
             dc = d[c]
             if key[c] == key[z] and all(
                 dc[s] == dz[y] for y, s in zip(domain, images)
@@ -167,5 +208,4 @@ def _extend(g: Graph, d: list[list[int]], key: list, fixed_ids: list[int],
             pending.pop()
             k -= 1
             if k < 0:
-                return None
-    return sigma
+                return

@@ -212,6 +212,16 @@ class TestSolve:
         assert "witness_queries" not in stats
         assert 0 < stats["witness_nodes"] < stats["nodes"]
 
+    def test_value_search_set_is_the_witness(self, capsys):
+        # The dual search builds no doll table, so its value search finds
+        # the value and its last set is the witness: no witness query runs.
+        code, payload = run_json(
+            capsys, "solve", "grid:8x8", "--variant", "dual", "--json"
+        )
+        assert code == 0
+        assert payload["value"] == 5
+        assert payload["stats"]["witness_nodes"] == 0
+
     def test_no_command_takes_parallel(self):
         for argv in (["solve", "cycle:5", "--variant", "dual"],
                      ["reduce", "path:3", "--t", "3"], ["verify"]):
@@ -339,6 +349,14 @@ class TestVerify:
             assert r["stats"]["doll_prunes"] <= r["stats"]["prunes"]
             assert r["stats"]["image_prunes"] <= r["stats"]["bound_prunes"]
             assert "witness_queries" not in r["stats"]
+
+    def test_dual_records_run_no_witness_query(self, capsys):
+        code, report = run_json(capsys, "verify", "--json")
+        assert code == 0
+        dual = [r for r in report["records"]
+                if r["variant"] == "dual" and r["solved"]]
+        assert len(dual) > 30
+        assert all(r["stats"]["witness_nodes"] == 0 for r in dual)
 
     def test_full_cycle_sweep_agreement_count(self, capsys):
         code, report = run_json(

@@ -41,6 +41,7 @@ from mvis.solve import (
     _search,
     convex_partitions,
 )
+from mvis.symmetry import moving_automorphism
 from mvis.visibility import PAIR_TABLE_LIMIT, pair_visibility
 
 from naive import (
@@ -279,6 +280,57 @@ class TestPartitionBound:
         # has no image; the torus and the gadget have one.
         assert bool(images) == (spec in ("torus:5x5", "ht:3"))
 
+    @pytest.mark.parametrize("spec, kind", [
+        ("torus:5x5", "mutual"), ("ht:3", "dual"), ("pathprod:3x3x3", "dual"),
+        ("torus:6x4", "outer"),
+    ])
+    def test_submask_caps_share_keys_and_stay_exact(self, spec, kind):
+        # A part's cap inside a mask is keyed by the least labels under the
+        # part's automorphisms, and an image part labels sigma(x) as x in
+        # its preimage. Each cap must still be the largest set of the part
+        # inside the mask, by brute force, and an image part's mask must
+        # find the cap of the mask sigma maps onto it.
+        g = generate(spec)
+        p, image = convex_partitions(g, kind, _search(g, kind).root[1])
+        sigma = moving_automorphism(g)
+        full = (1 << g.n) - 1
+        rng = random.Random(spec)
+        _capacity.cache_clear()
+        for (h, cap), (sh, image_cap) in zip(p.parts, image.parts):
+            assert image_cap == cap
+            sub, _ = induced_subgraph(g, VertexSet.from_mask(g.n, h))
+            ids = VertexSet.from_mask(g.n, h).ids()
+            for _ in range(8):
+                m = h & rng.getrandbits(g.n)
+                best = max(
+                    (x.bit_count() for x in range(1 << len(ids))
+                     if all(not x >> i & 1 or m >> v & 1
+                            for i, v in enumerate(ids))
+                     and is_solution(sub, kind, x)),
+                    default=0)
+                sm = sum(1 << sigma[v] for v in ids if m >> v & 1)
+                in_image = image.bound(full & ~sh | sm) - image.bound(full)
+                assert in_image + cap == best, (h, m)
+                misses = _capacity.cache_info().misses
+                assert p.bound(full & ~h | m) - p.bound(full) + cap == best
+                assert _capacity.cache_info().misses == misses, (h, m)
+
+    def test_cold_capacity_searches_are_pinned(self, monkeypatch):
+        # pathprod:3x3x3's dual solve in a fresh memo: 167 capacity
+        # searches when an image part labelled its masks by rank within
+        # sigma(H) and no symmetry of a part merged two of its masks.
+        module = sys.modules[_Search.__module__]
+        narrowed = []
+
+        def counting(g, kind, opts=None, within=None):
+            narrowed.append(within is not None)
+            return _search(g, kind, opts, within)
+
+        monkeypatch.setattr(module, "_search", counting)
+        _capacity.cache_clear()
+        solve(generate("pathprod:3x3x3"), "dual")
+        assert sum(narrowed) == 71
+
     def test_memo_matches_regrown_chains(self):
         specs = ("grid:5x5", "grid:7x4", "torus:5x4", "ht:2", "gn:3",
                  "pathprod:3x3x2", "cycle:8", "random_tree:12:seed=1",
@@ -401,20 +453,23 @@ class TestDualRegressionPin:
     descending degree (ht:3 736, pathprod:3x3x3 1780 before it; torus:6x4
     and gn:4 did not move). The search began to prune on the partition's
     automorphism image too (ht:3 594, torus:6x4 89, pathprod:3x3x3 972
-    and gn:4 55 before it)."""
+    and gn:4 55 before it). The set the value search ends on became the
+    witness, with no witness query, as it is the lex-least maximum set
+    whenever that search found the value (ht:3 567, torus:6x4 79,
+    pathprod:3x3x3 947 and gn:4 30 before it)."""
 
     @pytest.mark.parametrize("spec, value, witness, nodes", [
         pytest.param(
             "ht:3", 15,
-            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 567,
+            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 364,
             id="ht:3",
         ),
-        pytest.param("torus:6x4", 4, [0, 4, 10, 14], 79, id="torus:6x4"),
+        pytest.param("torus:6x4", 4, [0, 4, 10, 14], 51, id="torus:6x4"),
         pytest.param(
-            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 947,
+            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 926,
             id="pathprod:3x3x3",
         ),
-        pytest.param("gn:4", 2, [2, 3], 30, id="gn:4"),
+        pytest.param("gn:4", 2, [2, 3], 19, id="gn:4"),
     ])
     def test_value_witness_and_nodes(self, spec, value, witness, nodes):
         g = generate(spec)
@@ -429,7 +484,8 @@ class TestDualRegressionPin:
         # more vertices in than the value, and the cap cuts those states.
         # 18 nodes when the rebuild queried each vertex, refusing such a
         # prefix without a node; 33 when the value search branched in
-        # descending degree.
+        # descending degree; 53 when every solve ran the witness search,
+        # which the solve now skips, as its value search found the value.
         g = build_graph(11, [
             (0, 1), (0, 7), (1, 2), (1, 5), (1, 7), (2, 4), (2, 7), (3, 8),
             (3, 9), (4, 5), (4, 6), (4, 8), (5, 6), (6, 9), (7, 9), (7, 10),
@@ -437,7 +493,7 @@ class TestDualRegressionPin:
         ])
         res = solve(g, "dual")
         assert (res.value, res.witness.ids()) == (2, [1, 5])
-        assert res.stats.nodes_explored == 53
+        assert res.stats.nodes_explored == 31
         search = _search(g, "dual")
         search.run_value()
         overfull = []
@@ -751,10 +807,66 @@ class TestWitnessReuse:
         # was at most 5,027, half of the first. 1,453 before the partition
         # bound counted each part by its largest set inside the node's mask,
         # 555 before the search pruned on the partition's automorphism image
-        # too.
+        # too, 57 before the value search's last set became the witness:
+        # the value search, not the doll table, finds this value.
         res = solve(generate("grid:6x6"), "mutual")
         assert res.value == 12
-        assert res.stats.witness_nodes == 57
+        assert res.stats.witness_nodes == 0
+
+
+class TestValueSearchWitness:
+    """The set the value search ends on is the lex-least maximum set
+    whenever that search, not the doll table, found the value, so a solve
+    returns it with no witness query (the module docstring's witness
+    phase)."""
+
+    def test_witnesses_match_brute_force(self, monkeypatch):
+        module = sys.modules[_Search.__module__]
+        orbit = module.stabilizer_orbit
+        floors = []  # the floor at each orbit drop of the current search
+        current = []
+
+        def recording_orbit(g, fixed, v, within):
+            found = orbit(g, fixed, v, within)
+            if current and found & ~(1 << v):
+                floors.append(current[0].best)
+            return found
+
+        monkeypatch.setattr(module, "stabilizer_orbit", recording_orbit)
+        rng = random.Random(2525)
+        skipped = skipped_past_orbits = queried = 0
+        for _ in range(40):
+            g = random_connected_graph(rng.randint(9, 10), rng,
+                                       p=rng.choice((0.3, 0.5, 0.7)))
+            maxima = brute_max_witnesses_all(g)
+            independent = [m for m in range(1 << g.n)
+                           if is_solution(g, "independence", m)]
+            alpha = max(m.bit_count() for m in independent)
+            maxima["independence"] = [
+                tuple(VertexSet.from_mask(g.n, m).ids())
+                for m in independent if m.bit_count() == alpha
+            ]
+            for kind in KINDS:
+                current.clear()
+                res = solve_kind(g, kind)
+                assert tuple(res.witness.ids()) == min(maxima[kind]), (
+                    kind, g.edges())
+                search = _search(g, kind)
+                current.append(search)
+                floors.clear()
+                if search.run_value():
+                    skipped += 1
+                    assert res.stats.witness_nodes == 0, (kind, g.edges())
+                    assert search.best_mask == search.lex_least_witness(
+                        search.best), (kind, g.edges())
+                    if any(floor < search.best for floor in floors):
+                        skipped_past_orbits += 1
+                elif res.value:
+                    queried += 1
+        # Solves of both kinds, and skips where orbits were dropped before
+        # the value search's last set was found.
+        assert skipped > 40 and queried > 100
+        assert skipped_past_orbits > 3
 
 
 class TestLabelInvariance:

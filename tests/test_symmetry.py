@@ -6,7 +6,7 @@ import pytest
 import mvis.symmetry
 from mvis import build_graph, generate, reduction_gprime, solve
 from mvis.solve import _search, convex_partitions
-from mvis.symmetry import moving_automorphism, stabilizer_orbit
+from mvis.symmetry import automorphisms, moving_automorphism, stabilizer_orbit
 
 from naive import brute_max_witnesses_all, random_connected_graph
 from test_solve import value_phase_nodes
@@ -168,6 +168,21 @@ class TestMovingAutomorphism:
             assert (None if sigma is None else sigma[0]) == min(
                 moved, default=None), g.edges()
 
+    def test_map_is_sought_once_per_graph(self, monkeypatch):
+        # Each (kind, vertex mask) builds its own partition and image; the
+        # map they share depends on the graph alone.
+        calls = []
+        real = mvis.symmetry._moving_automorphism
+        monkeypatch.setattr(mvis.symmetry, "_moving_automorphism",
+                            lambda g: calls.append(g) or real(g))
+        g = generate("torus:5x5")
+        images = sum(len(_search(g, kind).bound) == 2
+                     for kind in (*VARIANTS, "independence"))
+        images += len(convex_partitions(g, "mutual", (1 << 20) - 1)) - 1
+        assert images >= 4
+        assert calls == [g]
+        assert moving_automorphism(g) == real(generate("torus:5x5"))
+
     @pytest.mark.parametrize("spec", ["star:300", "random_tree:12:seed=0"])
     def test_no_image_without_a_map(self, spec):
         # star:300's vertex 0 is its centre, which every automorphism
@@ -192,6 +207,27 @@ class TestMovingAutomorphism:
             best = min(maxima[variant])
             assert res.value == len(best), variant
             assert tuple(res.witness.ids()) == best, variant
+
+
+class TestAutomorphisms:
+    def test_maps_are_distinct_automorphisms(self):
+        # A part's automorphisms key its capacity memo. Each must be a
+        # true automorphism; a map left out only costs a capacity search,
+        # yet the groups of these small graphs come out whole, and the
+        # step limit cuts only the larger groups of K5, K6, K1,5 and C3xC3.
+        rng = random.Random(3)
+        whole = [random_connected_graph(rng.randint(2, 7), rng, p=0.3)
+                 for _ in range(30)]
+        whole += [generate(spec) for spec in
+                  ("cycle:7", "pathprod:2x2x2", "grid:2x3")]
+        cut = [generate(spec) for spec in
+               ("complete:5", "complete:6", "star:5", "torus:3x3")]
+        for g in whole + cut:
+            maps = automorphisms(g)
+            true = set(all_automorphisms(g))
+            assert len(set(maps)) == len(maps)
+            assert set(maps) <= true, g.edges()
+            assert (set(maps) == true) == (g not in cut), g.edges()
 
 
 SYMMETRIC = {
