@@ -131,6 +131,7 @@ class Graph:
         "_pairvis",
         "_partitions",
         "_moving",
+        "_group",
         "_adj_masks",
         "_label_ids",
     )
@@ -151,6 +152,8 @@ class Graph:
         self._partitions = {}  # mvis.solve.convex_partitions' cache
         # mvis.symmetry.moving_automorphism's map, False until it is sought
         self._moving: tuple[int, ...] | None | bool = False
+        # mvis.symmetry.automorphism_group's maps, None until built
+        self._group: tuple[tuple[int, ...], ...] | None = None
         self._adj_masks: list[int] | None = None
         self._label_ids: dict[str, int] | None = None
 

@@ -147,24 +147,34 @@ Each cap is a plain value search of the part whose root keeps open only
 the part's vertices in the mask, with no partition bound of its own, so
 only the top of a solve builds a partition and no partition partitions
 its own parts. A search narrowed to a mask does not branch orbitally: an
-automorphism of the part that fixes the inside set need not map the mask
-onto itself, so dropping an orbit could drop every largest set inside the
-mask, and a cap too low would prune the optimum.
+automorphism of the part need not map the mask onto itself, so dropping
+an orbit could drop every largest set inside the mask, and a cap too low
+would prune the optimum.
 
-The value phase also branches orbitally (Ostrowski et al., Orbital
-branching, 2011). On the spine, the nodes reached from the root by include
-branches only, everything ruled out is ruled out by the inside set X
-alone: a hereditary node's open is every vertex addable to X, and a dual
-node's decided state is the forcing closure of X, which does not depend on
-the order of the decisions. So every automorphism fixing X pointwise maps
-such a node's subproblem onto itself, and any solution there that meets
-the orbit O of the branch vertex v under that stabiliser maps to one of
-the same size that contains v. The exclude branch of a spine node
-therefore drops all of O, not just v. Orbits come from
-:func:`mvis.symmetry.stabilizer_orbit`, which counts only maps it has
-verified to be distance-preserving bijections and gives up on a map after
-a step limit proportional to n; a missed map only makes O smaller, which
-loses pruning but never a solution. The witness query does not branch
+The value phase also branches orbitally (Ostrowski, Linderoth, Rossi &
+Smriglio, Orbital branching, Math. Programming 2011), at every node. Each
+node carries maps: automorphisms sigma of the graph with sigma(inside) =
+inside and sigma(open) = open, as sets. The solutions below a node are
+the solutions S with inside <= S <= inside + open (for dual, forcing
+removes only completions that are no dual set), so each carried map sends
+them onto themselves. Let O be the orbit of the branch vertex v under the
+group the maps generate: v, then every image of an orbit vertex, until no
+new image appears. A solution below the node that meets O maps, by some
+product of the maps, to one of the same size that holds v, in the include
+subtree. That subtree is done before the exclude branch is built, so the
+exclude branch drops all of O, not just v, and loses no solution above
+the floor. The children keep maps that keep them: the include child those
+with sigma(v) = v, as a hereditary child's open is the open vertices
+addable to inside + v, and the dual forcing closure commutes with every
+automorphism; the exclude child every map, as each sends O onto itself.
+The root carries :func:`mvis.symmetry.automorphism_group`, whose maps
+are verified distance-preserving bijections and whose size is capped. A
+map left out only makes O smaller, which loses pruning but never a
+solution, and as O is closed under the maps a node carries, the argument
+never needs the group to be whole. The group is built at the first orbit
+drop of the search: until then every node that branches was reached from
+the root by includes only, and its maps are the group's maps that fix
+each of those include vertices. The witness query does not branch
 orbitally, and the value search's own set is the witness only where the
 orbits provably dropped no set of the value's size before it (below).
 
@@ -188,8 +198,8 @@ Every search once the table exists, the level queries, the value search
 and the witness query, prunes a node that branches on v when
 |inside| + c[v] <= floor. The node branches on its lowest open vertex, so
 open lies in ids >= v, and within the root's open vertices, as include and
-exclude only remove vertices from open; so do the orbit vertices dropped
-on the spine, by excludes. Any solution below the node is inside + Y with
+exclude only remove vertices from open; so do the orbit vertices dropped,
+by excludes. Any solution below the node is inside + Y with
 Y within open, and Y is a solution by heredity among the root's open
 vertices with id >= v, so |Y| <= c[v]. A level query reads only c[w] for
 w > v, which are built before it starts.
@@ -216,13 +226,12 @@ search, in three steps.
    search recorded. A count, partition, image or doll prune cuts only a
    subtree whose solutions are at most the floor, and a killed child
    holds none, so neither cuts a set of size t before the hit.
-3. An orbit drop at a spine node with inside X and branch vertex v comes
-   after the node's include subtree is done. Before the hit, that subtree
-   had no hit, so it holds no set of size t: no earlier cut removed one,
-   by steps 2 and 3 taken in the order the cuts happen. Then no set of
-   size t extending the node's decisions meets the dropped orbit O: an
-   automorphism fixing X would map it onto one holding v, which lies in
-   the include subtree.
+3. An orbit drop at a node with branch vertex v comes after the node's
+   include subtree is done. Before the hit, that subtree had no hit, so
+   it holds no set of size t: no earlier cut removed one, by steps 2 and
+   3 taken in the order the cuts happen. Then no set of size t below the
+   node meets the dropped orbit O: a product of the maps the node carries
+   would map it onto one holding v, which lies in the include subtree.
 
 So nothing before the hit cuts a set of size t. The value search meets
 the first state of size t in preorder, records it as its floor is below
@@ -254,7 +263,7 @@ from .graphs import (
     induced_subgraph,
     is_convex,
 )
-from .symmetry import automorphisms, moving_automorphism, stabilizer_orbit
+from .symmetry import automorphism_group, automorphisms, moving_automorphism
 from .visibility import (
     VARIANTS,
     PairVisibility,
@@ -329,9 +338,9 @@ class SearchStats:
     in its own level queries, the value search and the witness query.
     ``orbit_prunes``, also included in ``prunes``, counts the vertices
     that orbital branching dropped from exclude branches beyond the branch
-    vertex itself. ``nodes_explored`` includes the doll table's nodes,
-    which count in the value phase; the root ``include`` of each doll level
-    is not a node. ``witness_nodes`` counts the nodes, included in
+    vertex itself, at any node, under the maps the node carries.
+    ``nodes_explored`` includes the doll table's nodes, which count in the
+    value phase; the root ``include`` of each doll level is not a node. ``witness_nodes`` counts the nodes, included in
     ``nodes_explored``, of the witness phase: the one decision query whose
     first hit is the lex-least maximum set. It is 0 when the phase is
     skipped, as the value search found the value and its set is
@@ -671,6 +680,21 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
 # --------------------------------------------------------------------------
 
 
+def _orbit(maps: tuple[tuple[int, ...], ...], v: int) -> int:
+    """The mask of the orbit of v under the group the image tuples
+    ``maps`` generate: v, then every image of an orbit vertex under a map,
+    until no new image appears."""
+    orbit = 1 << v
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for x in {s[u] for s in maps}:
+            if not orbit >> x & 1:
+                orbit |= 1 << x
+                todo.append(x)
+    return orbit
+
+
 class _Search:
     """Branch-and-bound over (inside, open) states; see the module
     docstring. Build one with :func:`_search`. :meth:`_dfs` is the one DFS,
@@ -693,7 +717,7 @@ class _Search:
     hereditary = True
 
     #: Whether the value search branches orbitally. It may only when every
-    #: automorphism fixing the inside maps the root's open vertices onto
+    #: automorphism of the graph maps the root's open vertices onto
     #: themselves, which a capacity search narrowed to a mask breaks.
     orbital = True
 
@@ -757,21 +781,26 @@ class _Search:
         result is 0. Branches on the lowest open vertex, include first;
         prunes on |inside| + |open| <= floor, on the first partition bound
         at most the floor and, once it is built, on the doll table. Without
-        ``first`` the exclude branch of an include-only spine node also
-        drops the branch vertex's orbit under the stabiliser of inside.
+        ``first`` the exclude branch of a node also drops the branch
+        vertex's orbit under the maps the node carries.
         Each node counts in ``stats.nodes_explored``, and the node past the
         node budget or the deadline raises :class:`_BudgetExceeded`. With
         ``limit``, the search gives up and returns None on its node after
         the first ``limit``.
 
-        The stack holds entries (inside, open, spine, v). One with
+        The stack holds entries (inside, open, maps, v). One with
         v < 0 is a node. One with v >= 0 is the exclude branch of the node
         (inside, open) that branched on v; it sits beneath that node's
         include child, so the exclude child is built only once the whole
-        include subtree is done, and its orbit test on the spine reads the
-        floor that subtree left. That keeps the visiting order, every prune
-        and every counter of a recursive search."""
-        g = self.g
+        include subtree is done, and its orbit drop reads the floor that
+        subtree left. That keeps the visiting order, every prune and every
+        counter of a recursive search. ``maps`` are the non-identity maps
+        the node carries (see the module docstring): () carries none, as
+        in a decision query or a narrowed search, and an int is a mask of
+        include vertices, standing for the group's maps that fix each of
+        them until an exclude child passes the count test, where
+        :meth:`_stabiliser` builds them. The root carries the int 0, the
+        whole group."""
         stats = self.stats
         node_budget = self.node_budget
         deadline = self.deadline
@@ -783,14 +812,16 @@ class _Search:
         include = self.include
         exclude = self.exclude
         hereditary = self.hereditary
-        stack = [(inside, open_, self.orbital and not first, -1)]
+        stack = [(inside, open_, 0 if self.orbital and not first else (), -1)]
         while stack:
-            inside, open_, spine, v = stack.pop()
+            inside, open_, maps, v = stack.pop()
             if v >= 0:
                 child = exclude(inside, open_, v)
-                if spine and child is not None and (
+                if maps != () and child is not None and (
                         child[0].bit_count() + child[1].bit_count() > floor):
-                    orbit = stabilizer_orbit(g, inside, v, open_) & ~(1 << v)
+                    if type(maps) is int:
+                        maps = self._stabiliser(maps)
+                    orbit = _orbit(maps, v) & ~(1 << v)
                     dropped = orbit.bit_count()
                     stats.prunes += dropped
                     stats.orbit_prunes += dropped
@@ -802,7 +833,6 @@ class _Search:
                     stats.prunes += 1
                     continue
                 inside, open_ = child
-                spine = False
             stats.nodes_explored += 1
             if (node_budget and stats.nodes_explored > node_budget
                     or deadline and clock() > deadline):
@@ -835,13 +865,26 @@ class _Search:
                 stats.prunes += 1
                 stats.doll_prunes += 1
                 continue
-            stack.append((inside, open_, spine, v))
+            stack.append((inside, open_, maps, v))
             child = include(inside, open_, v)
             if child is None:
                 stats.prunes += 1
             else:
-                stack.append((*child, spine, -1))
+                if type(maps) is int:
+                    maps |= 1 << v
+                elif maps:
+                    maps = tuple(s for s in maps if s[v] == v)
+                stack.append((*child, maps, -1))
         return 0
+
+    def _stabiliser(self, fixed: int) -> tuple[tuple[int, ...], ...]:
+        """The maps of the graph's automorphism group, but the identity,
+        that fix each vertex of the mask ``fixed``: those a node carries
+        whose branches from the root were includes of those vertices (see
+        :meth:`_dfs`). The first call builds the group."""
+        ids = [v for v in range(self.n) if fixed >> v & 1]
+        return tuple(s for s in automorphism_group(self.g)[1:]
+                     if all(s[v] == v for v in ids))
 
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the

@@ -1,16 +1,16 @@
-"""Vertex orbits under graph automorphisms that fix a vertex set pointwise,
-one automorphism that moves vertex 0, and the automorphisms of a graph.
+"""Automorphisms of a graph: a capped group of them, one that moves vertex
+0, and the maps a bounded search finds.
 
-The searches use the orbits for orbital branching, the map for a second
-partition bound, and the automorphisms of a part so that capacity
-searches inside masks that a symmetry swaps run once. Every map counted
-or returned is verified: it is a bijection of the vertex set that
-preserves every distance, hence adjacency, so it is an automorphism. The
-maps are found by a bounded backtracking search; a search that runs out
-of steps counts as no map. The mask returned is therefore always a
-subset of the true orbit, which is all that soundness needs: a smaller
-orbit only prunes less, a missing map only leaves out the second bound,
-and a missing automorphism of a part only runs a capacity search twice.
+The searches use the group for orbital branching, the moving map for a
+second partition bound, and the automorphisms of a part so that capacity
+searches inside masks that a symmetry swaps run once. Every map is
+verified: the backtracking search of :func:`_extensions` returns only
+bijections of the vertex set that preserve every distance, hence
+adjacency, so they are automorphisms, and a composition of automorphisms
+is one too. The search gives up after a step limit, and the group stops
+at a cap, so either may miss maps, and soundness needs none of them: a
+missing map only leaves a smaller orbit, which prunes less, leaves out
+the second bound, or runs a capacity search twice.
 """
 
 from __future__ import annotations
@@ -18,60 +18,105 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 
-from .graphs import Graph, VertexSet, all_pairs_distances
+from .graphs import Graph, all_pairs_distances
 
-#: Candidate images one extension search may try, per vertex of the graph.
+#: Candidate images one extension search may try, and maps the group of
+#: :func:`automorphism_group` may hold, per vertex of the graph.
 STEPS_PER_VERTEX = 8
 
 
-def stabilizer_orbit(g: Graph, fixed: int, v: int, within: int) -> int:
-    """Mask of the vertices of ``within`` to which some verified
-    automorphism of ``g`` that fixes each vertex of the mask ``fixed`` maps
-    ``v``. It always holds ``v``; ``v`` must lie in ``within``, and
-    ``fixed`` must miss ``within``.
+def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Verified automorphisms of ``g`` as image tuples, the identity first,
+    closed under composition unless the cap of ``STEPS_PER_VERTEX * n``
+    maps cut it short. The generators are the maps of :func:`_extensions`
+    that fix vertex 0, then one map 0 -> w of :func:`_extend` for each w
+    that matches 0 in degree and sorted distance row and that no map so
+    far sends 0 to. When the search finds the whole stabiliser of 0 and a
+    map to each vertex of 0's orbit, the group is the whole automorphism
+    group, or its first cap maps. Each generator not yet held is closed in
+    at once (:func:`_close`). It depends on the graph alone, so it is
+    built once and kept on the graph."""
+    if g._group is None:
+        g._group = _automorphism_group(g)
+    return g._group
 
-    A candidate w must match v in degree, in its sorted distance row and
-    in its distance to each fixed vertex. A map sending v to w is then
-    extended in BFS order from v (see :func:`_extend`). Each map found is
-    applied to the orbit so far, so its images join without a search.
-    """
+
+def _automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
+    n = g.n
+    cap = STEPS_PER_VERTEX * n
+    group = [tuple(range(n))]
+    if n < 2:
+        return tuple(group)
     d = all_pairs_distances(g)
     key = _keys(g, d)
-    fixed_ids = VertexSet.from_mask(g.n, fixed).ids()
-    dv = d[v]
-    to_fixed = [dv[x] for x in fixed_ids]
-    order, parent = _bfs_tree(g, v, fixed)
-    limit = STEPS_PER_VERTEX * g.n
-    maps: list[tuple[int, ...]] = []
-    orbit = 1 << v
-    for w in VertexSet.from_mask(g.n, within & ~orbit):
-        if (orbit >> w) & 1 or key[w] != key[v]:
-            continue
-        dw = d[w]
-        if [dw[x] for x in fixed_ids] != to_fixed:
-            continue
-        sigma = _extend(g, d, key, fixed_ids, v, w, order, parent, limit)
-        if sigma is None:
-            continue
-        maps.append(sigma)
-        todo = VertexSet.from_mask(g.n, orbit).ids()
-        while todo:
-            u = todo.pop()
-            for s in maps:
-                x = s[u]
-                if not (orbit >> x) & 1:
-                    orbit |= 1 << x
-                    todo.append(x)
-    return orbit & within
+    order, parent = _bfs_tree(g, 0)
+    held = set(group)
+    gens: list[tuple[int, ...]] = []
+    for sigma in _extensions(g, d, key, 0, 0, order, parent, cap):
+        if len(group) == cap:
+            return tuple(group)
+        if sigma not in held:
+            _close(group, held, gens, sigma, cap)
+    reached = 1
+    for w in range(1, n):
+        if len(group) == cap:
+            break
+        if key[w] == key[0] and not reached >> w & 1:
+            sigma = _extend(g, d, key, 0, w, order, parent, cap)
+            if sigma is not None:
+                _close(group, held, gens, sigma, cap)
+                for tau in group:
+                    reached |= 1 << tau[0]
+    return tuple(group)
+
+
+def _close(group: list[tuple[int, ...]], held: set[tuple[int, ...]],
+           gens: list[tuple[int, ...]], sigma: tuple[int, ...],
+           cap: int) -> None:
+    """Grow ``group``, closed under composition and generated by ``gens``,
+    into the group generated by ``gens`` and ``sigma``, stopping at ``cap``
+    maps; ``held`` is the set of ``group``'s maps. This is Dimino's
+    algorithm: the new group is a union of right cosets H r of the old
+    group H, where H r holds, for each h in H, the map that applies h then
+    r. The first is H sigma. A representative r followed by a generator t
+    gives a new coset when that map is not yet held, and the whole coset
+    joins at once (:func:`_join`), so no coset is built twice and no
+    product is kept that the group does not hold."""
+    old = list(group)
+    gens.append(sigma)
+    reps = [sigma]
+    if not _join(group, held, old, sigma, cap):
+        return
+    for r in reps:
+        for t in gens:
+            rt = tuple(map(t.__getitem__, r))
+            if rt not in held:
+                if not _join(group, held, old, rt, cap):
+                    return
+                reps.append(rt)
+
+
+def _join(group: list[tuple[int, ...]], held: set[tuple[int, ...]],
+          old: list[tuple[int, ...]], r: tuple[int, ...], cap: int) -> bool:
+    """Add the coset of the maps that apply a map of ``old`` then ``r`` to
+    ``group`` and ``held``; False as soon as ``group`` holds ``cap``
+    maps."""
+    for h in old:
+        if len(group) == cap:
+            return False
+        rh = tuple(map(r.__getitem__, h))
+        group.append(rh)
+        held.add(rh)
+    return True
 
 
 def moving_automorphism(g: Graph) -> tuple[int, ...] | None:
     """A verified automorphism of ``g`` that moves vertex 0, as an image
     tuple, or None when none is found. The images w = 1, 2, ... that match
     vertex 0 in degree and sorted distance row are tried in turn, and the
-    first map :func:`_extend` finds with nothing fixed is returned, so
-    vertex 0 goes to the least vertex that a map reaches within the step
-    limit :func:`stabilizer_orbit` uses. It depends on the graph alone, so
+    first map :func:`_extend` finds is returned, so vertex 0 goes to the
+    least vertex that a map reaches within the step limit of
+    ``STEPS_PER_VERTEX * n`` steps. It depends on the graph alone, so
     it is sought once and kept on the graph."""
     if g._moving is False:
         g._moving = _moving_automorphism(g)
@@ -83,11 +128,11 @@ def _moving_automorphism(g: Graph) -> tuple[int, ...] | None:
         return None
     d = all_pairs_distances(g)
     key = _keys(g, d)
-    order, parent = _bfs_tree(g, 0, 0)
+    order, parent = _bfs_tree(g, 0)
     limit = STEPS_PER_VERTEX * g.n
     for w in range(1, g.n):
         if key[w] == key[0]:
-            sigma = _extend(g, d, key, [], 0, w, order, parent, limit)
+            sigma = _extend(g, d, key, 0, w, order, parent, limit)
             if sigma is not None:
                 return sigma
     return None
@@ -96,16 +141,15 @@ def _moving_automorphism(g: Graph) -> tuple[int, ...] | None:
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Verified automorphisms of ``g``, as image tuples: for each vertex w
     that matches vertex 0 in degree and sorted distance row, the maps
-    sending 0 to w that :func:`_extensions` finds within the step limit
-    :func:`stabilizer_orbit` gives one map. A graph with few automorphisms
+    sending 0 to w that :func:`_extensions` finds within the step limit of
+    ``STEPS_PER_VERTEX * n`` steps for one map. A graph with few automorphisms
     gets them all; a map left out is only a symmetry not used."""
     d = all_pairs_distances(g)
     key = _keys(g, d)
-    order, parent = _bfs_tree(g, 0, 0)
+    order, parent = _bfs_tree(g, 0)
     limit = STEPS_PER_VERTEX * g.n
     return [sigma for w in range(g.n) if key[w] == key[0]
-            for sigma in _extensions(g, d, key, [], 0, w, order, parent,
-                                     limit)]
+            for sigma in _extensions(g, d, key, 0, w, order, parent, limit)]
 
 
 def _keys(g: Graph, d: list[list[int]]) -> list:
@@ -114,16 +158,16 @@ def _keys(g: Graph, d: list[list[int]]) -> list:
     return [(len(nbrs), sorted(row)) for nbrs, row in zip(g.adj, d)]
 
 
-def _bfs_tree(g: Graph, v: int, fixed: int) -> tuple[list[int], list[int]]:
-    """The vertices other than ``v`` and the ``fixed`` ones in BFS order
-    from ``v``, and each vertex's BFS parent."""
+def _bfs_tree(g: Graph, v: int) -> tuple[list[int], list[int]]:
+    """The vertices other than ``v`` in BFS order from ``v``, and each
+    vertex's BFS parent."""
     parent = [-1] * g.n
     parent[v] = v
     queue = deque([v])
     order = []
     while queue:
         u = queue.popleft()
-        if u != v and not (fixed >> u) & 1:
+        if u != v:
             order.append(u)
         for w in g.adj[u]:
             if parent[w] < 0:
@@ -132,22 +176,20 @@ def _bfs_tree(g: Graph, v: int, fixed: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _extend(g: Graph, d: list[list[int]], key: list, fixed_ids: list[int],
-            v: int, w: int, order: list[int], parent: list[int],
+def _extend(g: Graph, d: list[list[int]], key: list, v: int, w: int,
+            order: list[int], parent: list[int],
             limit: int) -> tuple[int, ...] | None:
-    """An automorphism that fixes ``fixed_ids``, sends ``v`` to ``w`` and
-    is found within ``limit`` steps, as an image tuple; else None: the
-    first map :func:`_extensions` yields."""
-    return next(_extensions(g, d, key, fixed_ids, v, w, order, parent,
-                            limit), None)
+    """An automorphism that sends ``v`` to ``w`` and is found within
+    ``limit`` steps, as an image tuple; else None: the first map
+    :func:`_extensions` yields."""
+    return next(_extensions(g, d, key, v, w, order, parent, limit), None)
 
 
-def _extensions(g: Graph, d: list[list[int]], key: list,
-                fixed_ids: list[int], v: int, w: int, order: list[int],
-                parent: list[int], limit: int) -> Iterator[tuple[int, ...]]:
-    """Each automorphism that fixes ``fixed_ids`` and sends ``v`` to ``w``
-    that a search of ``limit`` steps in all finds, as an image tuple. ``w``
-    must already match ``v`` in its distance to each fixed vertex.
+def _extensions(g: Graph, d: list[list[int]], key: list, v: int, w: int,
+                order: list[int], parent: list[int],
+                limit: int) -> Iterator[tuple[int, ...]]:
+    """Each automorphism that sends ``v`` to ``w`` that a search of
+    ``limit`` steps in all finds, as an image tuple.
 
     The vertices of ``order`` are mapped in turn, each z to an unused
     neighbour of the image of its BFS parent that has z's ``key`` (degree
@@ -158,14 +200,10 @@ def _extensions(g: Graph, d: list[list[int]], key: list,
     vertex is mapped, and then it is a distance-preserving bijection.
     """
     sigma = [-1] * g.n
-    for x in fixed_ids:
-        sigma[x] = x
     sigma[v] = w
-    domain = [*fixed_ids, v]
-    images = [*fixed_ids, w]
+    domain = [v]
+    images = [w]
     used = 1 << w
-    for x in fixed_ids:
-        used |= 1 << x
     adj = g.adj
     pending: list[list[int]] = []
     steps = 0

@@ -1,12 +1,32 @@
 import random
-from itertools import combinations, permutations
+import sys
+from itertools import combinations
 
 import pytest
 
 import mvis.symmetry
-from mvis import build_graph, generate, reduction_gprime, solve
-from mvis.solve import _search, convex_partitions
-from mvis.symmetry import automorphisms, moving_automorphism, stabilizer_orbit
+from mvis import (
+    build_graph,
+    generate,
+    reduction_gprime,
+    solve,
+    solve_independence,
+)
+from mvis.solve import (
+    _capacity,
+    _DualSearch,
+    _HereditarySearch,
+    _orbit,
+    _Search,
+    _search,
+    convex_partitions,
+)
+from mvis.symmetry import (
+    STEPS_PER_VERTEX,
+    automorphism_group,
+    automorphisms,
+    moving_automorphism,
+)
 
 from naive import brute_max_witnesses_all, random_connected_graph
 from test_solve import value_phase_nodes
@@ -19,12 +39,26 @@ def members(mask):
 
 
 def all_automorphisms(g):
-    """Every automorphism of ``g``, by trying every permutation."""
-    edges = set(g.edges())
-    return [
-        p for p in permutations(range(g.n))
-        if all(tuple(sorted((p[u], p[w]))) in edges for u, w in edges)
-    ]
+    """Every automorphism of ``g``: the permutations, built vertex by
+    vertex in id order, that keep adjacency to every vertex placed."""
+    adjacent = [[g.has_edge(u, w) for w in range(g.n)] for u in range(g.n)]
+    found = []
+    p = []
+
+    def extend(used):
+        u = len(p)
+        if u == g.n:
+            found.append(tuple(p))
+            return
+        for c in range(g.n):
+            if not used >> c & 1 and all(
+                    adjacent[u][w] == adjacent[c][p[w]] for w in range(u)):
+                p.append(c)
+                extend(used | 1 << c)
+                p.pop()
+
+    extend(0)
+    return found
 
 
 def gprime():
@@ -47,21 +81,41 @@ def petersen():
     return build_graph(10, outer + spokes + inner)
 
 
+def image(sigma, mask):
+    out = 0
+    for v in members(mask):
+        out |= 1 << sigma[v]
+    return out
+
+
+def stabiliser_orbit(g, fixed_ids, v, within=None):
+    """The orbit of v under the maps of the group that fix each vertex of
+    ``fixed_ids`` and, given ``within``, send that mask onto itself."""
+    maps = [s for s in automorphism_group(g)
+            if all(s[x] == x for x in fixed_ids)
+            and (within is None or image(s, within) == within)]
+    return _orbit(maps, v)
+
+
+SYMMETRIC = {
+    **{f"cycle:{n}": (lambda n=n: generate(f"cycle:{n}")) for n in range(3, 10)},
+    **{f"complete:{n}": (lambda n=n: generate(f"complete:{n}")) for n in (4, 5, 6)},
+    "Q3": lambda: generate("pathprod:2x2x2"),
+    "petersen": petersen,
+    "prism3": prism3,
+    "K3,3": k33,
+}
+
+
 class TestStabilizerOrbit:
+    """Pointwise-stabiliser orbits taken from the automorphism group, as
+    the value search takes them on the include-only spine, against the
+    orbits of brute force."""
+
     @pytest.mark.parametrize("name", [
         "torus:5x5", "grid:5x5", "ht:3", "gprime", "random",
     ])
-    def test_every_map_found_is_an_automorphism(self, name, monkeypatch):
-        found = []
-        real = mvis.symmetry._extend
-
-        def recording(g, d, key, fixed_ids, v, w, *rest):
-            sigma = real(g, d, key, fixed_ids, v, w, *rest)
-            if sigma is not None:
-                found.append((fixed_ids, v, w, sigma))
-            return sigma
-
-        monkeypatch.setattr(mvis.symmetry, "_extend", recording)
+    def test_every_map_found_is_an_automorphism(self, name):
         rng = random.Random(7)
         if name == "gprime":
             graphs = [gprime()]
@@ -71,65 +125,133 @@ class TestStabilizerOrbit:
         else:
             graphs = [generate(name)]
         for g in graphs:
-            found.clear()
-            full = (1 << g.n) - 1
+            edges = set(g.edges())
+            found = 0
             for _ in range(6):
                 fixed_ids = rng.sample(range(g.n), rng.randint(0, 2))
-                fixed = sum(1 << x for x in fixed_ids)
-                v = rng.choice([u for u in range(g.n) if u not in fixed_ids])
-                stabilizer_orbit(g, fixed, v, full & ~fixed)
-            edges = set(g.edges())
-            for fixed_ids, v, w, sigma in found:
-                assert sorted(sigma) == list(range(g.n))
-                assert sigma[v] == w
-                assert all(sigma[x] == x for x in fixed_ids)
-                images = {tuple(sorted((sigma[a], sigma[b]))) for a, b in edges}
-                assert images == edges
-        if name != "random":
-            assert found  # each of these graphs has symmetry to find
+                for sigma in automorphism_group(g)[1:]:
+                    if all(sigma[x] == x for x in fixed_ids):
+                        found += 1
+                        assert sorted(sigma) == list(range(g.n))
+                        images = {tuple(sorted((sigma[a], sigma[b])))
+                                  for a, b in edges}
+                        assert images == edges
+            if name != "random":
+                assert found  # each of these graphs has symmetry to find
 
     def test_orbits_lie_inside_the_true_orbits(self):
+        # Where the group is whole, the orbits are the true ones; where
+        # the cap cut it (K5 and K3,3), they lie inside them.
         rng = random.Random(11)
         graphs = [random_connected_graph(rng.randint(3, 7), rng, p=0.3)
                   for _ in range(25)]
         graphs += [generate("cycle:7"), generate("complete:5"), prism3(), k33()]
+        capped = 0
         for g in graphs:
             autos = all_automorphisms(g)
-            full = (1 << g.n) - 1
+            whole = len(automorphism_group(g)) == len(autos)
+            capped += not whole
             for k in range(3):
                 for fixed_ids in combinations(range(g.n), k):
-                    fixed = sum(1 << x for x in fixed_ids)
                     stab = [p for p in autos if all(p[x] == x for x in fixed_ids)]
                     for v in range(g.n):
-                        if (fixed >> v) & 1:
+                        if v in fixed_ids:
                             continue
                         true = {p[v] for p in stab}
-                        got = members(stabilizer_orbit(g, fixed, v, full & ~fixed))
+                        got = set(members(stabiliser_orbit(g, fixed_ids, v)))
                         assert v in got
-                        assert set(got) <= true, (g.edges(), fixed_ids, v)
+                        assert got <= true, (g.edges(), fixed_ids, v)
+                        assert got == true or not whole, (
+                            g.edges(), fixed_ids, v)
+        assert capped == 2
 
     def test_orbit_is_cut_to_within(self):
+        # Maps that send a mask onto itself keep each orbit inside it: the
+        # maps of one row of C5 x C5 move its vertices along the row only.
         g = generate("torus:5x5")
-        within = (1 << 3) | (1 << 7) | (1 << 12)
-        assert stabilizer_orbit(g, 0, 3, within) == within
+        row = sum(1 << v for v in range(g.n) if g.labels[v].startswith("(1,"))
+        assert row.bit_count() == 5
+        assert stabiliser_orbit(g, (), members(row)[2], row) == row
 
     @pytest.mark.parametrize("spec", ["torus:5x5", "torus:6x4", "torus:4x3"])
     def test_torus_is_one_orbit(self, spec):
         g = generate(spec)
         full = (1 << g.n) - 1
-        assert stabilizer_orbit(g, 0, 0, full) == full
-        assert stabilizer_orbit(g, 0, g.n - 1, full) == full
+        assert stabiliser_orbit(g, (), 0) == full
+        assert stabiliser_orbit(g, (), g.n - 1) == full
 
     def test_grid_corner_orbit_is_the_four_corners(self):
         g = generate("grid:5x5")
         at = g.vertex_by_label
         corners = sorted(at(f"({i},{j})") for i in (1, 5) for j in (1, 5))
-        full = (1 << g.n) - 1
-        assert members(stabilizer_orbit(g, 0, corners[0], full)) == corners
+        assert members(stabiliser_orbit(g, (), corners[0])) == corners
         # Fixing one corner leaves only the diagonal reflection through it.
         c, a, b = at("(1,1)"), at("(1,3)"), at("(3,1)")
-        orbit = stabilizer_orbit(g, 1 << c, a, full & ~(1 << c))
-        assert members(orbit) == sorted([a, b])
+        assert members(stabiliser_orbit(g, (c,), a)) == sorted([a, b])
+
+
+class TestAutomorphismGroup:
+    GRAPHS = {
+        "torus:5x5": lambda: generate("torus:5x5"),
+        "torus:7x6": lambda: generate("torus:7x6"),
+        "grid:8x8": lambda: generate("grid:8x8"),
+        "ht:3": lambda: generate("ht:3"),
+        "pathprod:3x3x3": lambda: generate("pathprod:3x3x3"),
+        "gprime": gprime,
+        "complete:7": lambda: generate("complete:7"),
+        "star:12": lambda: generate("star:12"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_maps_are_distinct_automorphisms(self, name):
+        g = self.GRAPHS[name]()
+        group = automorphism_group(g)
+        edges = set(g.edges())
+        assert group[0] == tuple(range(g.n))
+        assert len(set(group)) == len(group) <= STEPS_PER_VERTEX * g.n
+        for sigma in group:
+            assert sorted(sigma) == list(range(g.n))
+            assert {tuple(sorted((sigma[a], sigma[b])))
+                    for a, b in edges} == edges
+        assert automorphism_group(g) is group  # kept on the graph
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_group_is_closed_below_the_cap(self, name):
+        g = self.GRAPHS[name]()
+        group = automorphism_group(g)
+        held = set(group)
+        if len(group) == STEPS_PER_VERTEX * g.n:
+            # The cap cuts G' (432 maps), K7 and K1,12; C5 x C5 has exactly
+            # 200 maps, the cap of 8 * 25.
+            assert name in ("gprime", "complete:7", "star:12", "torus:5x5")
+            return
+        for a in group:
+            for b in group:
+                assert tuple(a[x] for x in b) in held, name
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_group_is_every_automorphism(self, name):
+        # Below the cap the group is the whole automorphism group; K5 (120
+        # maps), K6 (720), Petersen (120) and K3,3 (72) fill the cap of 8n.
+        g = SYMMETRIC[name]()
+        group = automorphism_group(g)
+        true = set(all_automorphisms(g))
+        cap = STEPS_PER_VERTEX * g.n
+        assert set(group) <= true
+        if len(true) <= cap:
+            assert set(group) == true
+        else:
+            assert len(group) == cap
+            assert name in ("complete:5", "complete:6", "petersen", "K3,3")
+
+    @pytest.mark.parametrize("spec", ["torus:5x5", "torus:6x6"])
+    def test_torus_group_is_whole_at_the_cap(self, spec):
+        # C5 x C5 has 5 * 5 * 2 * 2 * 2 = 200 automorphisms and C6 x C6
+        # 288: exactly the cap of 8n.
+        g = generate(spec)
+        group = automorphism_group(g)
+        assert set(group) == set(all_automorphisms(g))
+        assert len(group) == STEPS_PER_VERTEX * g.n
 
 
 class TestMovingAutomorphism:
@@ -230,16 +352,6 @@ class TestAutomorphisms:
             assert (set(maps) == true) == (g not in cut), g.edges()
 
 
-SYMMETRIC = {
-    **{f"cycle:{n}": (lambda n=n: generate(f"cycle:{n}")) for n in range(3, 10)},
-    **{f"complete:{n}": (lambda n=n: generate(f"complete:{n}")) for n in (4, 5, 6)},
-    "Q3": lambda: generate("pathprod:2x2x2"),
-    "petersen": petersen,
-    "prism3": prism3,
-    "K3,3": k33,
-}
-
-
 class TestOrbitalBranching:
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_symmetric_graphs_match_brute_force(self, name):
@@ -250,6 +362,49 @@ class TestOrbitalBranching:
             best = min(maxima[variant])
             assert res.value == len(best), variant
             assert tuple(res.witness.ids()) == best, variant
+
+    def test_carried_maps_keep_their_node(self, monkeypatch):
+        # At every orbit drop, each map the node carries sends its inside
+        # and open sets onto themselves, in every search a solve runs from
+        # a cold capacity memo, its capacity searches included. The cap of
+        # 8n binds on K7, K1,12, Petersen, K3,3 and G'. The hook reads the
+        # node from the exclude call that precedes each drop.
+        module = sys.modules[_Search.__module__]
+        node = []
+        counts = {}
+
+        def recording(exclude):
+            def wrapper(self, inside, open_, v):
+                node[:] = [inside, open_, v]
+                return exclude(self, inside, open_, v)
+            return wrapper
+
+        for cls in (_HereditarySearch, _DualSearch):
+            monkeypatch.setattr(cls, "exclude", recording(cls.exclude))
+        orbit = module._orbit
+
+        def checking_orbit(maps, v):
+            inside, open_, u = node
+            assert u == v
+            for sigma in maps:
+                kept = (image(sigma, inside), image(sigma, open_)) == (
+                    inside, open_)
+                counts[name][kept] += 1
+            return orbit(maps, v)
+
+        monkeypatch.setattr(module, "_orbit", checking_orbit)
+        graphs = {name: generate(name) for name in (
+            "cycle:8", "complete:7", "star:12", "torus:3x3", "torus:4x3",
+            "pathprod:2x2x3", "grid:4x4")}
+        graphs.update(petersen=petersen(), k33=k33(), gprime=gprime())
+        _capacity.cache_clear()
+        for name, g in graphs.items():
+            counts[name] = [0, 0]  # maps that moved the node, that kept it
+            for variant in VARIANTS:
+                solve(g, variant)
+            solve_independence(g)
+        assert not any(bad for bad, _ in counts.values()), counts
+        assert sum(kept > 0 for _, kept in counts.values()) >= 7, counts
 
     def test_orbit_prunes_fire_on_symmetric_graphs(self):
         # grid:6x4 outer was the hereditary case until the partition bound
@@ -262,7 +417,7 @@ class TestOrbitalBranching:
             assert 0 < stats.orbit_prunes <= stats.prunes, spec
 
     @pytest.mark.parametrize("spec, variant, value, nodes, orbit_prunes", [
-        pytest.param("torus:5x5", "mutual", 10, 1904, 28,
+        pytest.param("torus:5x5", "mutual", 10, 1056, 48,
                      id="torus:5x5-mutual"),
         pytest.param("torus:6x4", "mutual", 11, 278, 0,
                      id="torus:6x4-mutual"),
@@ -272,8 +427,9 @@ class TestOrbitalBranching:
     ])
     def test_hereditary_tree_is_pinned(self, spec, variant, value, nodes,
                                        orbit_prunes):
-        # Orbits are dropped on the include-only spine and nowhere else; a
-        # change to where they are dropped changes these counts. The nodes
+        # Orbits are dropped at every node whose exclude child passes the
+        # count test, under the maps the node carries; a change to where
+        # they are dropped changes these counts. The nodes
         # fell from 8664, 16103, 1107 and 1344 when the witness rebuild
         # began to reuse the maximum sets it holds, rose from 8609,
         # 13657, 1003 and 1151 when the witness phase became one id-order
@@ -289,9 +445,13 @@ class TestOrbitalBranching:
         # degree. When the search began to prune on the partition's
         # automorphism image too, the nodes fell from 3014, 434 and 186 (the
         # grid did not move), and torus:6x4 mutual's orbit prunes from 25 to
-        # 0: the image cuts its spine before an orbit is dropped there. The
-        # test ids name the instance only, so a count that moves does not
-        # rename the test.
+        # 0: the image cuts its spine before an orbit is dropped there. When
+        # every node began to drop orbits under the maps it carries down
+        # from the graph's automorphism group, not only the spine under
+        # the pointwise stabiliser of its inside set, torus:5x5 mutual's
+        # nodes fell from 1904 and its orbit prunes rose from 28 (the
+        # others did not move). The test ids name the instance only, so a
+        # count that moves does not rename the test.
         res = solve(generate(spec), variant)
         assert res.value == value
         assert res.stats.nodes_explored == nodes
