@@ -340,11 +340,11 @@ class SearchStats:
     that orbital branching dropped from exclude branches beyond the branch
     vertex itself, at any node, under the maps the node carries.
     ``nodes_explored`` includes the doll table's nodes, which count in the
-    value phase; the root ``include`` of each doll level is not a node. ``witness_nodes`` counts the nodes, included in
-    ``nodes_explored``, of the witness phase: the one decision query whose
-    first hit is the lex-least maximum set. It is 0 when the phase is
-    skipped, as the value search found the value and its set is
-    returned."""
+    value phase; the root ``include`` of each doll level is not a node.
+    ``witness_nodes`` counts the nodes, included in ``nodes_explored``, of
+    the witness phase: the one decision query whose first hit is the
+    lex-least maximum set. It is 0 when the phase is skipped, as the value
+    search found the value and its set is returned."""
 
     nodes_explored: int = 0
     prunes: int = 0

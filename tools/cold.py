@@ -7,7 +7,8 @@ first (parent first in even runs). The time is that of generating and
 solving, so it includes the pair table, the partition and every capacity
 search, and no warm reuse.
 Prints, per instance and checkout, the median time, the median peak
-resident memory of the process and the node count, with the value. The
+resident memory of the process and the node count, with the value, and
+last a totals row: each side's summed median seconds and summed nodes. The
 value must be the same on both sides, and a side's node count the same in
 each of its runs; the two sides' node counts may differ. Standard library
 only::
@@ -70,6 +71,8 @@ def main() -> None:
     ap.add_argument("change", type=Path)
     args = ap.parse_args()
     checkouts = (args.parent, args.change)
+    total_s = [0.0, 0.0]
+    total_nodes = [0, 0]
     print(f"{'instance':<24}{'parent s':>10}{'change s':>10}{'change':>9}"
           f"{'parent MB':>11}{'change MB':>11}{'value':>7}"
           f"{'parent nodes':>14}{'change nodes':>14}")
@@ -92,6 +95,12 @@ def main() -> None:
         print(f"{spec + ' ' + variant:<24}{s[0]:>10.3f}{s[1]:>10.3f}"
               f"{s[1] / s[0] - 1:>+9.1%}{mb[0]:>11.1f}{mb[1]:>11.1f}"
               f"{values.pop():>7}{nodes[0]:>14}{nodes[1]:>14}")
+        for side in (0, 1):
+            total_s[side] += s[side]
+            total_nodes[side] += nodes[side]
+    print(f"{'total':<24}{total_s[0]:>10.3f}{total_s[1]:>10.3f}"
+          f"{total_s[1] / total_s[0] - 1:>+9.1%}{'':>29}"
+          f"{total_nodes[0]:>14}{total_nodes[1]:>14}")
 
 
 if __name__ == "__main__":
