@@ -117,11 +117,12 @@ the parts are chosen. This is the colouring bound of max-clique
 branch-and-bound, re-coloured at every node (Tomita & Seki, DMTCS 2003);
 a part has at most :data:`PART_LIMIT` vertices, so each cap is memoised
 rather than recomputed. The memo keys a mask by the part's relabelled
-edges and its labels, taking the least labels under the part's
-automorphisms, which map the part's variant-sets inside m onto those
-inside the image of m: masks that a symmetry of the part swaps, in one
-part or in isomorphic parts, share one search. On a grid the parts are
-geodesic lines of capacity 2.
+edges and its labels, taking the least labels under the maps of the
+relabelled part's automorphism group (:func:`mvis.symmetry.automorphism_group`,
+built once per relabelled part and kept on its graph). Each maps the
+part's variant-sets inside m onto those inside the image of m: masks that
+a symmetry of the part swaps, in one part or in isomorphic parts, share
+one search. On a grid the parts are geodesic lines of capacity 2.
 
 A second partition comes from the graph's symmetry, with no second build.
 An automorphism sigma preserves distances, so it maps each interval onto
@@ -263,7 +264,7 @@ from .graphs import (
     induced_subgraph,
     is_convex,
 )
-from .symmetry import automorphism_group, automorphisms, moving_automorphism
+from .symmetry import automorphism_group, moving_automorphism
 from .visibility import (
     VARIANTS,
     PairVisibility,
@@ -425,18 +426,12 @@ class ConvexPartition:
 def _part_graph(n: int, edge_bits: int) -> Graph:
     """The connected graph on ``n`` vertices whose edge (u, w), u < w, is
     bit ``u * n + w`` of ``edge_bits``. Its tables (pair visibility,
-    distances) are built on first use and kept on the graph, so a part's
-    capacity searches inside different masks share them. The cache stays
-    small, as every graph in it keeps its tables alive."""
+    distances, automorphism group) are built on first use and kept on the
+    graph, so a part's capacity searches inside different masks share
+    them. The cache stays small, as every graph in it keeps its tables
+    alive."""
     return build_graph(n, [divmod(i, n) for i in range(n * n)
                            if (edge_bits >> i) & 1])
-
-
-@lru_cache(maxsize=64)
-def _part_maps(n: int, edge_bits: int) -> list[tuple[int, ...]]:
-    """The automorphisms of the graph :func:`_part_graph` gives for ``n``
-    and ``edge_bits`` that :func:`mvis.symmetry.automorphisms` finds."""
-    return automorphisms(_part_graph(n, edge_bits))
 
 
 @lru_cache(maxsize=4096)
@@ -448,18 +443,18 @@ def _capacity(variant: str, n: int, edge_bits: int, within: int) -> int:
     with every label in ``within``. An automorphism tau of the graph maps
     its variant-sets inside tau^-1(within) onto those inside ``within``,
     so a proper mask is first replaced by the least tau^-1(within) over
-    the maps of :func:`_part_maps`: masks that a symmetry of the part
-    swaps share one solve too.
+    the maps of the graph's :func:`mvis.symmetry.automorphism_group`:
+    masks that a symmetry of the part swaps share one solve too.
 
     The solve is a plain value search, narrowed to ``within`` by
     :func:`_search`, with no partition bound, so a capacity never builds a
     partition of its own."""
+    g = _part_graph(n, edge_bits)
     if within != (1 << n) - 1:
-        least = min((_relabel(tau, within) for tau in _part_maps(
-            n, edge_bits)), default=within)
+        least = min(_relabel(tau, within) for tau in automorphism_group(g))
         if least < within:
             return _capacity(variant, n, edge_bits, least)
-    search = _search(_part_graph(n, edge_bits), variant, within=within)
+    search = _search(g, variant, within=within)
     search.run_value()
     return search.best
 

@@ -1,22 +1,23 @@
-"""Automorphisms of a graph: a capped group of them, one that moves vertex
-0, and the maps a bounded search finds.
+"""Automorphisms of a graph: a capped group of them, and one that moves
+vertex 0.
 
-The searches use the group for orbital branching, the moving map for a
-second partition bound, and the automorphisms of a part so that capacity
-searches inside masks that a symmetry swaps run once. Every map is
-verified: the backtracking search of :func:`_extensions` returns only
-bijections of the vertex set that preserve every distance, hence
-adjacency, so they are automorphisms, and a composition of automorphisms
-is one too. The search gives up after a step limit, and the group stops
-at a cap, so either may miss maps, and soundness needs none of them: a
-missing map only leaves a smaller orbit, which prunes less, leaves out
-the second bound, or runs a capacity search twice.
+Both come from one bounded search from vertex 0 (:func:`_setup`), and
+each is kept on the graph. The solver uses the group for orbital
+branching and, on a part's relabelled graph, to key capacity searches,
+so that masks a symmetry of the part swaps share one search; it uses the
+moving map for a second partition bound. Every map is verified: the
+backtracking search of :func:`_extensions` returns only bijections of
+the vertex set that preserve every distance, hence adjacency, so they are
+automorphisms, and a composition of automorphisms is one too. The search
+gives up after a step limit, and the group stops at a cap, so either may
+miss maps, and soundness needs none of them: a missing map only leaves a
+smaller orbit, which prunes less, leaves out the second bound, or runs a
+capacity search twice.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .graphs import Graph, all_pairs_distances
 
@@ -29,7 +30,7 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Verified automorphisms of ``g`` as image tuples, the identity first,
     closed under composition unless the cap of ``STEPS_PER_VERTEX * n``
     maps cut it short. The generators are the maps of :func:`_extensions`
-    that fix vertex 0, then one map 0 -> w of :func:`_extend` for each w
+    that fix vertex 0, then the first map 0 -> w it finds for each w
     that matches 0 in degree and sorted distance row and that no map so
     far sends 0 to. When the search finds the whole stabiliser of 0 and a
     map to each vertex of 0's orbit, the group is the whole automorphism
@@ -47,22 +48,20 @@ def _automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     group = [tuple(range(n))]
     if n < 2:
         return tuple(group)
-    d = all_pairs_distances(g)
-    key = _keys(g, d)
-    order, parent = _bfs_tree(g, 0)
+    maps, matches = _setup(g)
     held = set(group)
     gens: list[tuple[int, ...]] = []
-    for sigma in _extensions(g, d, key, 0, 0, order, parent, cap):
+    for sigma in maps(0):
         if len(group) == cap:
             return tuple(group)
         if sigma not in held:
             _close(group, held, gens, sigma, cap)
     reached = 1
-    for w in range(1, n):
+    for w in matches:
         if len(group) == cap:
             break
-        if key[w] == key[0] and not reached >> w & 1:
-            sigma = _extend(g, d, key, 0, w, order, parent, cap)
+        if not reached >> w & 1:
+            sigma = next(maps(w), None)
             if sigma is not None:
                 _close(group, held, gens, sigma, cap)
                 for tau in group:
@@ -114,8 +113,8 @@ def moving_automorphism(g: Graph) -> tuple[int, ...] | None:
     """A verified automorphism of ``g`` that moves vertex 0, as an image
     tuple, or None when none is found. The images w = 1, 2, ... that match
     vertex 0 in degree and sorted distance row are tried in turn, and the
-    first map :func:`_extend` finds is returned, so vertex 0 goes to the
-    least vertex that a map reaches within the step limit of
+    first map :func:`_extensions` finds is returned, so vertex 0 goes to
+    the least vertex that a map reaches within the step limit of
     ``STEPS_PER_VERTEX * n`` steps. It depends on the graph alone, so
     it is sought once and kept on the graph."""
     if g._moving is False:
@@ -126,69 +125,39 @@ def moving_automorphism(g: Graph) -> tuple[int, ...] | None:
 def _moving_automorphism(g: Graph) -> tuple[int, ...] | None:
     if g.n < 2:
         return None
+    maps, matches = _setup(g)
+    return next((sigma for w in matches for sigma in maps(w)), None)
+
+
+def _setup(g: Graph) -> tuple[Callable[[int], Iterator[tuple[int, ...]]],
+                              list[int]]:
+    """The search of ``g``'s automorphisms from vertex 0, and where it may
+    send 0. The first is a function of w that gives the maps 0 -> w that
+    :func:`_extensions` finds within ``STEPS_PER_VERTEX * n`` steps; the
+    second the vertices w > 0 that match vertex 0 in degree and sorted
+    distance row, which an automorphism preserves. The search maps the
+    other vertices in BFS order from 0, each next to its BFS parent's
+    image."""
     d = all_pairs_distances(g)
-    key = _keys(g, d)
-    order, parent = _bfs_tree(g, 0)
-    limit = STEPS_PER_VERTEX * g.n
-    for w in range(1, g.n):
-        if key[w] == key[0]:
-            sigma = _extend(g, d, key, 0, w, order, parent, limit)
-            if sigma is not None:
-                return sigma
-    return None
-
-
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Verified automorphisms of ``g``, as image tuples: for each vertex w
-    that matches vertex 0 in degree and sorted distance row, the maps
-    sending 0 to w that :func:`_extensions` finds within the step limit of
-    ``STEPS_PER_VERTEX * n`` steps for one map. A graph with few automorphisms
-    gets them all; a map left out is only a symmetry not used."""
-    d = all_pairs_distances(g)
-    key = _keys(g, d)
-    order, parent = _bfs_tree(g, 0)
-    limit = STEPS_PER_VERTEX * g.n
-    return [sigma for w in range(g.n) if key[w] == key[0]
-            for sigma in _extensions(g, d, key, 0, w, order, parent, limit)]
-
-
-def _keys(g: Graph, d: list[list[int]]) -> list:
-    """Each vertex's degree and sorted distance row, which an automorphism
-    preserves."""
-    return [(len(nbrs), sorted(row)) for nbrs, row in zip(g.adj, d)]
-
-
-def _bfs_tree(g: Graph, v: int) -> tuple[list[int], list[int]]:
-    """The vertices other than ``v`` in BFS order from ``v``, and each
-    vertex's BFS parent."""
+    key = [(len(nbrs), sorted(row)) for nbrs, row in zip(g.adj, d)]
     parent = [-1] * g.n
-    parent[v] = v
-    queue = deque([v])
-    order = []
-    while queue:
-        u = queue.popleft()
-        if u != v:
-            order.append(u)
+    parent[0] = 0
+    tree = [0]
+    for u in tree:
         for w in g.adj[u]:
             if parent[w] < 0:
                 parent[w] = u
-                queue.append(w)
-    return order, parent
+                tree.append(w)
+    order = tree[1:]
+    limit = STEPS_PER_VERTEX * g.n
+    return (lambda w: _extensions(g, d, key, w, order, parent, limit),
+            [w for w in range(1, g.n) if key[w] == key[0]])
 
 
-def _extend(g: Graph, d: list[list[int]], key: list, v: int, w: int,
-            order: list[int], parent: list[int],
-            limit: int) -> tuple[int, ...] | None:
-    """An automorphism that sends ``v`` to ``w`` and is found within
-    ``limit`` steps, as an image tuple; else None: the first map
-    :func:`_extensions` yields."""
-    return next(_extensions(g, d, key, v, w, order, parent, limit), None)
-
-
-def _extensions(g: Graph, d: list[list[int]], key: list, v: int, w: int,
+def _extensions(g: Graph, d: list[list[int]], key: list, w: int,
                 order: list[int], parent: list[int],
                 limit: int) -> Iterator[tuple[int, ...]]:
-    """Each automorphism that sends ``v`` to ``w`` that a search of
+    """Each automorphism that sends vertex 0 to ``w`` that a search of
     ``limit`` steps in all finds, as an image tuple.
 
     The vertices of ``order`` are mapped in turn, each z to an unused
@@ -200,8 +169,8 @@ def _extensions(g: Graph, d: list[list[int]], key: list, v: int, w: int,
     vertex is mapped, and then it is a distance-preserving bijection.
     """
     sigma = [-1] * g.n
-    sigma[v] = w
-    domain = [v]
+    sigma[0] = w
+    domain = [0]
     images = [w]
     used = 1 << w
     adj = g.adj

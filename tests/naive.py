@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import random
 
-from mvis import Graph, VertexSet, build_graph, classify_set
+from mvis import (
+    Graph,
+    VertexSet,
+    build_graph,
+    cartesian_product,
+    classify_set,
+    generate,
+)
 from mvis.graphs import all_pairs_distances
 
 VARIANTS = ("mutual", "total", "outer", "dual")
+
+#: Edge densities :func:`random_product_graph` and ``tools/fuzz.py`` draw
+#: a random graph's ``p`` from.
+DENSITIES = (0.15, 0.3, 0.45, 0.6)
 
 
 def all_geodesics(g: Graph, u: int, v: int) -> list[list[int]]:
@@ -142,6 +153,37 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.4) -> Graph:
             if rng.random() < p:
                 edges.add((u, v))
     return build_graph(n, sorted(edges))
+
+
+def random_product_graph(rng: random.Random) -> Graph:
+    """A randomly numbered prism over a random graph: h =
+    :func:`random_connected_graph` on ``rng.randint(3, 6)`` vertices with
+    ``p = rng.choice(DENSITIES)``, then h x K2 (``cartesian_product`` with
+    ``path:2``), its ids permuted by ``rng.shuffle``. Swapping the two
+    copies of h is an automorphism, so the graph and its convex parts can
+    be symmetric, which random graphs this small rarely are."""
+    h = random_connected_graph(rng.randint(3, 6), rng, p=rng.choice(DENSITIES))
+    g = cartesian_product(h, generate("path:2"))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+
+
+def independent_maxima(g: Graph) -> list[tuple[int, ...]]:
+    """Every maximum independent set of ``g``, as sorted id tuples."""
+    adj = g.adjacency_masks()
+    best = 0
+    sets: list[tuple[int, ...]] = [()]
+    for mask in range(1, 1 << g.n):
+        if any(adj[v] & mask for v in range(g.n) if mask >> v & 1):
+            continue
+        size = mask.bit_count()
+        ids = tuple(VertexSet.from_mask(g.n, mask).ids())
+        if size > best:
+            best, sets = size, [ids]
+        elif size == best:
+            sets.append(ids)
+    return sets
 
 
 def random_subset(n: int, rng: random.Random, p: float = 0.4) -> VertexSet:

@@ -1,9 +1,16 @@
 """The solver against brute force on seeded random graphs.
 
-Graph s, for s from ``--seed`` on, is ``tests/naive.py``'s
-``random_connected_graph`` drawn from ``random.Random(s)``: its order is
-drawn from 7 to 12 and its edge density from :data:`DENSITIES`. Under the
-four variants and independence it checks that
+Each seed s, from ``--seed`` on, gives two graphs, each drawn from a
+fresh ``random.Random(s)``:
+
+* ``random``: ``tests/naive.py``'s ``random_connected_graph``, its order
+  drawn from 7 to 12 and its edge density from ``DENSITIES``;
+* ``product``: ``tests/naive.py``'s ``random_product_graph``, a randomly
+  numbered prism h x K2 over a random graph h of 3 to 6 vertices. Its
+  symmetric convex parts exercise orbital branching and the capacity
+  memo's keys, which the random graphs rarely do.
+
+Under the four variants and independence it checks on each graph that
 
 * the value equals the exhaustive maximum (``brute_max_all``, or for
   independence the largest independent set of an enumeration);
@@ -12,9 +19,10 @@ four variants and independence it checks that
 * a solve cut by a node budget of :data:`BUDGET` reports a lower bound at
   most the value, with a witness of that size that is a set of its kind.
 
-Each failure prints the seed, the kind, the check, both answers and the
-edge list; the last line is a summary, and the exit status is 1 when any
-check failed. Standard library and the repository's own modules only::
+Each failure prints the seed, the graph, the kind, the check, both answers
+and the edge list; the last line is a summary, and the exit status is 1
+when any check failed. Standard library and the repository's own modules
+only::
 
     python3 tools/fuzz.py --count 1000 [--seed 0]
 """
@@ -40,34 +48,17 @@ from mvis import (  # noqa: E402
     solve_independence,
 )
 from naive import (  # noqa: E402
+    DENSITIES,
     VARIANTS,
     brute_max_all,
     brute_max_witnesses_all,
+    independent_maxima,
     random_connected_graph,
+    random_product_graph,
 )
-
-#: Edge densities a graph's ``p`` is drawn from.
-DENSITIES = (0.15, 0.3, 0.45, 0.6)
 
 #: Node budget of the cut solve.
 BUDGET = 5
-
-
-def independent_maxima(g) -> list[tuple[int, ...]]:
-    """Every maximum independent set of ``g``, as sorted id tuples."""
-    adj = g.adjacency_masks()
-    best = 0
-    sets: list[tuple[int, ...]] = [()]
-    for mask in range(1, 1 << g.n):
-        if any(adj[v] & mask for v in range(g.n) if mask >> v & 1):
-            continue
-        size = mask.bit_count()
-        ids = tuple(VertexSet.from_mask(g.n, mask).ids())
-        if size > best:
-            best, sets = size, [ids]
-        elif size == best:
-            sets.append(ids)
-    return sets
 
 
 def solve_kind(g, kind: str, opts: SolveOptions | None = None):
@@ -101,10 +92,17 @@ def problems(g, kind: str, value: int, least: tuple[int, ...]):
 
 
 def check(seed: int) -> list[str]:
-    """The failures on graph ``seed``, one line each."""
+    """The failures on the two graphs of ``seed``, one line each."""
     rng = random.Random(seed)
-    g = random_connected_graph(rng.randint(7, 12), rng,
-                               p=rng.choice(DENSITIES))
+    random_graph = random_connected_graph(rng.randint(7, 12), rng,
+                                          p=rng.choice(DENSITIES))
+    product = random_product_graph(random.Random(seed))
+    return (check_graph(f"seed {seed} random", random_graph)
+            + check_graph(f"seed {seed} product", product))
+
+
+def check_graph(name: str, g) -> list[str]:
+    """The failures on ``g``, one line each, starting with ``name``."""
     values = brute_max_all(g)
     maxima = brute_max_witnesses_all(g)
     maxima["independence"] = independent_maxima(g)
@@ -113,13 +111,12 @@ def check(seed: int) -> list[str]:
     for kind in (*VARIANTS, "independence"):
         least = min(maxima[kind])
         if len(least) != values[kind]:
-            failures.append(f"seed {seed} {kind}: brute_max_all gives "
+            failures.append(f"{name} {kind}: brute_max_all gives "
                             f"{values[kind]}, its witnesses {len(least)}; "
                             f"edges {g.edges()}")
             continue
         for problem in problems(g, kind, values[kind], least):
-            failures.append(f"seed {seed} {kind}: {problem}; "
-                            f"edges {g.edges()}")
+            failures.append(f"{name} {kind}: {problem}; edges {g.edges()}")
     return failures
 
 
@@ -136,8 +133,8 @@ def main(argv: list[str] | None = None) -> int:
         for line in check(seed):
             print(line, flush=True)
             failed += 1
-    print(f"{args.count} graphs (seeds {args.seed}.."
-          f"{args.seed + args.count - 1}), {5 * args.count} solves: "
+    print(f"{args.count} seeds ({args.seed}..{args.seed + args.count - 1}), "
+          f"{2 * args.count} graphs, {10 * args.count} solves: "
           f"{failed} failed checks in {time.monotonic() - t0:.1f} s")
     return 1 if failed else 0
 
