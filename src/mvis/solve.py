@@ -152,32 +152,42 @@ automorphism of the part need not map the mask onto itself, so dropping
 an orbit could drop every largest set inside the mask, and a cap too low
 would prune the optimum.
 
-The value phase also branches orbitally (Ostrowski, Linderoth, Rossi &
-Smriglio, Orbital branching, Math. Programming 2011), at every node. Each
-node carries maps: automorphisms sigma of the graph with sigma(inside) =
-inside and sigma(open) = open, as sets. The solutions below a node are
-the solutions S with inside <= S <= inside + open (for dual, forcing
-removes only completions that are no dual set), so each carried map sends
-them onto themselves. Let O be the orbit of the branch vertex v under the
-group the maps generate: v, then every image of an orbit vertex, until no
-new image appears. A solution below the node that meets O maps, by some
-product of the maps, to one of the same size that holds v, in the include
-subtree. That subtree is done before the exclude branch is built, so the
-exclude branch drops all of O, not just v, and loses no solution above
-the floor. The children keep maps that keep them: the include child those
-with sigma(v) = v, as a hereditary child's open is the open vertices
-addable to inside + v, and the dual forcing closure commutes with every
-automorphism; the exclude child every map, as each sends O onto itself.
-The root carries :func:`mvis.symmetry.automorphism_group`, whose maps
-are verified distance-preserving bijections and whose size is capped. A
-map left out only makes O smaller, which loses pruning but never a
-solution, and as O is closed under the maps a node carries, the argument
-never needs the group to be whole. The group is built at the first orbit
-drop of the search: until then every node that branches was reached from
-the root by includes only, and its maps are the group's maps that fix
-each of those include vertices. The witness query does not branch
-orbitally, and the value search's own set is the witness only where the
-orbits provably dropped no set of the value's size before it (below).
+Every search but a narrowed one also branches orbitally (Ostrowski,
+Linderoth, Rossi & Smriglio, Orbital branching, Math. Programming 2011),
+at every node: the value search, the doll table's level queries and the
+witness query. Each node carries maps: automorphisms sigma of the graph
+with sigma(inside) = inside and sigma(open) = open, as sets. The
+solutions below a node are the solutions S with inside <= S <= inside +
+open (for dual, forcing removes only completions that are no dual set),
+so each carried map sends them onto themselves. Let O be the orbit of the
+branch vertex v under the group the maps generate: v, then every image of
+an orbit vertex, until no new image appears. A solution below the node
+that meets O maps, by some product of the maps, to one of the same size
+that holds v, in the include subtree. That subtree is done before the
+exclude branch is built, so the exclude branch drops all of O, not just
+v, and loses no solution above the floor. The children keep maps that
+keep them: the include child those with sigma(v) = v, as a hereditary
+child's open is the open vertices addable to inside + v, and the dual
+forcing closure commutes with every automorphism; the exclude child every
+map, as each sends O onto itself. A search's start state carries the maps
+of :func:`mvis.symmetry.automorphism_group` that fix each vertex of its
+inside set and send its open set onto itself; the group's maps are
+verified distance-preserving bijections, and its size is capped. The
+value search and the witness query start at the root, whose open set
+every automorphism keeps, and a doll level at {v} with some of the
+vertices above v open. A map left out only makes O smaller, which loses
+pruning but never a solution, and as O is closed under the maps a node
+carries, the argument never needs the group to be whole. The group is
+built at the first orbit drop of the search: until then every node that
+branches was reached from the start by includes only, and its maps are
+the start's maps that fix each of those include vertices. In a decision
+query the orbit drop must not lose the first set of size floor + 1 it
+would meet. It does not: the query returns at its first hit, so it
+reaches an exclude branch only after the include subtree had no hit, and
+step 3 of the witness proof (below) covers the level queries and the
+witness query as it covers the value search. The value search's own set
+is the witness only where the orbits provably dropped no set of the
+value's size before it (below).
 
 The doll table (Russian-doll search: Verfaillie, Lemaitre & Schiex, AAAI
 1996; Ostergard, Discrete Applied Math. 2002). Before the value search of
@@ -187,13 +197,22 @@ among the root's open vertices with id >= v, and c[n] = 0. Any subset of
 a solution is a solution, so c[v] is c[v + 1] + 1 when some solution of
 that size holds v and lies among those vertices, and c[v + 1] otherwise.
 Level v asks exactly that, as one decision query from the state
-include(0, those vertices, v) with floor c[v + 1] and no orbits; that
-root's open vertices have ids above v. Each hit raises ``best`` and
-``best_mask`` at once, so a budget that runs out during the table reports
-the largest level set. A level that takes more than
+include(0, those vertices, v) with floor c[v + 1]; that root's open
+vertices have ids above v. Each hit raises ``best`` and ``best_mask`` at
+once, so a budget that runs out during the table reports the largest
+level set. That set S, of size c[v + 1] with ids above v, often settles
+the next level with no query: when S lies in the level root's open set,
+one node, :meth:`_HereditarySearch._addable`, tests whether S + v is a
+solution, and if it is, it is a set of c[v + 1] + 1 vertices holding v,
+so the level is a hit. A level that takes more than
 :data:`DOLL_LEVEL_LIMIT` nodes per vertex is abandoned, and it and every
 level below it keep c = n. Such an entry never prunes: a node past the
-count prune has floor < |inside| + |open| <= n.
+count prune has floor < |inside| + |open| <= n. The table also stops
+after the hit that reaches the ceiling, the smaller of |root open| and
+every partition bound of the root's open mask, as no solution is larger,
+and the levels below it keep n too; the value search then has nothing to
+find and is skipped. For the same reason the value search returns as
+soon as its floor reaches the ceiling.
 
 Every search once the table exists, the level queries, the value search
 and the witness query, prunes a node that branches on v when
@@ -226,7 +245,10 @@ search, in three steps.
    left, below t as the table did not reach t, or the size of a set the
    search recorded. A count, partition, image or doll prune cuts only a
    subtree whose solutions are at most the floor, and a killed child
-   holds none, so neither cuts a set of size t before the hit.
+   holds none, so neither cuts a set of size t before the hit. In a
+   decision query for size t the floor is t - 1 throughout, and its size
+   cap cuts only states with more than t vertices inside, all of whose
+   solutions are larger.
 3. An orbit drop at a node with branch vertex v comes after the node's
    include subtree is done. Before the hit, that subtree had no hit, so
    it holds no set of size t: no earlier cut removed one, by steps 2 and
@@ -240,10 +262,11 @@ t, and records nothing after it, as no solution is larger: its last set
 is the lex-least one. When the doll table reached t, the value search
 records nothing and ``best_mask`` is some set of size t. Then
 :meth:`_Search.lex_least_witness` finds the witness with a decision query
-from the root for size t, with no orbits: it visits states in the same
-preorder, its prunes cut no set of size t as its floor is t - 1, and the
-states its size cap cuts hold more than t vertices, so its first hit is
-the first state of size t, the lex-least set.
+from the root for size t: it visits states in the same preorder, its
+prunes cut no set of size t as its floor is t - 1, the states its size
+cap cuts hold more than t vertices, and by step 3 its orbit drops, each
+after an include subtree with no hit, cut none either, so its first hit
+is the first state of size t, the lex-least set.
 """
 
 from __future__ import annotations
@@ -341,7 +364,9 @@ class SearchStats:
     that orbital branching dropped from exclude branches beyond the branch
     vertex itself, at any node, under the maps the node carries.
     ``nodes_explored`` includes the doll table's nodes, which count in the
-    value phase; the root ``include`` of each doll level is not a node.
+    value phase; the root ``include`` of each doll level is not a node,
+    and its shortcut test, whether the table's set plus the level's
+    vertex is a solution, is one, passed or failed.
     ``witness_nodes`` counts the nodes, included in ``nodes_explored``, of
     the witness phase: the one decision query whose first hit is the
     lex-least maximum set. It is 0 when the phase is skipped, as the value
@@ -702,7 +727,8 @@ class _Search:
     root state leaves every vertex open unless a subclass or
     :func:`_search` narrows it. ``bound`` holds the partition bounds of
     the vertex mask they are given, the greedy partition's first. ``doll``,
-    once built, is the doll table, indexed by vertex id. The search keeps
+    once built, is the doll table, indexed by vertex id, and ``ceiling``,
+    which :meth:`run_value` sets, bounds every solution. The search keeps
     the budget of ``opts`` itself: its clock starts before the pair table
     and the partitions are built, and :meth:`_dfs` counts and checks every
     node of every phase."""
@@ -711,7 +737,7 @@ class _Search:
     #: with nothing open.
     hereditary = True
 
-    #: Whether the value search branches orbitally. It may only when every
+    #: Whether the searches branch orbitally. They may only when every
     #: automorphism of the graph maps the root's open vertices onto
     #: themselves, which a capacity search narrowed to a mask breaks.
     orbital = True
@@ -732,40 +758,74 @@ class _Search:
         self.best_mask = 0
         self.full = (1 << g.n) - 1
         self.root = (0, self.full)
+        self.ceiling = g.n
 
     def run_value(self) -> bool:
         """The value search: the doll table first for a hereditary kind,
         then floor ``best`` from the root. True when that DFS raised
         ``best``, so that ``best_mask`` is the lex-least maximum set (see
         the module docstring); False when the doll table already reached
-        the value, or the value is 0."""
+        the value, or the value is 0. It first sets ``ceiling``, the
+        smaller of |root open| and every partition bound of the root's
+        open mask, which bounds every solution: the table stops at it, the
+        DFS is skipped when the table reached it, and the DFS returns
+        once its floor does."""
+        root_open = self.root[1]
+        self.ceiling = min((root_open.bit_count(),
+                            *(bound(root_open) for bound in self.bound)))
         if self.hereditary:
             self._build_doll()
         before = self.best
-        self._dfs(*self.root, before, False)
+        if before < self.ceiling:
+            self._dfs(*self.root, before, False)
         return self.best > before
 
     def _build_doll(self) -> None:
         """Fill ``doll`` from the highest vertex id: ``doll[v]`` is the
         largest solution among the root's open vertices with id >= v.
         Level v asks for a solution one larger than ``doll[v + 1]`` that
-        holds v; each one found raises ``best``. A level that takes more
-        than :data:`DOLL_LEVEL_LIMIT` nodes per vertex is abandoned, and it
-        and every level below it keep n, which prunes nothing."""
+        holds v; each one found raises ``best``. When the set the table
+        holds, ``best_mask``, lies in the open set of the level's root,
+        one node, :meth:`_HereditarySearch._addable`, first tests whether
+        that set plus v is one; only when it is not does the level run
+        its decision query. A level that takes more than
+        :data:`DOLL_LEVEL_LIMIT` nodes per vertex is abandoned, and it and
+        every level below it keep n, which prunes nothing; so do the
+        levels below a hit that reaches ``ceiling``, where the table
+        stops."""
         n = self.n
         root_open = self.root[1]
         doll = self.doll = [n] * n + [0]
         for v in range(n - 1, -1, -1):
             c = doll[v + 1]
             if (root_open >> v) & 1:
-                found = self._dfs(*self.include(0, root_open >> v << v, v),
-                                  c, True, limit=DOLL_LEVEL_LIMIT * n)
+                start = self.include(0, root_open >> v << v, v)
+                held = self.best_mask
+                found = 0
+                if not held & ~start[1]:
+                    self._tick()
+                    if self._addable(held, v):
+                        found = held | 1 << v
+                if not found:
+                    found = self._dfs(*start, c, True,
+                                      limit=DOLL_LEVEL_LIMIT * n)
                 if found is None:
                     return
                 if found:
                     c = self.best = c + 1
                     self.best_mask = found
             doll[v] = c
+            if c == self.ceiling:
+                return
+
+    def _tick(self) -> None:
+        """Count one node that :meth:`_dfs` does not, a doll shortcut test,
+        and raise :class:`_BudgetExceeded` past the node budget or the
+        deadline, as :meth:`_dfs` does."""
+        self.stats.nodes_explored += 1
+        if (self.node_budget and self.stats.nodes_explored > self.node_budget
+                or self.deadline and time.monotonic() > self.deadline):
+            raise _BudgetExceeded
 
     def _dfs(self, inside: int, open_: int, floor: int, first: bool,
              limit: int = 0) -> int | None:
@@ -773,11 +833,12 @@ class _Search:
         solution found of that size, else 0; ``floor`` stays put, and a
         node with more than floor + 1 vertices inside is pruned. Without
         it, the value search: each solution found raises ``floor``, and the
-        result is 0. Branches on the lowest open vertex, include first;
-        prunes on |inside| + |open| <= floor, on the first partition bound
-        at most the floor and, once it is built, on the doll table. Without
-        ``first`` the exclude branch of a node also drops the branch
-        vertex's orbit under the maps the node carries.
+        result is 0, returned as soon as the floor reaches ``ceiling``.
+        Branches on the lowest open vertex, include first; prunes on
+        |inside| + |open| <= floor, on the first partition bound at most
+        the floor and, once it is built, on the doll table. In an orbital
+        search the exclude branch of a node also drops the branch vertex's
+        orbit under the maps the node carries, in either mode.
         Each node counts in ``stats.nodes_explored``, and the node past the
         node budget or the deadline raises :class:`_BudgetExceeded`. With
         ``limit``, the search gives up and returns None on its node after
@@ -791,23 +852,27 @@ class _Search:
         subtree left. That keeps the visiting order, every prune and every
         counter of a recursive search. ``maps`` are the non-identity maps
         the node carries (see the module docstring): () carries none, as
-        in a decision query or a narrowed search, and an int is a mask of
-        include vertices, standing for the group's maps that fix each of
-        them until an exclude child passes the count test, where
-        :meth:`_stabiliser` builds them. The root carries the int 0, the
-        whole group."""
+        in a narrowed search, and an int is a mask of fixed vertices,
+        standing for the group's maps that fix each of them and send the
+        start's open set onto itself, until an exclude child passes the
+        count test, where :meth:`_stabiliser` builds them. The start
+        carries its inside set as that int, and each include child adds
+        its branch vertex. When the start's open set is the root's, which
+        every automorphism keeps, it is not tested."""
         stats = self.stats
         node_budget = self.node_budget
         deadline = self.deadline
         clock = time.monotonic
         stop = stats.nodes_explored + limit
         cap = floor + 1 if first else self.n
+        ceiling = self.ceiling
         doll = self.doll
         bounds = self.bound
         include = self.include
         exclude = self.exclude
         hereditary = self.hereditary
-        stack = [(inside, open_, 0 if self.orbital and not first else (), -1)]
+        setwise = 0 if open_ == self.root[1] else open_
+        stack = [(inside, open_, inside if self.orbital else (), -1)]
         while stack:
             inside, open_, maps, v = stack.pop()
             if v >= 0:
@@ -815,7 +880,7 @@ class _Search:
                 if maps != () and child is not None and (
                         child[0].bit_count() + child[1].bit_count() > floor):
                     if type(maps) is int:
-                        maps = self._stabiliser(maps)
+                        maps = self._stabiliser(maps, setwise)
                     orbit = _orbit(maps, v) & ~(1 << v)
                     dropped = orbit.bit_count()
                     stats.prunes += dropped
@@ -843,6 +908,8 @@ class _Search:
                     return inside
                 floor = self.best = count
                 self.best_mask = inside
+                if floor >= ceiling:
+                    return 0
                 if not open_:
                     continue
             if bounds:
@@ -872,14 +939,29 @@ class _Search:
                 stack.append((*child, maps, -1))
         return 0
 
-    def _stabiliser(self, fixed: int) -> tuple[tuple[int, ...], ...]:
+    def _stabiliser(self, fixed: int,
+                    setwise: int) -> tuple[tuple[int, ...], ...]:
         """The maps of the graph's automorphism group, but the identity,
-        that fix each vertex of the mask ``fixed``: those a node carries
-        whose branches from the root were includes of those vertices (see
-        :meth:`_dfs`). The first call builds the group."""
-        ids = [v for v in range(self.n) if fixed >> v & 1]
-        return tuple(s for s in automorphism_group(self.g)[1:]
-                     if all(s[v] == v for v in ids))
+        that fix each vertex of the mask ``fixed`` and send the mask
+        ``setwise`` onto itself: those a node carries whose branches from
+        its search's start were includes of the vertices of ``fixed`` that
+        the start's inside set misses, when ``setwise`` is the start's open
+        set (see :meth:`_dfs`). It filters the group one vertex at a time,
+        in id order, and stops once no map is left; a vertex in both masks
+        is fixed, which keeps it in ``setwise``, and a bijection that sends
+        ``setwise`` into itself sends it onto itself. The first call builds
+        the group."""
+        maps = automorphism_group(self.g)[1:]
+        rest = fixed | setwise
+        while rest and maps:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if fixed & low:
+                maps = [s for s in maps if s[v] == v]
+            else:
+                maps = [s for s in maps if setwise >> s[v] & 1]
+        return tuple(maps)
 
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the
@@ -987,6 +1069,34 @@ class _HereditarySearch(_Search):
     def exclude(self, inside: int, open_: int,
                 v: int) -> tuple[int, int] | None:
         return inside, open_ & ~(1 << v)
+
+    def _addable(self, inside: int, v: int) -> bool:
+        """Whether inside + v is a solution, for a solution ``inside`` and
+        a vertex v outside it. For independence: v has no neighbour in
+        inside. Otherwise every pair with v as an end that inside + v
+        requires is visible under inside, as v is exempt as an end: for
+        mutual the pairs (v, s) with s in inside, for outer and total
+        every pair (v, w). So v's row under inside holds those partners.
+        Then every pair through v with at least ``need`` ends in inside is
+        visible under inside + v. A pair that has v neither as an end nor
+        as an interior vertex has under inside + v the blockers and the
+        required status it has under inside, so it passes."""
+        need = self.need
+        if need is None:
+            return not self.adj[v] & inside
+        pv = self.pv
+        partners = inside if need == 2 else self.full
+        if pv.row(v, inside) & partners != partners:
+            return False
+        blockers = inside | 1 << v
+        hint = pv.hint
+        pair_mask = pv.pair_mask
+        for pid in pv.pairs_through[v]:
+            if (hint[pid] & blockers
+                    and (pair_mask[pid] & inside).bit_count() >= need
+                    and not pv.visible_pid(pid, blockers)):
+                return False
+        return True
 
 
 # --------------------------------------------------------------------------

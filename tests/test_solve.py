@@ -490,7 +490,9 @@ class TestDualRegressionPin:
         # 18 nodes when the rebuild queried each vertex, refusing such a
         # prefix without a node; 33 when the value search branched in
         # descending degree; 53 when every solve ran the witness search,
-        # which the solve now skips, as its value search found the value.
+        # which the solve now skips, as its value search found the value;
+        # 31 before the value search returned once its floor reached the
+        # root bound.
         g = build_graph(11, [
             (0, 1), (0, 7), (1, 2), (1, 5), (1, 7), (2, 4), (2, 7), (3, 8),
             (3, 9), (4, 5), (4, 6), (4, 8), (5, 6), (6, 9), (7, 9), (7, 10),
@@ -498,7 +500,7 @@ class TestDualRegressionPin:
         ])
         res = solve(g, "dual")
         assert (res.value, res.witness.ids()) == (2, [1, 5])
-        assert res.stats.nodes_explored == 31
+        assert res.stats.nodes_explored == 30
         search = _search(g, "dual")
         search.run_value()
         overfull = []
@@ -947,6 +949,46 @@ class TestDollTable:
         assert abandoned > 0
 
 
+class TestDollShortcut:
+    @pytest.mark.parametrize("name", ["random", "grid:3x3", "torus:3x3"])
+    def test_addable_is_exact(self, name):
+        # A false positive would raise a doll level, and so the value. For
+        # every hereditary kind, every solution S and every vertex v
+        # outside it, the shortcut test says whether S + v is a solution,
+        # by classify_set, or for independence by v's neighbours in S.
+        if name == "random":
+            rng = random.Random(2828)
+            graphs = [random_connected_graph(rng.randint(2, 9), rng,
+                                             p=rng.choice((0.2, 0.3, 0.4)))
+                      for _ in range(25)]
+        else:
+            graphs = [generate(name)]
+        tested = 0
+        for g in graphs:
+            n = g.n
+            adj = g.adjacency_masks()
+            reports = [classify_set(g, mask) for mask in range(1 << n)]
+            for kind in HEREDITARY:
+                search = _search(g, kind)
+                for mask in range(1 << n):
+                    if kind == "independence":
+                        if not is_solution(g, kind, mask):
+                            continue
+                    elif not reports[mask].holds(kind):
+                        continue
+                    for v in range(n):
+                        if mask >> v & 1:
+                            continue
+                        if kind == "independence":
+                            want = not adj[v] & mask
+                        else:
+                            want = reports[mask | 1 << v].holds(kind)
+                        assert search._addable(mask, v) == want, (
+                            kind, mask, v, g.edges())
+                        tested += want
+        assert tested > 100
+
+
 class TestIndependence:
     def test_small_values(self):
         assert solve_independence(generate("path:5")).value == 3
@@ -994,11 +1036,12 @@ class TestIndependence:
         # the table's levels are pure cost: 41 -> 300. Counting each part
         # by its largest independent set inside the node's mask: 300 -> 126.
         # Branching on the lowest open vertex, not in descending degree:
-        # 126 -> 118.
+        # 126 -> 118. Extending the table's last set by one test per level
+        # and stopping the table at the root bound: 118 -> 53.
         res = solve_independence(generate("ht:2"))
         assert res.value == 13
         assert res.witness.ids() == list(range(0, 26, 2))
-        assert res.stats.nodes_explored == 118
+        assert res.stats.nodes_explored == 53
 
 
 class TestTotalIsZero:
@@ -1176,14 +1219,18 @@ class TestBudgets:
         # Every hereditary state is a solution, and each doll level raises
         # the best set as soon as it finds one, so a budget that runs out
         # while the table is built reports the largest level set so far.
-        # A level that finds its set on its first dive costs one node per
-        # vertex of the set; one that finds none, as on the last row of the
-        # grid, where a third vertex blocks a pair, costs its whole search.
-        # Before the table, node k of the value search's first dive held
-        # k - 1 vertices. In descending-degree order the levels reached
-        # [1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5, ...]. Before
-        # the search pruned on the partition's automorphism image too, the
-        # fourth vertex came at budget 24, not 22.
+        # A level whose vertex extends the set of the level above costs one
+        # node, the shortcut test; one that finds its set on its first dive
+        # costs that test, when the set lies in the level root's open set,
+        # and one node per vertex of the set; one that finds none, as on
+        # the last row of the grid, where a third vertex blocks a pair,
+        # costs its whole search. Before the table, node k of the value
+        # search's first dive held k - 1 vertices. In descending-degree
+        # order the levels reached [1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4,
+        # 4, 4, 4, 4, 5, ...]. Before the search pruned on the partition's
+        # automorphism image too, the fourth vertex came at budget 24, not
+        # 22; before the shortcut test, the second came at budget 3, not 2,
+        # and the fourth at 22, not 24.
         g = generate("grid:5x5")
         reached = []
         for budget in range(1, 25):
@@ -1194,8 +1241,8 @@ class TestBudgets:
             assert inc.lower_bound == inc.witness.card
             assert classify_set(g, inc.witness).is_mutual
             reached.append(inc.lower_bound)
-        assert reached == [1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,
-                           3, 3, 3, 3, 3, 4, 4, 4]
+        assert reached == [1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,
+                           3, 3, 3, 3, 3, 3, 3, 4]
 
 
 class TestDeepGraphs:

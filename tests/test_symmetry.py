@@ -401,12 +401,27 @@ class TestOrbitalBranching:
     def test_carried_maps_keep_their_node(self, monkeypatch):
         # At every orbit drop, each map the node carries sends its inside
         # and open sets onto themselves, in every search a solve runs from
-        # a cold capacity memo, its capacity searches included. The cap of
-        # 8n binds on K7, K1,12, Petersen, K3,3 and G'. The hook reads the
-        # node from the exclude call that precedes each drop.
+        # a cold capacity memo, its capacity searches, doll levels and
+        # witness queries included. The cap of 8n binds on K7, K1,12,
+        # Petersen, K3,3 and G'. The hook reads the node from the exclude
+        # call that precedes each drop, and whether the innermost search
+        # running is a decision query (``first``) from a wrapped _dfs; a
+        # partition bound's capacity search runs inside another search.
         module = sys.modules[_Search.__module__]
         node = []
         counts = {}
+        decision = {}  # orbit drops of more than v inside decision queries
+        firsts = []
+        dfs = _Search._dfs
+
+        def tracking_dfs(self, inside, open_, floor, first, limit=0):
+            firsts.append(first)
+            try:
+                return dfs(self, inside, open_, floor, first, limit)
+            finally:
+                firsts.pop()
+
+        monkeypatch.setattr(_Search, "_dfs", tracking_dfs)
 
         def recording(exclude):
             def wrapper(self, inside, open_, v):
@@ -425,7 +440,10 @@ class TestOrbitalBranching:
                 kept = (image(sigma, inside), image(sigma, open_)) == (
                     inside, open_)
                 counts[name][kept] += 1
-            return orbit(maps, v)
+            found = orbit(maps, v)
+            if firsts[-1] and found != 1 << v:
+                decision[name] += 1
+            return found
 
         monkeypatch.setattr(module, "_orbit", checking_orbit)
         graphs = {name: generate(name) for name in (
@@ -435,11 +453,14 @@ class TestOrbitalBranching:
         _capacity.cache_clear()
         for name, g in graphs.items():
             counts[name] = [0, 0]  # maps that moved the node, that kept it
+            decision[name] = 0
             for variant in VARIANTS:
                 solve(g, variant)
             solve_independence(g)
         assert not any(bad for bad, _ in counts.values()), counts
         assert sum(kept > 0 for _, kept in counts.values()) >= 7, counts
+        for name in ("torus:3x3", "torus:4x3", "pathprod:2x2x3", "grid:4x4"):
+            assert decision[name] > 0, decision
 
     def test_orbit_prunes_fire_on_symmetric_graphs(self):
         # grid:6x4 outer was the hereditary case until the partition bound
@@ -452,12 +473,12 @@ class TestOrbitalBranching:
             assert 0 < stats.orbit_prunes <= stats.prunes, spec
 
     @pytest.mark.parametrize("spec, variant, value, nodes, orbit_prunes", [
-        pytest.param("torus:5x5", "mutual", 10, 1056, 48,
+        pytest.param("torus:5x5", "mutual", 10, 1027, 53,
                      id="torus:5x5-mutual"),
-        pytest.param("torus:6x4", "mutual", 11, 278, 0,
+        pytest.param("torus:6x4", "mutual", 11, 241, 23,
                      id="torus:6x4-mutual"),
-        pytest.param("grid:6x6", "outer", 8, 112, 0, id="grid:6x6-outer"),
-        pytest.param("pathprod:3x3x3", "outer", 9, 182, 0,
+        pytest.param("grid:6x6", "outer", 8, 104, 0, id="grid:6x6-outer"),
+        pytest.param("pathprod:3x3x3", "outer", 9, 158, 8,
                      id="pathprod:3x3x3-outer"),
     ])
     def test_hereditary_tree_is_pinned(self, spec, variant, value, nodes,
@@ -485,12 +506,26 @@ class TestOrbitalBranching:
         # from the graph's automorphism group, not only the spine under
         # the pointwise stabiliser of its inside set, torus:5x5 mutual's
         # nodes fell from 1904 and its orbit prunes rose from 28 (the
-        # others did not move). The test ids name the instance only, so a
-        # count that moves does not rename the test.
+        # others did not move). When the doll table began to extend its
+        # last set by one test, to stop at the root bound, and its level
+        # queries and the witness query to drop orbits too, the nodes
+        # fell from 1056, 278, 112 and 182, and the orbit prunes rose
+        # from 48, 0, 0 and 0 (grid:6x6 outer drops none). The test ids
+        # name the instance only, so a count that moves does not rename
+        # the test.
         res = solve(generate(spec), variant)
         assert res.value == value
         assert res.stats.nodes_explored == nodes
         assert res.stats.orbit_prunes == orbit_prunes
+
+    def test_star_doll_table_extends_its_last_set(self):
+        # Every level of a star's doll table extends the set of the level
+        # above by its leaf, so each takes one shortcut test, and the
+        # table stops at the root bound, k. 1,899 nodes when each level
+        # ran a decision query of about k / 2 nodes (k^2 / 2 in all).
+        res = solve(generate("star:60"), "mutual")
+        assert res.value == 60
+        assert res.stats.nodes_explored <= 130
 
     def test_torus_value_phase_node_ceiling(self):
         # 36,199 value-phase nodes without orbital branching; 8,609 with it.

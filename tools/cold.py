@@ -34,6 +34,8 @@ INSTANCES = (
     ("pathprod:3x3x3", "dual"),
     ("grid:8x8", "mutual"),
     ("torus:6x5", "mutual"),
+    ("star:300", "mutual"),
+    ("ht:3", "mutual"),
 )
 
 #: Alternating parent/change runs per instance.
