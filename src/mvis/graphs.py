@@ -130,7 +130,6 @@ class Graph:
         "_dist",
         "_pairvis",
         "_partitions",
-        "_moving",
         "_group",
         "_adj_masks",
         "_label_ids",
@@ -150,8 +149,6 @@ class Graph:
         self._dist: list[list[int]] | None = None
         self._pairvis = None  # mvis.visibility.pair_visibility's table
         self._partitions = {}  # mvis.solve.convex_partitions' cache
-        # mvis.symmetry.moving_automorphism's map, False until it is sought
-        self._moving: tuple[int, ...] | None | bool = False
         # mvis.symmetry.automorphism_group's maps, None until built
         self._group: tuple[tuple[int, ...], ...] | None = None
         self._adj_masks: list[int] | None = None

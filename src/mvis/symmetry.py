@@ -1,23 +1,23 @@
-"""Automorphisms of a graph: a capped group of them, and one that moves
-vertex 0.
+"""Automorphisms of a graph: one capped group of them per graph.
 
-Both come from one bounded search from vertex 0 (:func:`_setup`), and
-each is kept on the graph. The solver uses the group for orbital
-branching and, on a part's relabelled graph, to key capacity searches,
-so that masks a symmetry of the part swaps share one search; it uses the
-moving map for a second partition bound. Every map is verified: the
-backtracking search of :func:`_extensions` returns only bijections of
-the vertex set that preserve every distance, hence adjacency, so they are
-automorphisms, and a composition of automorphisms is one too. The search
-gives up after a step limit, and the group stops at a cap, so either may
-miss maps, and soundness needs none of them: a missing map only leaves a
-smaller orbit, which prunes less, leaves out the second bound, or runs a
-capacity search twice.
+:func:`automorphism_group` is the only entry point. It runs one bounded
+search from vertex 0 and keeps the group it closes on the graph. The
+solver uses the group for orbital branching; on a part's relabelled graph,
+to key capacity searches, so that masks a symmetry of the part swaps
+share one search; and its first map that moves vertex 0, for a second
+partition bound. Every map is verified: the backtracking search of
+:func:`_extensions` returns only bijections of the vertex set that
+preserve every distance, hence adjacency, so they are automorphisms, and
+a composition of automorphisms is one too. The search gives up after a
+step limit, and the group stops at a cap, so it may miss maps, and
+soundness needs none of them: a missing map only leaves a smaller orbit,
+which prunes less, leaves out the second bound, or runs a capacity search
+twice.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .graphs import Graph, all_pairs_distances
 
@@ -35,33 +35,51 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     far sends 0 to. When the search finds the whole stabiliser of 0 and a
     map to each vertex of 0's orbit, the group is the whole automorphism
     group, or its first cap maps. Each generator not yet held is closed in
-    at once (:func:`_close`). It depends on the graph alone, so it is
-    built once and kept on the graph."""
+    at once (:func:`_close`), which puts it first in its coset, so the
+    group's first map that moves 0 is the first map 0 -> w for the least
+    w that the search reaches, unless the maps that fix 0 fill the cap
+    first. It depends on the graph alone, so it is built once and kept on
+    the graph."""
     if g._group is None:
         g._group = _automorphism_group(g)
     return g._group
 
 
 def _automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The maps of :func:`automorphism_group`. Degree and sorted distance
+    row are the key that an automorphism preserves, so 0 may go only to a
+    vertex w whose key is 0's. Each search from 0 to w maps the other
+    vertices in BFS order from 0, each next to its BFS parent's image, and
+    tries at most ``STEPS_PER_VERTEX * n`` candidate images, the cap."""
     n = g.n
     cap = STEPS_PER_VERTEX * n
     group = [tuple(range(n))]
     if n < 2:
         return tuple(group)
-    maps, matches = _setup(g)
+    d = all_pairs_distances(g)
+    key = [(len(nbrs), sorted(row)) for nbrs, row in zip(g.adj, d)]
+    parent = [-1] * n
+    parent[0] = 0
+    tree = [0]
+    for u in tree:
+        for w in g.adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                tree.append(w)
+    order = tree[1:]
     held = set(group)
     gens: list[tuple[int, ...]] = []
-    for sigma in maps(0):
+    for sigma in _extensions(g, d, key, 0, order, parent, cap):
         if len(group) == cap:
             return tuple(group)
         if sigma not in held:
             _close(group, held, gens, sigma, cap)
     reached = 1
-    for w in matches:
+    for w in range(1, n):
         if len(group) == cap:
             break
-        if not reached >> w & 1:
-            sigma = next(maps(w), None)
+        if key[w] == key[0] and not reached >> w & 1:
+            sigma = next(_extensions(g, d, key, w, order, parent, cap), None)
             if sigma is not None:
                 _close(group, held, gens, sigma, cap)
                 for tau in group:
@@ -107,51 +125,6 @@ def _join(group: list[tuple[int, ...]], held: set[tuple[int, ...]],
         group.append(rh)
         held.add(rh)
     return True
-
-
-def moving_automorphism(g: Graph) -> tuple[int, ...] | None:
-    """A verified automorphism of ``g`` that moves vertex 0, as an image
-    tuple, or None when none is found. The images w = 1, 2, ... that match
-    vertex 0 in degree and sorted distance row are tried in turn, and the
-    first map :func:`_extensions` finds is returned, so vertex 0 goes to
-    the least vertex that a map reaches within the step limit of
-    ``STEPS_PER_VERTEX * n`` steps. It depends on the graph alone, so
-    it is sought once and kept on the graph."""
-    if g._moving is False:
-        g._moving = _moving_automorphism(g)
-    return g._moving
-
-
-def _moving_automorphism(g: Graph) -> tuple[int, ...] | None:
-    if g.n < 2:
-        return None
-    maps, matches = _setup(g)
-    return next((sigma for w in matches for sigma in maps(w)), None)
-
-
-def _setup(g: Graph) -> tuple[Callable[[int], Iterator[tuple[int, ...]]],
-                              list[int]]:
-    """The search of ``g``'s automorphisms from vertex 0, and where it may
-    send 0. The first is a function of w that gives the maps 0 -> w that
-    :func:`_extensions` finds within ``STEPS_PER_VERTEX * n`` steps; the
-    second the vertices w > 0 that match vertex 0 in degree and sorted
-    distance row, which an automorphism preserves. The search maps the
-    other vertices in BFS order from 0, each next to its BFS parent's
-    image."""
-    d = all_pairs_distances(g)
-    key = [(len(nbrs), sorted(row)) for nbrs, row in zip(g.adj, d)]
-    parent = [-1] * g.n
-    parent[0] = 0
-    tree = [0]
-    for u in tree:
-        for w in g.adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                tree.append(w)
-    order = tree[1:]
-    limit = STEPS_PER_VERTEX * g.n
-    return (lambda w: _extensions(g, d, key, w, order, parent, limit),
-            [w for w in range(1, g.n) if key[w] == key[0]])
 
 
 def _extensions(g: Graph, d: list[list[int]], key: list, w: int,

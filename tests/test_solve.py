@@ -41,7 +41,7 @@ from mvis.solve import (
     _search,
     convex_partitions,
 )
-from mvis.symmetry import moving_automorphism
+from mvis.symmetry import automorphism_group
 from mvis.visibility import PAIR_TABLE_LIMIT, pair_visibility
 
 from naive import (
@@ -61,6 +61,12 @@ def solve_kind(g, kind, opts=None):
     if kind == "independence":
         return solve_independence(g, opts)
     return solve(g, kind, opts)
+
+
+def image_map(g):
+    """The map sigma of the image partition: the first map of ``g``'s
+    automorphism group that moves vertex 0, or None."""
+    return next((tau for tau in automorphism_group(g)[1:] if tau[0]), None)
 
 
 def value_phase_nodes(g, kind):
@@ -292,7 +298,7 @@ class TestPartitionBound:
         # find the cap of the mask sigma maps onto it.
         g = generate(spec)
         p, image = convex_partitions(g, kind, _search(g, kind).root[1])
-        sigma = moving_automorphism(g)
+        sigma = image_map(g)
         full = (1 << g.n) - 1
         rng = random.Random(spec)
         _capacity.cache_clear()

@@ -21,11 +21,7 @@ from mvis.solve import (
     _search,
     convex_partitions,
 )
-from mvis.symmetry import (
-    STEPS_PER_VERTEX,
-    automorphism_group,
-    moving_automorphism,
-)
+from mvis.symmetry import STEPS_PER_VERTEX, automorphism_group
 
 from naive import (
     brute_max_witnesses_all,
@@ -33,7 +29,7 @@ from naive import (
     random_connected_graph,
     random_product_graph,
 )
-from test_solve import KINDS, solve_kind, value_phase_nodes
+from test_solve import KINDS, image_map, solve_kind, value_phase_nodes
 
 VARIANTS = ("mutual", "total", "outer", "dual")
 
@@ -290,7 +286,7 @@ class TestTinyGraphs:
     def test_identity_only_and_no_moving_map(self, spec, group):
         g = build_graph(0, []) if spec is None else generate(spec)
         assert automorphism_group(g) == group
-        assert moving_automorphism(g) is None
+        assert image_map(g) is None
 
 
 class TestMovingAutomorphism:
@@ -308,7 +304,7 @@ class TestMovingAutomorphism:
         else:
             graphs = [generate(name)]
         for g in graphs:
-            sigma = moving_automorphism(g)
+            sigma = image_map(g)
             if sigma is None:
                 assert name == "random"
                 continue
@@ -325,34 +321,55 @@ class TestMovingAutomorphism:
         graphs += [generate("cycle:7"), prism3(), k33(), generate("star:4")]
         for g in graphs:
             moved = {p[0] for p in all_automorphisms(g)} - {0}
-            sigma = moving_automorphism(g)
+            sigma = image_map(g)
             assert (None if sigma is None else sigma[0]) == min(
                 moved, default=None), g.edges()
 
     def test_map_is_sought_once_per_graph(self, monkeypatch):
         # Each (kind, vertex mask) builds its own partition and image; the
-        # map they share depends on the graph alone.
+        # map they share comes from the graph's one automorphism group. The
+        # capacity searches build the groups of their part graphs, which
+        # are other graphs.
         calls = []
-        real = mvis.symmetry._moving_automorphism
-        monkeypatch.setattr(mvis.symmetry, "_moving_automorphism",
+        real = mvis.symmetry._automorphism_group
+        monkeypatch.setattr(mvis.symmetry, "_automorphism_group",
                             lambda g: calls.append(g) or real(g))
         g = generate("torus:5x5")
-        images = sum(len(_search(g, kind).bound) == 2
-                     for kind in (*VARIANTS, "independence"))
+        images = sum(len(_search(g, kind).bound) == 2 for kind in KINDS)
         images += len(convex_partitions(g, "mutual", (1 << 20) - 1)) - 1
         assert images >= 4
-        assert calls == [g]
-        assert moving_automorphism(g) == real(generate("torus:5x5"))
+        assert [h for h in calls if h is g] == [g]
+        assert automorphism_group(g) == real(generate("torus:5x5"))
 
     @pytest.mark.parametrize("spec", ["star:300", "random_tree:12:seed=0"])
     def test_no_image_without_a_map(self, spec):
         # star:300's vertex 0 is its centre, which every automorphism
         # fixes; so does every automorphism of this tree fix its vertex 0.
         g = generate(spec)
-        assert moving_automorphism(g) is None
-        for kind in (*VARIANTS, "independence"):
+        assert image_map(g) is None
+        for kind in KINDS:
             partitions = convex_partitions(g, kind, _search(g, kind).root[1])
             assert len(partitions) == 1, kind
+
+    def test_capped_stabiliser_leaves_no_image(self):
+        # tools/fuzz.py's product graph of seed 500: the maps that fix
+        # vertex 0 fill the cap of 8n before a map that moves 0 joins the
+        # group. An automorphism of the graph moves 0, but the image exists
+        # only when the group holds one, so no search has an image, and the
+        # searches lose pruning only.
+        g = random_product_graph(random.Random(500))
+        assert len(automorphism_group(g)) == STEPS_PER_VERTEX * g.n
+        assert image_map(g) is None
+        assert any(p[0] for p in all_automorphisms(g))
+        maxima = brute_max_witnesses_all(g)
+        maxima["independence"] = independent_maxima(g)
+        for kind in KINDS:
+            root = _search(g, kind).root[1]
+            assert len(convex_partitions(g, kind, root)) == 1, kind
+            res = solve_kind(g, kind)
+            best = min(maxima[kind])
+            assert res.value == len(best), kind
+            assert tuple(res.witness.ids()) == best, kind
 
     @pytest.mark.parametrize("spec", [
         "cycle:7", "torus:3x3", "pathprod:2x2x2",

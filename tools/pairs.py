@@ -15,9 +15,12 @@ every run was correct. Standard library only::
         --description "..."
 
 Each checkout is a git work tree with its code committed; a run imports
-``mvis`` from the checkout's own ``src/``. The document records the
-parent's ``HEAD`` as ``parent_commit`` and the change's ``HEAD:src`` tree
-id as ``change_src_tree``.
+``mvis`` from the checkout's own ``src/``. Each checkout's runs set
+``PYTHONPYCACHEPREFIX`` to a directory of its own, fresh for each run of
+the tool, so that ``__pycache__`` files an earlier process left in one
+tree cannot make its imports, and so its ``setup_s``, cheaper than the
+other's. The document records the parent's ``HEAD`` as ``parent_commit``
+and the change's ``HEAD:src`` tree id as ``change_src_tree``.
 """
 
 from __future__ import annotations
@@ -29,19 +32,21 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 #: Alternating parent/change pairs per workload.
 PAIRS = 10
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """The result line of one benchmark run in ``checkout``, at
-    ``benchmarks/run.py``'s own run length."""
+def run_once(checkout: Path, workload: str, seed: int,
+             env: dict[str, str]) -> dict:
+    """The result line of one benchmark run in ``checkout`` under the
+    environment ``env``, at ``benchmarks/run.py``'s own run length."""
     out = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -104,17 +109,21 @@ def main() -> None:
         "workloads": {},
     }
     checkouts = (args.parent, args.change)
-    for workload in (w["name"] for w in spec["workloads"]):
-        runs = []
-        for i in range(PAIRS):
-            pair = [{}, {}]
-            for side in ((0, 1), (1, 0))[i % 2]:
-                pair[side] = run_once(checkouts[side], workload, i + 1)
-            runs.append(tuple(pair))
-            p, c = (r["metrics"]["pass_s"]["value"] for r in runs[-1])
-            print(f"{workload} pair {i + 1}: pass_s {p:.4f} -> {c:.4f}",
-                  file=sys.stderr)
-        doc["workloads"][workload] = compare(runs, spec["end_to_end"])
+    with tempfile.TemporaryDirectory() as caches:
+        envs = [dict(os.environ, PYTHONPYCACHEPREFIX=str(Path(caches) / s))
+                for s in ("parent", "change")]
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = []
+            for i in range(PAIRS):
+                pair = [{}, {}]
+                for side in ((0, 1), (1, 0))[i % 2]:
+                    pair[side] = run_once(checkouts[side], workload, i + 1,
+                                          envs[side])
+                runs.append(tuple(pair))
+                p, c = (r["metrics"]["pass_s"]["value"] for r in runs[-1])
+                print(f"{workload} pair {i + 1}: pass_s {p:.4f} -> {c:.4f}",
+                      file=sys.stderr)
+            doc["workloads"][workload] = compare(runs, spec["end_to_end"])
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
