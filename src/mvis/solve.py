@@ -134,18 +134,14 @@ cap(sigma(H), sigma(H)) = cap(H, H): the image's capacities are known
 without a search. Labelling sigma(x) as x, sigma(H) keys a mask m as H
 keys the mask sigma maps onto m, so the image shares H's memo. The image
 is a convex partition like any other, so its bound holds for every mask;
-it needs no symmetry of the root's open vertices.
-:func:`convex_partitions` takes sigma from the graph's cached group
-(:func:`mvis.symmetry.automorphism_group`, the one the orbits use): its
-first map that moves vertex 0. There is none when no automorphism moves
-0, or when the maps that fix 0 fill the group's cap first; then, and
-where sigma would repeat the parts, the image is left out, which loses
-pruning only. This is the colouring bound taken at two
-colourings. A node is pruned at the first of the bounds that is at most
-the floor. Neither bound ever cuts a solution above the floor, so the
-solutions the value search records, the floor after each, the value and
-the lex-least witness are those of one bound, and a node count can only
-fall.
+it needs no symmetry of the root's open vertices. sigma is the first map
+that moves vertex 0 in the automorphism group that orbital branching
+(below) uses; without one, or where sigma would repeat the parts, the
+image is left out. This is the colouring bound taken at two colourings.
+A node is pruned at the first of the bounds that is at most the floor.
+Neither bound ever cuts a solution above the floor, so the solutions the
+value search records, the floor after each, the value and the lex-least
+witness are those of one bound, and a node count can only fall.
 
 Each cap is a plain value search of the part whose root keeps open only
 the part's vertices in the mask, with no partition bound of its own, so
@@ -567,12 +563,11 @@ def convex_partitions(g: Graph, variant: str,
                       searched: int | None = None
                       ) -> tuple[ConvexPartition, ...]:
     """The partitions a search over the ``searched`` vertex mask prunes on:
-    the greedy one of :func:`_partition`, then its image under the first
-    map of :func:`mvis.symmetry.automorphism_group` that moves vertex 0
-    (:func:`_image`). The image is left out when the group holds no such
-    map, when the partition has no parts or when the map sends its set of
-    parts onto itself. Both are built once per (variant, searched mask)
-    and cached on the graph together.
+    the greedy one of :func:`_partition`, then its image (:func:`_image`).
+    The image is left out when the graph's automorphism group holds no map
+    that moves vertex 0, when the partition has no parts or when that map
+    sends its set of parts onto itself. Both are built once per (variant,
+    searched mask) and cached on the graph together.
     """
     room = (1 << g.n) - 1 if searched is None else searched
     if (variant, room) not in g._partitions:
@@ -583,10 +578,9 @@ def convex_partitions(g: Graph, variant: str,
 
 def _image(g: Graph, partition: ConvexPartition
            ) -> tuple[ConvexPartition, ...]:
-    """The image of ``partition`` under sigma, the first map of the graph's
-    cached automorphism group that moves vertex 0, as a one-tuple, or the
-    empty tuple (see :func:`convex_partitions`). Orbital branching uses
-    the same group, so a graph runs one automorphism search for both. Its
+    """The image of ``partition`` under sigma, the first map of
+    :func:`mvis.symmetry.automorphism_group` that moves vertex 0, as a
+    one-tuple, or the empty tuple (see :func:`convex_partitions`). Its
     parts are sigma(H), each with H's capacity, as sigma maps the subgraph
     H onto the subgraph sigma(H), and its ``free`` is sigma(free). It maps
     masks only: no hull is grown and no capacity is solved here. Each
