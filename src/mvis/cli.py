@@ -57,9 +57,9 @@ def _load_graph(arg: str) -> Graph:
         return read_edge_list(arg)
     try:
         return generate(arg)
-    except BadParams:
+    except BadParams as exc:
         raise GraphError(
-            f"{arg!r} is neither an existing file nor a family spec"
+            f"{arg!r} is neither an existing file nor a family spec: {exc}"
         ) from None
 
 

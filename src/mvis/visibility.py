@@ -9,9 +9,12 @@ at once:
 * outer  -- mutual, plus every X-to-complement pair;
 * dual   -- mutual, plus every complement-to-complement pair.
 
-:func:`classify_set` realizes the two-BFS verification scheme: a constrained
-BFS per source in which members of X may be reached but never expanded,
-compared against plain BFS distances. :class:`PairVisibility` precomputes
+:func:`classify_set` realizes the two-BFS verification scheme, a plain BFS
+and a constrained BFS from every source, in which members of X may be
+reached but never expanded, as one lock-step sweep: all sources advance
+together, one layer at a time, as bit masks, and no distance matrix is
+read. :func:`constrained_distance` and :func:`is_pair_visible` keep the
+per-source form. :class:`PairVisibility` precomputes
 per-pair geodesic DAGs and caches one witness geodesic per pair, so search
 code re-tests a single pair in a few integer operations and sweeps the DAG
 only on a hint miss under blockers not swept before; its ``row`` gives all
@@ -101,39 +104,71 @@ def is_pair_visible(g: Graph, x, u: int, v: int) -> bool:
 def classify_set(g: Graph, x) -> VisibilityReport:
     """Classify ``x`` under all four variants, with first violating pairs.
 
-    Runs one constrained BFS per source vertex (sources in ``x`` suffice for
-    mutual/outer; dual/total need every vertex). The empty set is a set of
-    every variant.
+    The empty set is a set of every variant. Otherwise one lock-step sweep
+    runs the plain and the constrained BFS of every source at once. Each
+    vertex v keeps the mask of sources whose plain BFS has not reached it
+    yet, and each layer ORs its neighbours' frontier masks from the layer
+    before: plain sources in the low n bits, constrained ones in the high
+    n bits. A member of X is expanded only as its own source, at layer 0.
+
+    Pair (s, v) is X-visible exactly when the constrained BFS from s
+    reaches v in layer d(s, v), where the plain one does. The constrained
+    masks keep only such on-time arrivals. A late arrival at v is never
+    needed: from v it reaches a neighbour w only after layer d(s, v) + 1,
+    which is at least d(s, w), so late again. And an on-time arrival at w
+    comes from a neighbour v reached in layer d(s, w) - 1, and d(s, v) is
+    at least that, so v was on time too. The sweep stops once no
+    constrained mask is left.
+
+    So ``vis[v]`` ends as the sources X-visible from v. Reversing a
+    geodesic keeps its interior, so X-visibility is symmetric and
+    ``vis[u]`` is also the mask of u's X-visible partners.
     """
     vs = as_vertex_set(g, x)
     n = g.n
-    if vs.mask == 0:
-        return VisibilityReport(True, True, True, True, {})
-    d = all_pairs_distances(g)
     xmask = vs.mask
-
+    if xmask == 0:
+        return VisibilityReport(True, True, True, True, {})
     full = (1 << n) - 1
+    unseen = [full ^ (1 << v) for v in range(n)]
+    vis = [1 << v for v in range(n)]
+    # Every vertex is its own source in both BFS at layer 0.
+    front = [(1 | 1 << n) << v for v in range(n)]
+    live = True
+    while live:
+        live = 0
+        nxt = [0] * n
+        for v, nbrs in enumerate(g.adj):
+            if not unseen[v]:
+                continue
+            reach = 0
+            for w in nbrs:
+                reach |= front[w]
+            new = reach & unseen[v]
+            if new:
+                unseen[v] ^= new
+                on_time = reach >> n & new
+                if on_time:
+                    vis[v] |= on_time
+                    live |= on_time
+                    if not (xmask >> v) & 1:
+                        new |= on_time << n
+                nxt[v] = new
+        front = nxt
+
+    # Each variant's required partners of u, by whether u is in x.
     outside = full & ~xmask
+    required_of = (
+        {"mutual": 0, "total": full, "outer": xmask, "dual": outside},
+        {"mutual": xmask, "total": full, "outer": full, "dual": xmask},
+    )
     violations: dict[str, tuple[int, int]] = {}
     for u in range(n):
-        cd = constrained_distance(g, vs, u)
-        du = d[u]
-        # vis is a bitmask over v of "u and v are x-visible".
-        vis = 0
-        for v in range(n):
-            if cd[v] == du[v]:
-                vis |= 1 << v
-        # Each variant's required partners of u with larger ids; the
-        # lowest one u cannot see gives the lex-first violation from u.
+        # The lowest required partner above u that u cannot see gives the
+        # lex-first violation from u.
         above = full & ~((2 << u) - 1)
-        if (xmask >> u) & 1:
-            required = {"mutual": xmask, "total": full, "outer": full,
-                        "dual": xmask}
-        else:
-            required = {"mutual": 0, "total": full, "outer": xmask,
-                        "dual": outside}
-        for key, partners in required.items():
-            bad = partners & above & ~vis
+        for key, partners in required_of[(xmask >> u) & 1].items():
+            bad = partners & above & ~vis[u]
             if bad and key not in violations:
                 violations[key] = (u, (bad & -bad).bit_length() - 1)
     return VisibilityReport(

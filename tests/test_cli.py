@@ -563,6 +563,15 @@ class TestMalformedInput:
         assert main(["check", str(path), "--set", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("path:1", "path needs n >= 2, got (1,)"),
+        ("foo:3", "cannot parse family spec 'foo:3'"),
+    ], ids=["path-1", "unknown-kind"])
+    def test_bad_family_spec_gives_its_reason(self, capsys, spec, reason):
+        assert main(["check", spec, "--set", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and reason in err
+
     def test_huge_order_too_few_edges(self, tmp_path, capsys, monkeypatch):
         # A header whose edges cannot connect its order is refused before
         # build_graph allocates a neighbour set per vertex.

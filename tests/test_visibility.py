@@ -8,6 +8,7 @@ from mvis import (
     UNREACHABLE,
     PairVisibility,
     VertexSet,
+    VisibilityReport,
     all_pairs_distances,
     classify_set,
     constrained_distance,
@@ -160,6 +161,43 @@ class TestClassifySet:
             assert rep.is_total == flags["total"]
             assert rep.is_outer == flags["outer"]
             assert rep.is_dual == flags["dual"]
+
+    @pytest.mark.parametrize("spec", [
+        "grid:8x8", "torus:6x6", "ht:3", "star:12", "path:9", "random",
+    ])
+    def test_matches_per_source_pairs_on_larger_graphs(self, spec):
+        rng = random.Random(31)
+        if spec == "random":
+            graphs = [random_connected_graph(rng.randint(8, 16), rng)
+                      for _ in range(12)]
+        else:
+            graphs = [generate(spec)]
+        for g in graphs:
+            sets = [random_subset(g.n, rng, p) for p in (0.1, 0.3, 0.6)]
+            sets += [VertexSet(g.n), VertexSet(g.n, range(g.n)),
+                     VertexSet(g.n, [rng.randrange(g.n)])]
+            for x in sets:
+                assert classify_set(g, x) == per_source_report(g, x), x.ids()
+
+
+def per_source_report(g, x) -> VisibilityReport:
+    """The report :func:`classify_set` should give, from one
+    :func:`is_pair_visible` call (a per-source constrained BFS against the
+    distance matrix) per required pair, pairs in lexicographic order."""
+    first = {}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            inside = (u in x) + (v in x)
+            required = {"mutual": inside == 2, "total": True,
+                        "outer": inside >= 1, "dual": inside != 1}
+            wanted = [k for k, req in required.items()
+                      if req and k not in first]
+            if wanted and not is_pair_visible(g, x, u, v):
+                first.update(dict.fromkeys(wanted, (u, v)))
+    return VisibilityReport(
+        *(k not in first for k in VARIANTS),
+        violations={k: first[k] for k in VARIANTS if k in first},
+    )
 
 
 class TestHeredity:
@@ -404,6 +442,11 @@ class TestPairVisibilityKernel:
         g = generate("grid:4x4")
         rep = classify_set(g, [0, 3, 12, 15])
         assert rep.is_mutual and rep.is_outer
+
+    def test_classify_set_computes_no_distance_matrix(self):
+        g = generate("grid:8x8")
+        rep = classify_set(g, [0, 9, 27, 63])
+        assert rep.is_mutual and not rep.is_total and g._dist is None
 
 
 class TestOneTablePerGraph:

@@ -15,6 +15,12 @@ every spec of a default ``mvis verify`` and of the benchmark. For each of
 the benchmark's reductions, and for ``path:2`` with t = 3, it records the
 same of G' plus its tags, id bookkeeping and the witness that the base
 graph's lex-least maximum independent set builds.
+
+The ``classify`` section records the ``classify_set`` report (the four
+flags and the lex-first violations) of every ``check`` set of the
+benchmark's ``cli-sweep`` workload at seeds 1 to 10, and of
+:data:`RANDOM_SETS` seeded random sets plus the empty and the whole vertex
+set on each of the 60 random graphs.
 Standard library and the repository's own modules only, no options::
 
     python3 tools/dump.py > a.json    # in each tree, then: cmp a.json b.json
@@ -38,9 +44,11 @@ from workloads import (  # noqa: E402
     CHECK_GRAPHS,
     REDUCTIONS,
     SOLVE_WORKLOADS,
+    build as build_ops,
 )
 
 from mvis import (  # noqa: E402
+    classify_set,
     generate,
     reduction_gprime,
     reduction_witness,
@@ -52,12 +60,18 @@ from mvis.cli import _verify_instances, build_parser  # noqa: E402
 from mvis.families import _KIND_ALIASES, _KINDS  # noqa: E402
 from mvis.solve import _search, convex_partitions  # noqa: E402
 from mvis.visibility import VARIANTS  # noqa: E402
-from naive import random_connected_graph  # noqa: E402
+from naive import random_connected_graph, random_subset  # noqa: E402
 
 KINDS = (*VARIANTS, "independence")
 
 #: Seeded random connected graphs dumped under every kind.
 RANDOM_GRAPHS = 60
+
+#: Seeded random sets classified on each random graph.
+RANDOM_SETS = 8
+
+#: The ``cli-sweep`` seeds whose ``check`` sets are classified.
+CHECK_SEEDS = range(1, 11)
 
 #: Sample parameter fields per family kind, dumped under the kind and each
 #: of its aliases; ``gprime`` is built on an edge-list file of ``path:5``.
@@ -95,6 +109,40 @@ def record(g, kind: str) -> dict:
         "parts": [list(part) for part in partition.parts],
         "free": partition.free,
     }
+
+
+def random_graphs():
+    """(seed, generator, graph) for each seeded random graph; the
+    generator is left where the graph's draws end."""
+    for seed in range(RANDOM_GRAPHS):
+        rng = random.Random(seed)
+        yield seed, rng, random_connected_graph(rng.randint(3, 11), rng)
+
+
+def report_record(g, members: list[int]) -> dict:
+    """The ``classify_set`` report of ``members`` on ``g``."""
+    rep = classify_set(g, members)
+    return {
+        "set": members,
+        **{kind: rep.holds(kind) for kind in VARIANTS},
+        "violations": {k: list(p) for k, p in rep.violations.items()},
+    }
+
+
+def dump_classify() -> dict:
+    graphs = {spec: generate(spec) for spec in CHECK_GRAPHS}
+    checks = [dict(seed=seed, spec=op.params["spec"],
+                   **report_record(graphs[op.params["spec"]],
+                                   op.params["set"]))
+              for seed in CHECK_SEEDS
+              for op in build_ops("cli-sweep", seed)
+              if op.kind == "check"]
+    rand = []
+    for seed, rng, g in random_graphs():
+        sets = [random_subset(g.n, rng).ids() for _ in range(RANDOM_SETS)]
+        rand += [dict(seed=seed, **report_record(g, members))
+                 for members in (*sets, [], list(range(g.n)))]
+    return {"checks": checks, "random": rand}
 
 
 def graph_record(g) -> dict:
@@ -156,12 +204,11 @@ def main() -> None:
         verify += [dict(instance=spec, **record(g, kind))
                    for kind, _ in checks]
     rand = []
-    for seed in range(RANDOM_GRAPHS):
-        rng = random.Random(seed)
-        g = random_connected_graph(rng.randint(3, 11), rng)
+    for seed, _, g in random_graphs():
         rand += [dict(seed=seed, n=g.n, **record(g, kind)) for kind in KINDS]
     json.dump({"benchmark": bench, "verify": verify, "random": rand,
-               "graphs": dump_graphs(instances)},
+               "graphs": dump_graphs(instances),
+               "classify": dump_classify()},
               sys.stdout, indent=1, sort_keys=True)
     print()
 
