@@ -94,7 +94,9 @@ def parse_family_spec(text: str) -> FamilySpec:
     parts = text.strip().split(":")
     name = parts[0].lower()
     kind = _KIND_ALIASES.get(name, name)
-    if kind not in _KINDS or len(parts) < 2:
+    if kind not in _KINDS:
+        raise BadParams(f"unknown family kind {name!r}")
+    if len(parts) < 2:
         raise BadParams(f"cannot parse family spec {text!r}")
     try:
         if kind == "gprime":

@@ -137,19 +137,45 @@ is a convex partition like any other, so its bound holds for every mask;
 it needs no symmetry of the root's open vertices. sigma is the first map
 that moves vertex 0 in the automorphism group that orbital branching
 (below) uses; without one, or where sigma would repeat the parts, the
-image is left out. This is the colouring bound taken at two colourings.
-A node is pruned at the first of the bounds that is at most the floor.
-Neither bound ever cuts a solution above the floor, so the solutions the
-value search records, the floor after each, the value and the lex-least
-witness are those of one bound, and a node count can only fall.
+image is left out.
 
-Each cap is a plain value search of the part whose root keeps open only
-the part's vertices in the mask, with no partition bound of its own, so
-only the top of a solve builds a partition and no partition partitions
-its own parts. A search narrowed to a mask does not branch orbitally: an
-automorphism of the part need not map the mask onto itself, so dropping
-an orbit could drop every largest set inside the mask, and a cap too low
-would prune the optimum.
+A third partition M merges parts. The union U of two convex parts H1 and
+H2 is often convex too, as two neighbouring lines of a grid are; then
+the lemma holds for U unchanged. H1 and H2 are convex in the subgraph U,
+so for a variant-set Y of U inside a mask m, Y intersect H1 and
+Y intersect H2 are variant-sets of H1 and H2, and
+cap(U, m) <= cap(H1, m intersect H1) + cap(H2, m intersect H2). Often the sum is not met below the root even where it is met at
+the root: two grid lines of capacity 2 hold 4 vertices, but fewer once
+the mask cuts into them. :func:`_merged` builds M from P, in part order:
+each part takes the first later one whose union with it is convex and
+is not the whole searched room, and every other part and vertex stays as
+it is in P. A union that was the whole room would make its capacity
+search the whole solve, moved out of the solve's node count and pruned
+by its halves alone, as on grid:6x4 and torus:5x4, whose P has two
+parts. So M is again a partition into proper convex parts, of at most
+twice :data:`PART_LIMIT` vertices, its bound holds for every mask and is
+at most P's at every node. A union keys the capacity memo by its
+relabelled edges and its group like any part, and M has an image sigma(M)
+under the same sigma, which shares M's memo as sigma(P) shares P's. This
+is the colouring bound taken at four colourings, tried in the order P,
+sigma(P), M, sigma(M): M cuts at least where P does, but each of its caps
+is a search over up to 24 vertices, so it comes last. A node is pruned at
+the first of the bounds that is at most the floor. No bound ever cuts a
+solution above the floor, so the solutions the value search records, the
+floor after each, the value and the lex-least witness are those of one
+bound, and a node count can only fall.
+
+Each cap is a value search of the part whose root keeps open only the
+part's vertices in the mask. A part of P or sigma(P) has no partition
+bound of its own. A union of M or sigma(M) prunes on its two halves, the
+two parts it joins: a half H counts as the smaller of |H inside the
+node's mask| and cap(H, H), which the union takes from the partition it
+was merged from, so this bound runs no search and adds no entry to the
+memo. So only the top of a solve builds a partition, and a part is never
+partitioned but into the halves it was merged from. A search narrowed to
+a mask does not branch orbitally: an automorphism of the part need not
+map the mask onto itself, so dropping an orbit could drop every largest
+set inside the mask, and a cap too low would prune the optimum.
 
 Every search but a narrowed one also branches orbitally (Ostrowski,
 Linderoth, Rossi & Smriglio, Orbital branching, Math. Programming 2011),
@@ -242,7 +268,8 @@ search, in three steps.
    of size t.
 2. Before that first hit the floor is below t: it is what the doll table
    left, below t as the table did not reach t, or the size of a set the
-   search recorded. A count, partition, image or doll prune cuts only a
+   search recorded. A count, partition (P, sigma(P), M or sigma(M)) or
+   doll prune cuts only a
    subtree whose solutions are at most the floor, and a killed child
    holds none, so neither cuts a set of size t before the hit. In a
    decision query for size t the floor is t - 1 throughout, and its size
@@ -355,10 +382,13 @@ class SearchStats:
     dropped; a vertex that an include drops from open as unaddable is not a
     prune. ``bound_prunes`` counts the prunes, included in ``prunes``, that
     only the convex-partition bounds made. ``image_prunes``, included in
-    ``bound_prunes``, counts those that only the image partition made,
-    where the greedy partition's bound did not cut. ``doll_prunes``, also
-    included in ``prunes``, counts the nodes that only the doll table cut,
-    in its own level queries, the value search and the witness query.
+    ``bound_prunes``, counts those that only the image sigma(P) of the
+    greedy partition P made, where P's bound did not cut.
+    ``merged_prunes``, also included in ``bound_prunes``, counts those
+    that only the merged partition M or its image sigma(M) made, where
+    neither P nor sigma(P) cut. ``doll_prunes``, also included in
+    ``prunes``, counts the nodes that only the doll table cut, in its own
+    level queries, the value search and the witness query.
     ``orbit_prunes``, also included in ``prunes``, counts the vertices
     that orbital branching dropped from exclude branches beyond the branch
     vertex itself, at any node, under the maps the node carries.
@@ -375,6 +405,7 @@ class SearchStats:
     prunes: int = 0
     bound_prunes: int = 0
     image_prunes: int = 0
+    merged_prunes: int = 0
     orbit_prunes: int = 0
     doll_prunes: int = 0
     witness_nodes: int = 0
@@ -399,7 +430,8 @@ class _BudgetExceeded(Exception):
 
 #: Most vertices in one part of a convex partition. Each of a part's caps
 #: is a value search of the part with no partition bound, so parts stay
-#: small.
+#: small; a union of two parts in the merged partition has at most twice
+#: as many, and prunes on its two halves.
 PART_LIMIT = 12
 
 #: Most nodes one level of the doll table may take, per vertex of the
@@ -414,7 +446,10 @@ class ConvexPartition:
     ``parts`` holds (vertex mask, capacity) pairs, only for parts whose
     capacity is below their size; ``free`` holds every other vertex, which
     counts in full. ``shape`` maps each part to its edges relabelled as
-    :func:`_capacity` takes them and its vertices in label order. ``caps``
+    :func:`_capacity` takes them, its vertices in label order and its
+    halves: for a union of two parts of the greedy partition, the label
+    mask and capacity of each, and () for any other part. ``merged`` marks
+    the merged partition M and its image (:func:`_merged`). ``caps``
     maps each proper submask m of a part met by :meth:`bound` to the
     largest variant-set of the part inside m; the parts are disjoint, so
     one dict serves them all. It fills lazily, and partitions are shared
@@ -425,8 +460,9 @@ class ConvexPartition:
     parts: list[tuple[int, int]]
     free: int
     variant: str
-    shape: dict[int, tuple[int, tuple[int, ...]]]
+    shape: dict[int, tuple[int, tuple[int, ...], tuple]]
     caps: dict[int, int]
+    merged: bool = False
 
     def bound(self, mask: int) -> int:
         """Upper bound on |X| for variant-sets X of the graph inside
@@ -439,9 +475,10 @@ class ConvexPartition:
             if m != h:
                 c = caps.get(m)
                 if c is None:
-                    edge_bits, ids = self.shape[h]
+                    edge_bits, ids, halves = self.shape[h]
                     c = caps[m] = _capacity(self.variant, len(ids),
-                                            edge_bits, _relabel(ids, m))
+                                            edge_bits, _relabel(ids, m),
+                                            halves)
             b += c
         return b
 
@@ -459,7 +496,8 @@ def _part_graph(n: int, edge_bits: int) -> Graph:
 
 
 @lru_cache(maxsize=4096)
-def _capacity(variant: str, n: int, edge_bits: int, within: int) -> int:
+def _capacity(variant: str, n: int, edge_bits: int, within: int,
+              halves: tuple[tuple[int, int], ...] = ()) -> int:
     """The size of the largest variant-set inside the mask ``within`` of
     the graph :func:`_part_graph` gives for ``n`` and ``edge_bits``. This
     is the one capacity memo: parts with equal relabellings, in one graph
@@ -470,15 +508,21 @@ def _capacity(variant: str, n: int, edge_bits: int, within: int) -> int:
     the maps of the graph's :func:`mvis.symmetry.automorphism_group`:
     masks that a symmetry of the part swaps share one solve too.
 
-    The solve is a plain value search, narrowed to ``within`` by
-    :func:`_search`, with no partition bound, so a capacity never builds a
-    partition of its own."""
+    The solve is a value search narrowed to ``within`` by :func:`_search`,
+    which builds no partition. For a union of two parts, ``halves`` holds
+    (label mask, capacity) of each: the search prunes on the bound that
+    counts each half H by the smaller of |H inside the node's mask| and
+    cap(H), which needs no capacity of its own."""
     g = _part_graph(n, edge_bits)
     if within != (1 << n) - 1:
         least = min(_relabel(tau, within) for tau in automorphism_group(g))
         if least < within:
-            return _capacity(variant, n, edge_bits, least)
+            return _capacity(variant, n, edge_bits, least, halves)
     search = _search(g, variant, within=within)
+    if halves:
+        search.bound = (lambda m: sum(min((m & h).bit_count(), c)
+                                      for h, c in halves),)
+        search.merged_from = 1
     search.run_value()
     return search.best
 
@@ -519,11 +563,13 @@ def _part_edges(g: Graph, part: int) -> int:
     return edge_bits
 
 
-def _part_capacity(g: Graph, variant: str, part: int) -> int:
+def _part_capacity(g: Graph, variant: str, part: int,
+                   halves: tuple[tuple[int, int], ...] = ()) -> int:
     """The variant's number of the subgraph induced by the mask ``part``:
-    its largest variant-set inside every vertex of the part."""
+    its largest variant-set inside every vertex of the part. ``halves`` is
+    passed on to :func:`_capacity`."""
     k = part.bit_count()
-    return _capacity(variant, k, _part_edges(g, part), (1 << k) - 1)
+    return _capacity(variant, k, _part_edges(g, part), (1 << k) - 1, halves)
 
 
 def _hull_with(h: int, w: int, room: int, limit: int, interior: list[int],
@@ -563,17 +609,61 @@ def convex_partitions(g: Graph, variant: str,
                       searched: int | None = None
                       ) -> tuple[ConvexPartition, ...]:
     """The partitions a search over the ``searched`` vertex mask prunes on:
-    the greedy one of :func:`_partition`, then its image (:func:`_image`).
-    The image is left out when the graph's automorphism group holds no map
-    that moves vertex 0, when the partition has no parts or when that map
-    sends its set of parts onto itself. Both are built once per (variant,
-    searched mask) and cached on the graph together.
+    the greedy one P of :func:`_partition`, then its image sigma(P)
+    (:func:`_image`), then the merged partition M of :func:`_merged` and
+    its image sigma(M). An image is left out when the graph's automorphism
+    group holds no map that moves vertex 0, when the partition has no
+    parts or when that map sends its set of parts onto itself; M and
+    sigma(M) are left out when no two parts of P merge. All are built once per
+    (variant, searched mask) and cached on the graph together.
     """
     room = (1 << g.n) - 1 if searched is None else searched
     if (variant, room) not in g._partitions:
         partition = _partition(g, variant, room)
-        g._partitions[variant, room] = (partition, *_image(g, partition))
+        merged = _merged(g, partition, room)
+        g._partitions[variant, room] = (
+            partition, *_image(g, partition),
+            *(() if merged is None else (merged, *_image(g, merged))))
     return g._partitions[variant, room]
+
+
+def _merged(g: Graph, partition: ConvexPartition,
+            room: int) -> ConvexPartition | None:
+    """The merged partition M of ``partition``, or None when no two of
+    its parts merge. In part order, each part not yet merged takes the
+    first later one not yet merged whose union with it is convex and a
+    proper subset of ``room``; the union replaces the two, and every other
+    part and ``free`` stay as they are. A union has at most twice
+    :data:`PART_LIMIT` vertices, and its capacity comes from
+    :func:`_part_capacity` with its two halves."""
+    n = g.n
+    interior = pair_visibility(g).interior
+    variant = partition.variant
+    parts: list[tuple[int, int]] = []
+    shape = {}
+    merged = 0
+    for i, (h, c) in enumerate(partition.parts):
+        if h & merged:
+            continue
+        ids = _part_ids(h)
+        halves: tuple = ()
+        for h2, c2 in partition.parts[i + 1:]:
+            u = h | h2
+            if h2 & merged or u == room or any(
+                    interior[a * n + b if a < b else b * n + a] & ~u
+                    for a in ids for b in _part_ids(h2)):
+                continue
+            merged |= u
+            labels = _part_ids(u)
+            halves = ((_relabel(labels, h), c), (_relabel(labels, h2), c2))
+            h = u
+            c = _part_capacity(g, variant, u, halves)
+            break
+        parts.append((h, c))
+        shape[h] = (_part_edges(g, h), _part_ids(h), halves)
+    if not merged:
+        return None
+    return ConvexPartition(parts, partition.free, variant, shape, {}, True)
 
 
 def _image(g: Graph, partition: ConvexPartition
@@ -585,8 +675,8 @@ def _image(g: Graph, partition: ConvexPartition
     H onto the subgraph sigma(H), and its ``free`` is sigma(free). It maps
     masks only: no hull is grown and no capacity is solved here. Each
     vertex sigma(x) of a part takes the label of x in H, so sigma(H) has
-    H's relabelled edges, and a submask m of sigma(H) keys the capacity
-    memo as the submask of H that sigma maps onto m."""
+    H's relabelled edges and H's halves, and a submask m of sigma(H) keys
+    the capacity memo as the submask of H that sigma maps onto m."""
     if not partition.parts:
         return ()
     sigma = next((tau for tau in automorphism_group(g)[1:] if tau[0]), None)
@@ -604,10 +694,10 @@ def _image(g: Graph, partition: ConvexPartition
     parts = [(image(h), c) for h, c in partition.parts]
     if {h for h, _ in parts} == {h for h, _ in partition.parts}:
         return ()
-    shape = {image(h): (edge_bits, tuple(sigma[v] for v in ids))
-             for h, (edge_bits, ids) in partition.shape.items()}
+    shape = {image(h): (edge_bits, tuple(sigma[v] for v in ids), halves)
+             for h, (edge_bits, ids, halves) in partition.shape.items()}
     return (ConvexPartition(parts, image(partition.free), partition.variant,
-                            shape, {}),)
+                            shape, {}, partition.merged),)
 
 
 def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
@@ -687,7 +777,8 @@ def _partition(g: Graph, variant: str, room: int) -> ConvexPartition:
                         best = key
                     h = step(h)
         if best is None:
-            shape = {h: (_part_edges(g, h), _part_ids(h)) for h, _ in parts}
+            shape = {h: (_part_edges(g, h), _part_ids(h), ())
+                     for h, _ in parts}
             return ConvexPartition(parts, free, variant, shape, {})
         part = best[2]
         parts.append((part, best[3]))
@@ -726,7 +817,10 @@ class _Search:
     rule. Subclasses supply :meth:`include` and :meth:`exclude`. The
     root state leaves every vertex open unless a subclass or
     :func:`_search` narrows it. ``bound`` holds the partition bounds of
-    the vertex mask they are given, the greedy partition's first. ``doll``,
+    the vertex mask they are given, the greedy partition's first, and
+    ``merged_from`` the index in it of the merged partition's: a cut by a
+    bound from there on counts in ``merged_prunes``, and one by any other
+    bound but the first in ``image_prunes``. ``doll``,
     once built, is the doll table, indexed by vertex id, and ``ceiling``,
     which :meth:`run_value` sets, bounds every solution. The search keeps
     the budget of ``opts`` itself: its clock starts before the pair table
@@ -752,6 +846,7 @@ class _Search:
         self.kind = kind
         self.pv: PairVisibility = pair_visibility(g)
         self.bound: tuple[Callable[[int], int], ...] = ()
+        self.merged_from = 0
         self.doll: list[int] | None = None
         self.stats = SearchStats()
         self.best = 0
@@ -868,6 +963,7 @@ class _Search:
         ceiling = self.ceiling
         doll = self.doll
         bounds = self.bound
+        merged_from = self.merged_from
         include = self.include
         exclude = self.exclude
         hereditary = self.hereditary
@@ -919,7 +1015,9 @@ class _Search:
                 if cut is not None:
                     stats.prunes += 1
                     stats.bound_prunes += 1
-                    if cut:
+                    if cut >= merged_from:
+                        stats.merged_prunes += 1
+                    elif cut:
                         stats.image_prunes += 1
                     continue
             v = (open_ & -open_).bit_length() - 1
@@ -1206,8 +1304,9 @@ def _search(g: Graph, kind: str, opts: SolveOptions | None = None,
     one place that picks the search class.
 
     With no ``within`` it is the search of a solve, with the partition
-    bounds over the root's open vertices: the one place bounds are
-    attached. With ``within`` it is a capacity search with no bound, whose
+    bounds over the root's open vertices: the one place partitions are
+    attached. With ``within`` it is a capacity search with no partition
+    bound (:func:`_capacity` gives a union's search its halves), whose
     root keeps open only the vertices of ``within``; for the dual variant
     that puts every other vertex out, which forces nothing, as nothing is
     inside. A narrowed search does not branch orbitally (see the module
@@ -1216,9 +1315,10 @@ def _search(g: Graph, kind: str, opts: SolveOptions | None = None,
         g, kind, opts or SolveOptions())
     if within is None:
         # Without a part below its size a bound equals the plain count.
-        search.bound = tuple(p.bound for p in
-                             convex_partitions(g, kind, search.root[1])
-                             if p.parts)
+        partitions = [p for p in convex_partitions(g, kind, search.root[1])
+                      if p.parts]
+        search.bound = tuple(p.bound for p in partitions)
+        search.merged_from = sum(not p.merged for p in partitions)
     elif within != search.full:
         search.root = (0, search.root[1] & within)
         search.orbital = False

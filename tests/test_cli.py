@@ -21,6 +21,7 @@ from mvis import (
 )
 from mvis.cli import _verify_record, build_parser, main
 from mvis.oracles import OracleValue, oracle
+from mvis.solve import _capacity, _part_graph
 
 from test_solve import value_phase_nodes
 
@@ -188,6 +189,19 @@ class TestSolve:
         stats = payload["stats"]
         assert 0 < stats["image_prunes"] <= stats["bound_prunes"]
 
+    def test_stats_show_merged_prunes(self, capsys):
+        # torus:5x5 mutual's merged partition joins a C5 x P2 part and a C5
+        # into a convex C5 x P3; its cuts are counted apart from the image's.
+        code, payload = run_json(
+            capsys, "solve", "torus:5x5", "--variant", "mutual", "--json"
+        )
+        assert code == 0
+        stats = payload["stats"]
+        assert 0 < stats["merged_prunes"]
+        assert 0 < stats["image_prunes"]
+        assert stats["image_prunes"] + stats["merged_prunes"] <= (
+            stats["bound_prunes"])
+
     def test_stats_show_orbit_prunes(self, capsys):
         code, payload = run_json(
             capsys, "solve", "torus:5x5", "--variant", "mutual", "--json"
@@ -347,8 +361,32 @@ class TestVerify:
         for r in report["records"]:
             assert r["stats"]["witness_nodes"] <= r["stats"]["nodes"]
             assert r["stats"]["doll_prunes"] <= r["stats"]["prunes"]
-            assert r["stats"]["image_prunes"] <= r["stats"]["bound_prunes"]
+            assert (r["stats"]["image_prunes"] + r["stats"]["merged_prunes"]
+                    <= r["stats"]["bound_prunes"])
             assert "witness_queries" not in r["stats"]
+
+    def test_records_show_merged_prunes(self, capsys):
+        code, report = run_json(capsys, "verify", "--json")
+        assert code == 0
+        assert report["format_version"] == 2
+        stats = [r["stats"] for r in report["records"] if r["solved"]]
+        assert all(0 <= s["merged_prunes"] <= s["bound_prunes"]
+                   for s in stats)
+        assert sum(s["merged_prunes"] > 0 for s in stats) > 0
+
+    def test_warm_verify_solves_no_capacity(self, capsys):
+        # A verify regenerates its graphs, so their partitions are rebuilt
+        # and every capacity comes from the one memo. Once a verify has run,
+        # all of its capacities must still be there for the next: a memo
+        # too small for them would solve them all again, every time.
+        assert main(["verify"]) == 0
+        for _ in range(2):
+            misses = (_capacity.cache_info().misses,
+                      _part_graph.cache_info().misses)
+            assert main(["verify"]) == 0
+            assert (_capacity.cache_info().misses,
+                    _part_graph.cache_info().misses) == misses
+        capsys.readouterr()
 
     def test_dual_records_run_no_witness_query(self, capsys):
         code, report = run_json(capsys, "verify", "--json")
@@ -565,8 +603,10 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("spec, reason", [
         ("path:1", "path needs n >= 2, got (1,)"),
-        ("foo:3", "cannot parse family spec 'foo:3'"),
-    ], ids=["path-1", "unknown-kind"])
+        ("foo:3", "unknown family kind 'foo'"),
+        ("Foo", "unknown family kind 'foo'"),
+        ("grid", "cannot parse family spec 'grid'"),
+    ], ids=["path-1", "unknown-kind", "unknown-kind-alone", "no-params"])
     def test_bad_family_spec_gives_its_reason(self, capsys, spec, reason):
         assert main(["check", spec, "--set", "0"]) == 2
         err = capsys.readouterr().err

@@ -164,6 +164,52 @@ class TestExhaustiveAgreement:
             assert total_is_zero(g) == (brute == 0), g.edges()
 
 
+def submasks(mask):
+    """Every submask of ``mask``, ``mask`` first and 0 last."""
+    x = mask
+    while True:
+        yield x
+        if not x:
+            return
+        x = (x - 1) & mask
+
+
+def largest_inside(g, kind, mask):
+    """The largest variant-set of ``g`` inside ``mask``, apart from the
+    solver: a hereditary kind walks its down-closed family level by level,
+    with :func:`classify_set` on each set; level k + 1 extends each set of
+    level k by a vertex of ``mask`` above its highest, and as every
+    variant-set of size k + 1 less its highest vertex is one of size k,
+    the walk misses none. Dual is not hereditary, so it classifies every
+    submask of ``mask``."""
+    if kind == "dual":
+        return max(x.bit_count() for x in submasks(mask)
+                   if classify_set(g, x).is_dual)
+    level, size = [0], 0
+    while True:
+        level = [y for x in level for v in range(x.bit_length(), g.n)
+                 if mask >> v & 1
+                 and classify_set(g, y := x | 1 << v).holds(kind)]
+        if not level:
+            return size
+        size += 1
+
+
+def union_capacity(sub, kind, halves):
+    """The capacity of ``sub``, a union of the convex parts whose
+    capacities are ``halves``, apart from the solver. A hereditary kind
+    walks the down-closed family (:func:`largest_inside`). Otherwise the
+    lemma bounds it by the sum of ``halves``, and a set of that size which
+    :func:`classify_set` accepts shows that the sum is met; a union whose
+    capacity is below the sum fails the test rather than go unchecked."""
+    if kind != "dual":
+        return largest_inside(sub, kind, (1 << sub.n) - 1)
+    witness = solve(sub, kind).witness
+    assert classify_set(sub, witness).is_dual
+    assert witness.card == sum(halves), "no check apart from the solver"
+    return witness.card
+
+
 def regrown_partition(g, kind, searched=None):
     """The greedy partition of :func:`convex_partitions` without its memo,
     as (parts, free): every round regrows the chain of every seed edge from
@@ -250,21 +296,32 @@ class TestPartitionBound:
         ("random", VARIANTS),
     ])
     def test_parts_are_disjoint_convex_and_exact(self, spec, variants):
-        # Every partition a search prunes on: the greedy one and, where
-        # there is one, its automorphism image.
+        # Every partition a search prunes on: the greedy one P and, where
+        # there is one, its automorphism image, then the merged partition
+        # M and its image, where two parts of P merge. A part of P has its
+        # capacity by brute force over its subsets. A union of M has up to
+        # 24 vertices, so it is checked apart from the solver by
+        # union_capacity, and its halves must be parts of P or of its
+        # image with the capacities M gives them.
         if spec == "random":
             g = random_connected_graph(10, random.Random(12), p=0.2)
         else:
             g = generate(spec)
         brute_cache = {}
         full = (1 << g.n) - 1
-        images = 0
+        images = merges = 0
         for variant in variants:
             search = _search(g, variant)
-            partitions = convex_partitions(g, variant, search.root[1])
+            room = search.root[1]
+            partitions = convex_partitions(g, variant, room)
             assert search.bound == tuple(p.bound for p in partitions
                                          if p.parts)
-            images += len(partitions) - 1
+            assert [p.merged for p in partitions] == sorted(
+                p.merged for p in partitions)
+            fine = [p for p in partitions if not p.merged]
+            images += len(fine) - 1
+            merges += len(fine) < len(partitions)
+            fine_parts = {part for p in fine for part in p.parts}
             value = solve(g, variant).value
             for partition in partitions:
                 covered = 0
@@ -273,18 +330,52 @@ class TestPartitionBound:
                     covered |= part
                     vs = VertexSet.from_mask(g.n, part)
                     assert 3 <= vs.card < g.n
+                    assert part != room
                     assert is_convex(g, vs)
                     sub, _ = induced_subgraph(g, vs)
-                    key = tuple(sub.edges())
-                    if key not in brute_cache:
-                        brute_cache[key] = brute_max_all(sub)
-                    assert cap == brute_cache[key][variant] < vs.card
+                    _, ids, halves = partition.shape[part]
+                    if halves:
+                        assert partition.merged
+                        assert sum(h for h, _ in halves) == full >> (
+                            g.n - vs.card)
+                        for h, c in halves:
+                            assert (sum(1 << ids[i] for i in range(vs.card)
+                                        if h >> i & 1), c) in fine_parts
+                        key = (tuple(sub.edges()), variant)
+                        if key not in brute_cache:
+                            brute_cache[key] = union_capacity(
+                                sub, variant, [c for _, c in halves])
+                        assert cap == brute_cache[key]
+                    else:
+                        key = tuple(sub.edges())
+                        if key not in brute_cache:
+                            brute_cache[key] = brute_max_all(sub)
+                        assert cap == brute_cache[key][variant] < vs.card
                 assert covered | partition.free == full
                 assert not covered & partition.free
                 assert partition.bound(full) >= value
         # grid:7x4's map is a reflection that keeps its set of lines, so it
-        # has no image; the torus and the gadget have one.
+        # has no image; the torus and the gadget have one. In the random
+        # graph no two parts have a convex union.
         assert bool(images) == (spec in ("torus:5x5", "ht:3"))
+        assert bool(merges) == (spec != "random")
+
+    @pytest.mark.parametrize("spec, kind", [
+        ("grid:6x4", "mutual"), ("grid:6x4", "outer"), ("torus:5x4", "mutual"),
+    ])
+    def test_no_part_is_the_whole_room(self, spec, kind):
+        # P has two parts that split the room, so their union is convex and
+        # is the room: a part that was the room would make its capacity
+        # search the whole solve, outside nodes_explored. No part of any
+        # partition is the room, so M is left out here.
+        g = generate(spec)
+        room = _search(g, kind).root[1]
+        partitions = convex_partitions(g, kind, room)
+        p = partitions[0]
+        assert len(p.parts) == 2 and p.parts[0][0] | p.parts[1][0] == room
+        assert is_convex(g, VertexSet.from_mask(g.n, room))
+        assert not any(q.merged for q in partitions)
+        assert all(part != room for q in partitions for part, _ in q.parts)
 
     @pytest.mark.parametrize("spec, kind", [
         ("torus:5x5", "mutual"), ("ht:3", "dual"), ("pathprod:3x3x3", "dual"),
@@ -294,39 +385,50 @@ class TestPartitionBound:
         # A part's cap inside a mask is keyed by the least labels under the
         # part's automorphisms, and an image part labels sigma(x) as x in
         # its preimage. Each cap must still be the largest set of the part
-        # inside the mask, by brute force, and an image part's mask must
-        # find the cap of the mask sigma maps onto it.
+        # inside the mask, apart from the solver (largest_inside), and an
+        # image part's mask must find the cap of the mask sigma maps onto
+        # it. So for P and its image, and for M and its image where parts
+        # merge: a union's cap inside a mask comes from a search that
+        # prunes on its halves.
         g = generate(spec)
-        p, image = convex_partitions(g, kind, _search(g, kind).root[1])
+        partitions = convex_partitions(g, kind, _search(g, kind).root[1])
+        pairs = [partitions[i:i + 2] for i in range(0, len(partitions), 2)]
+        assert [len(pair) for pair in pairs] == [2] * len(pairs)
+        assert len(pairs) == (1 if spec == "torus:6x4" else 2)
         sigma = image_map(g)
         full = (1 << g.n) - 1
         rng = random.Random(spec)
         _capacity.cache_clear()
-        for (h, cap), (sh, image_cap) in zip(p.parts, image.parts):
-            assert image_cap == cap
-            sub, _ = induced_subgraph(g, VertexSet.from_mask(g.n, h))
-            ids = VertexSet.from_mask(g.n, h).ids()
-            for _ in range(8):
-                m = h & rng.getrandbits(g.n)
-                best = max(
-                    (x.bit_count() for x in range(1 << len(ids))
-                     if all(not x >> i & 1 or m >> v & 1
-                            for i, v in enumerate(ids))
-                     and is_solution(sub, kind, x)),
-                    default=0)
-                sm = sum(1 << sigma[v] for v in ids if m >> v & 1)
-                in_image = image.bound(full & ~sh | sm) - image.bound(full)
-                assert in_image + cap == best, (h, m)
-                misses = _capacity.cache_info().misses
-                assert p.bound(full & ~h | m) - p.bound(full) + cap == best
-                assert _capacity.cache_info().misses == misses, (h, m)
+        for p, image in pairs:
+            for (h, cap), (sh, image_cap) in zip(p.parts, image.parts):
+                assert image_cap == cap
+                sub, _ = induced_subgraph(g, VertexSet.from_mask(g.n, h))
+                ids = VertexSet.from_mask(g.n, h).ids()
+                for _ in range(8):
+                    m = h & rng.getrandbits(g.n)
+                    if len(ids) > PART_LIMIT:
+                        # 3/8 of a union, as the dual check tries every
+                        # submask of m.
+                        m &= rng.getrandbits(g.n) | rng.getrandbits(g.n)
+                    best = largest_inside(sub, kind, sum(
+                        1 << i for i, v in enumerate(ids) if m >> v & 1))
+                    sm = sum(1 << sigma[v] for v in ids if m >> v & 1)
+                    in_image = image.bound(full & ~sh | sm) - image.bound(
+                        full)
+                    assert in_image + cap == best, (h, m)
+                    misses = _capacity.cache_info().misses
+                    assert p.bound(full & ~h | m) - p.bound(full) + cap == (
+                        best)
+                    assert _capacity.cache_info().misses == misses, (h, m)
 
     def test_cold_capacity_searches_are_pinned(self, monkeypatch):
         # pathprod:3x3x3's dual solve in a fresh memo: 167 capacity
         # searches when an image part labelled its masks by rank within
         # sigma(H) and no symmetry of a part merged two of its masks; 71
         # when only the include-only spine dropped orbits, as the longer
-        # search met more masks.
+        # search met more masks; 69 before the merged partition M, whose
+        # 18-vertex union of two 3x3 layers and its image take a search
+        # for each mask they meet.
         module = sys.modules[_Search.__module__]
         narrowed = []
 
@@ -337,7 +439,7 @@ class TestPartitionBound:
         monkeypatch.setattr(module, "_search", counting)
         _capacity.cache_clear()
         solve(generate("pathprod:3x3x3"), "dual")
-        assert sum(narrowed) == 69
+        assert sum(narrowed) == 249
 
     def test_memo_matches_regrown_chains(self):
         specs = ("grid:5x5", "grid:7x4", "torus:5x4", "ht:2", "gn:3",
@@ -467,17 +569,19 @@ class TestDualRegressionPin:
     pathprod:3x3x3 947 and gn:4 30 before it). Every node, not only the
     include-only spine, began to drop orbits, under the maps it carries
     down from the graph's automorphism group (ht:3 364, torus:6x4 51,
-    pathprod:3x3x3 926 and gn:4 19 before it)."""
+    pathprod:3x3x3 926 and gn:4 19 before it). The search began to prune on
+    the merged partition M and its image too (ht:3 320 and pathprod:3x3x3
+    432 before it; torus:6x4 and gn:4 did not move)."""
 
     @pytest.mark.parametrize("spec, value, witness, nodes", [
         pytest.param(
             "ht:3", 15,
-            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 320,
+            [0, 2, 3, 10, 11, 12, 14, 15, 22, 23, 24, 26, 27, 34, 35], 305,
             id="ht:3",
         ),
         pytest.param("torus:6x4", 4, [0, 4, 10, 14], 27, id="torus:6x4"),
         pytest.param(
-            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 432,
+            "pathprod:3x3x3", 8, [0, 1, 3, 17, 18, 19, 24, 26], 326,
             id="pathprod:3x3x3",
         ),
         pytest.param("gn:4", 2, [2, 3], 7, id="gn:4"),
@@ -1236,7 +1340,8 @@ class TestBudgets:
         # 4, 4, 4, 4, 5, ...]. Before the search pruned on the partition's
         # automorphism image too, the fourth vertex came at budget 24, not
         # 22; before the shortcut test, the second came at budget 3, not 2,
-        # and the fourth at 22, not 24.
+        # and the fourth at 22, not 24; before the merged partition M cut
+        # the level queries, the fourth came at budget 24, not 20.
         g = generate("grid:5x5")
         reached = []
         for budget in range(1, 25):
@@ -1248,7 +1353,7 @@ class TestBudgets:
             assert classify_set(g, inc.witness).is_mutual
             reached.append(inc.lower_bound)
         assert reached == [1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,
-                           3, 3, 3, 3, 3, 3, 3, 4]
+                           3, 3, 3, 4, 4, 4, 4, 4]
 
 
 class TestDeepGraphs:

@@ -3,7 +3,9 @@ two source trees.
 
 For each instance and kind it records the value, the lexicographically
 least witness, every ``SearchStats`` counter but ``elapsed_ms``, and the
-root convex partition (``parts`` as [mask, capacity] pairs, and ``free``).
+root convex partition (``parts`` as [mask, capacity] pairs, and ``free``)
+and the parts of its merged partition (``merged``, null when no two parts
+merge).
 The instances are the benchmark's solve instances (``SOLVE_WORKLOADS`` in
 ``benchmarks/workloads.py``), the records of a default ``mvis verify`` and
 60 seeded random connected graphs of 3 to 11 vertices
@@ -94,20 +96,23 @@ DUMPED_REDUCTIONS = (*REDUCTIONS, ("path:2", 3))
 
 
 def record(g, kind: str) -> dict:
-    """One solve of ``kind`` on ``g`` and its root partition."""
+    """One solve of ``kind`` on ``g``, its root partition and the parts of
+    the merged one."""
     res = (solve_independence(g) if kind == "independence"
            else solve(g, kind))
     stats = dataclasses.asdict(res.stats)
     del stats["elapsed_ms"]
     root = _search(g, kind).root[1]
-    partition = convex_partitions(g, kind, root)[0]
+    partitions = convex_partitions(g, kind, root)
+    merged = next((p for p in partitions if p.merged), None)
     return {
         "kind": kind,
         "value": res.value,
         "witness": res.witness.ids(),
         "stats": stats,
-        "parts": [list(part) for part in partition.parts],
-        "free": partition.free,
+        "parts": [list(part) for part in partitions[0].parts],
+        "free": partitions[0].free,
+        "merged": merged and [list(part) for part in merged.parts],
     }
 
 
