@@ -522,7 +522,7 @@ def _capacity(variant: str, n: int, edge_bits: int, within: int,
     if halves:
         search.bound = (lambda m: sum(min((m & h).bit_count(), c)
                                       for h, c in halves),)
-        search.merged_from = 1
+        search.merged_from = 1  # the halves are no merged partition
     search.run_value()
     return search.best
 
@@ -646,7 +646,7 @@ def _merged(g: Graph, partition: ConvexPartition,
         if h & merged:
             continue
         ids = _part_ids(h)
-        halves: tuple = ()
+        halves: tuple[tuple[int, int], ...] = ()
         for h2, c2 in partition.parts[i + 1:]:
             u = h | h2
             if h2 & merged or u == room or any(
