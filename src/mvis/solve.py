@@ -6,16 +6,18 @@ state is a pair of vertex masks (inside, open): inside is the set chosen so
 far and open the vertices still undecided; every other vertex is out. Each
 kind of search supplies two decisions on a vertex v, ``include`` and
 ``exclude``, which return the child state, or None when the branch dies.
-The kernel holds one DFS, :meth:`_Search._dfs`, which looks below a state
-for solutions X with |X| > floor, where a solution is any hereditary
-state, or a dual state with nothing open. With ``first`` set it is a
-decision query ("is there a solution of size t that extends this
-state?") for t = floor + 1: it returns the first solution of size t it
-finds, and prunes every state with more than t vertices inside.
-Otherwise each solution found raises the floor, ``best`` and
-``best_mask``: the value search is floor ``best`` from the root. Every
-search branches on its lowest open vertex, include first, so the searches
-differ only in start state, floor and stop rule.
+The kernel holds one DFS, the value search :meth:`_Search._dfs`. Below
+a start state it looks for solutions X with |X| > floor, where a solution
+is any hereditary state, or a dual state with nothing open; each one it
+finds raises the floor, ``best`` and ``best_mask``, and it stops once the
+floor reaches a ceiling. A solve's value search is floor ``best`` from the
+root, with a ceiling that no solution exceeds. A decision query ("is
+there a solution of size t that extends this state?") is the same search
+with floor t - 1 and ceiling t: it stops at the first solution above
+t - 1. On a hereditary kind, from a start of at most t vertices, each
+include adds one vertex and every state is a solution, so that solution
+has size t exactly. Every search branches on its lowest open vertex, include first, so the searches differ
+only in start state, floor and ceiling.
 
 The value search records hereditary states that are not leaves, yet it
 searches the same tree as when it recorded leaves only. Let S be such a
@@ -205,14 +207,14 @@ pruning but never a solution, and as O is closed under the maps a node
 carries, the argument never needs the group to be whole. The group is
 built at the first orbit drop of the search: until then every node that
 branches was reached from the start by includes only, and its maps are
-the start's maps that fix each of those include vertices. In a decision
-query the orbit drop must not lose the first set of size floor + 1 it
-would meet. It does not: the query returns at its first hit, so it
-reaches an exclude branch only after the include subtree had no hit, and
-step 3 of the witness proof (below) covers the level queries and the
-witness query as it covers the value search. The value search's own set
-is the witness only where the orbits provably dropped no set of the
-value's size before it (below).
+the start's maps that fix each of those include vertices. A decision
+query stops at its first hit, and that hit must be the first set of size
+floor + 1 in preorder. It is: the query is the value search, so it
+reaches an exclude branch before the hit only after the include subtree
+had no hit, and step 3 of the witness proof (below) covers the level
+queries and the witness query as it covers any value search. The value
+search's own set is the witness only where the orbits provably dropped no
+set of the value's size before it (below).
 
 The doll table (Russian-doll search: Verfaillie, Lemaitre & Schiex, AAAI
 1996; Ostergard, Discrete Applied Math. 2002). Before the value search of
@@ -222,10 +224,11 @@ among the root's open vertices with id >= v, and c[n] = 0. Any subset of
 a solution is a solution, so c[v] is c[v + 1] + 1 when some solution of
 that size holds v and lies among those vertices, and c[v + 1] otherwise.
 Level v asks exactly that, as one decision query from the state
-include(0, those vertices, v) with floor c[v + 1]; that root's open
-vertices have ids above v. Each hit raises ``best`` and ``best_mask`` at
-once, so a budget that runs out during the table reports the largest
-level set. That set S, of size c[v + 1] with ids above v, often settles
+include(0, those vertices, v): the value search with floor c[v + 1] and
+ceiling c[v + 1] + 1; that root's open vertices have ids above v. Each
+hit raises ``best`` and ``best_mask``, as every solution the value search
+records does, so a budget that runs out during the table reports the
+largest level set. That set S, of size c[v + 1] with ids above v, often settles
 the next level with no query: when S lies in the level root's open set,
 one node, :meth:`_HereditarySearch._addable`, tests whether S + v is a
 solution, and if it is, it is a set of c[v + 1] + 1 vertices holding v,
@@ -266,15 +269,13 @@ search, in three steps.
    lex-smaller inside. So the first state of size t in preorder, a leaf
    for dual and any state for a hereditary kind, holds the lex-least set
    of size t.
-2. Before that first hit the floor is below t: it is what the doll table
-   left, below t as the table did not reach t, or the size of a set the
-   search recorded. A count, partition (P, sigma(P), M or sigma(M)) or
-   doll prune cuts only a
-   subtree whose solutions are at most the floor, and a killed child
-   holds none, so neither cuts a set of size t before the hit. In a
-   decision query for size t the floor is t - 1 throughout, and its size
-   cap cuts only states with more than t vertices inside, all of whose
-   solutions are larger.
+2. Before that first hit the floor is below t: it starts at what the
+   doll table left, below t as the table did not reach t, or at t - 1 in
+   the witness query (below), and each set the search records before the
+   hit is smaller than t. A count, partition (P, sigma(P), M or
+   sigma(M)) or doll prune cuts only a subtree whose solutions are at
+   most the floor, and a killed child holds none, so neither cuts a set
+   of size t before the hit.
 3. An orbit drop at a node with branch vertex v comes after the node's
    include subtree is done. Before the hit, that subtree had no hit, so
    it holds no set of size t: no earlier cut removed one, by steps 2 and
@@ -287,12 +288,14 @@ the first state of size t in preorder, records it as its floor is below
 t, and records nothing after it, as no solution is larger: its last set
 is the lex-least one. When the doll table reached t, the value search
 records nothing and ``best_mask`` is some set of size t. Then
-:meth:`_Search.lex_least_witness` finds the witness with a decision query
-from the root for size t: it visits states in the same preorder, its
-prunes cut no set of size t as its floor is t - 1, the states its size
-cap cuts hold more than t vertices, and by step 3 its orbit drops, each
-after an include subtree with no hit, cut none either, so its first hit
-is the first state of size t, the lex-least set.
+:meth:`_Search.lex_least_witness` runs the value search from the root
+once more as a decision query, with floor t - 1 and ceiling t. By steps
+2 and 3 nothing cuts a set of size t before its first hit, so that hit is
+the first state of size t in preorder, the lex-least set. It records the
+hit in ``best_mask`` and stops there, as the floor has reached the
+ceiling. ``best`` stays t throughout, and until the hit ``best_mask``
+keeps the table's set, so a budget that runs out in the query still
+reports a maximum set.
 """
 
 from __future__ import annotations
@@ -376,8 +379,8 @@ class SolveOptions:
 @dataclass
 class SearchStats:
     """Search counters, which the search keeps itself as it runs.
-    ``prunes`` counts the nodes cut by the count, by a decision query's
-    size, by a partition bound or by the doll table, the children
+    ``prunes`` counts the nodes cut by the count, by a partition bound or
+    by the doll table, the children
     whose decision killed them (in both phases), and the orbit vertices
     dropped; a vertex that an include drops from open as unaddable is not a
     prune. ``bound_prunes`` counts the prunes, included in ``prunes``, that
@@ -397,8 +400,9 @@ class SearchStats:
     and its shortcut test, whether the table's set plus the level's
     vertex is a solution, is one, passed or failed.
     ``witness_nodes`` counts the nodes, included in ``nodes_explored``, of
-    the witness phase: the one decision query whose first hit is the
-    lex-least maximum set. It is 0 when the phase is skipped, as the value
+    the witness phase: the one value search from the root with floor
+    value - 1 and ceiling value, whose first hit is the lex-least maximum
+    set. It is 0 when the phase is skipped, as the value
     search found the value and its set is returned."""
 
     nodes_explored: int = 0
@@ -810,19 +814,18 @@ class _Search:
     """Branch-and-bound over (inside, open) states; see the module
     docstring. Build one with :func:`_search`. :meth:`_dfs` is the one DFS,
     a loop over an explicit stack of pending branches, so no recursion
-    limit caps the order of a graph: it looks for solutions X with
-    |X| > floor, and either returns the first, of size floor + 1, or
-    records each in ``best``. :meth:`run_value`, :meth:`_build_doll` and
-    :meth:`lex_least_witness` only choose its start state, floor and stop
-    rule. Subclasses supply :meth:`include` and :meth:`exclude`. The
+    limit caps the order of a graph: it records each solution X with
+    |X| > floor in ``best`` and stops once the floor reaches its
+    ceiling. :meth:`run_value`, :meth:`_build_doll` and
+    :meth:`lex_least_witness` only choose its start state, floor and
+    ceiling. Subclasses supply :meth:`include` and :meth:`exclude`. The
     root state leaves every vertex open unless a subclass or
     :func:`_search` narrows it. ``bound`` holds the partition bounds of
     the vertex mask they are given, the greedy partition's first, and
     ``merged_from`` the index in it of the merged partition's: a cut by a
     bound from there on counts in ``merged_prunes``, and one by any other
-    bound but the first in ``image_prunes``. ``doll``,
-    once built, is the doll table, indexed by vertex id, and ``ceiling``,
-    which :meth:`run_value` sets, bounds every solution. The search keeps
+    bound but the first in ``image_prunes``. ``doll``, once built, is the
+    doll table, indexed by vertex id. The search keeps
     the budget of ``opts`` itself: its clock starts before the pair table
     and the partitions are built, and :meth:`_dfs` counts and checks every
     node of every phase."""
@@ -853,41 +856,40 @@ class _Search:
         self.best_mask = 0
         self.full = (1 << g.n) - 1
         self.root = (0, self.full)
-        self.ceiling = g.n
 
     def run_value(self) -> bool:
         """The value search: the doll table first for a hereditary kind,
         then floor ``best`` from the root. True when that DFS raised
         ``best``, so that ``best_mask`` is the lex-least maximum set (see
         the module docstring); False when the doll table already reached
-        the value, or the value is 0. It first sets ``ceiling``, the
-        smaller of |root open| and every partition bound of the root's
-        open mask, which bounds every solution: the table stops at it, the
-        DFS is skipped when the table reached it, and the DFS returns
-        once its floor does."""
+        the value, or the value is 0. Its ceiling, the smaller of |root
+        open| and every partition bound of the root's open mask, bounds
+        every solution: the table stops at it, the DFS is skipped when the
+        table reached it, and the DFS returns once its floor does."""
         root_open = self.root[1]
-        self.ceiling = min((root_open.bit_count(),
-                            *(bound(root_open) for bound in self.bound)))
+        ceiling = min((root_open.bit_count(),
+                       *(bound(root_open) for bound in self.bound)))
         if self.hereditary:
-            self._build_doll()
+            self._build_doll(ceiling)
         before = self.best
-        if before < self.ceiling:
-            self._dfs(*self.root, before, False)
+        if before < ceiling:
+            self._dfs(*self.root, before, ceiling)
         return self.best > before
 
-    def _build_doll(self) -> None:
+    def _build_doll(self, ceiling: int) -> None:
         """Fill ``doll`` from the highest vertex id: ``doll[v]`` is the
         largest solution among the root's open vertices with id >= v.
-        Level v asks for a solution one larger than ``doll[v + 1]`` that
-        holds v; each one found raises ``best``. When the set the table
-        holds, ``best_mask``, lies in the open set of the level's root,
-        one node, :meth:`_HereditarySearch._addable`, first tests whether
-        that set plus v is one; only when it is not does the level run
-        its decision query. A level that takes more than
-        :data:`DOLL_LEVEL_LIMIT` nodes per vertex is abandoned, and it and
-        every level below it keep n, which prunes nothing; so do the
-        levels below a hit that reaches ``ceiling``, where the table
-        stops."""
+        Level v is the value search from the level's root, the state {v},
+        with floor ``doll[v + 1]`` and a ceiling one above it, so it
+        stops at its first solution, which holds v and is recorded in
+        ``best``. When the set the table holds, ``best_mask``, lies in the
+        open set of the level's root, one node,
+        :meth:`_HereditarySearch._addable`, first tests whether that set
+        plus v is one; only when it is not does the level search. A level
+        that takes more than :data:`DOLL_LEVEL_LIMIT` nodes per vertex is
+        abandoned, and it and every level below it keep n, which prunes
+        nothing; so do the levels below a hit that reaches ``ceiling``,
+        where the table stops."""
         n = self.n
         root_open = self.root[1]
         doll = self.doll = [n] * n + [0]
@@ -896,21 +898,19 @@ class _Search:
             if (root_open >> v) & 1:
                 start = self.include(0, root_open >> v << v, v)
                 held = self.best_mask
-                found = 0
+                addable = False
                 if not held & ~start[1]:
                     self._tick()
-                    if self._addable(held, v):
-                        found = held | 1 << v
-                if not found:
-                    found = self._dfs(*start, c, True,
-                                      limit=DOLL_LEVEL_LIMIT * n)
-                if found is None:
-                    return
-                if found:
+                    addable = self._addable(held, v)
+                if addable:
                     c = self.best = c + 1
-                    self.best_mask = found
+                    self.best_mask = held | 1 << v
+                else:
+                    c = self._dfs(*start, c, c + 1, DOLL_LEVEL_LIMIT * n)
+                    if c is None:
+                        return
             doll[v] = c
-            if c == self.ceiling:
+            if c == ceiling:
                 return
 
     def _tick(self) -> None:
@@ -922,20 +922,21 @@ class _Search:
                 or self.deadline and time.monotonic() > self.deadline):
             raise _BudgetExceeded
 
-    def _dfs(self, inside: int, open_: int, floor: int, first: bool,
+    def _dfs(self, inside: int, open_: int, floor: int, ceiling: int,
              limit: int = 0) -> int | None:
-        """With ``first``, the decision query for size floor + 1: the first
-        solution found of that size, else 0; ``floor`` stays put, and a
-        node with more than floor + 1 vertices inside is pruned. Without
-        it, the value search: each solution found raises ``floor``, and the
-        result is 0, returned as soon as the floor reaches ``ceiling``.
-        Branches on the lowest open vertex, include first; prunes on
-        |inside| + |open| <= floor, on the first partition bound at most
-        the floor and, once it is built, on the doll table. In an orbital
-        search the exclude branch of a node also drops the branch vertex's
-        orbit under the maps the node carries, in either mode.
-        Each node counts in ``stats.nodes_explored``, and the node past the
-        node budget or the deadline raises :class:`_BudgetExceeded`. With
+        """The value search below the state (inside, open): each solution
+        found with more than ``floor`` vertices raises ``floor``, ``best``
+        and ``best_mask``, and the result is the floor it ends at, returned
+        as soon as the floor reaches ``ceiling`` or once the stack is
+        empty. A ceiling of floor + 1 makes it a decision query: it stops
+        at the first solution above the floor, which on a hereditary kind
+        has size floor + 1. Branches on the lowest open vertex, include
+        first; prunes on |inside| + |open| <= floor, on the first partition
+        bound at most the floor and, once it is built, on the doll table.
+        In an orbital search the exclude branch of a node also drops the
+        branch vertex's orbit under the maps the node carries. Each node
+        counts in ``stats.nodes_explored``, and the node past the node
+        budget or the deadline raises :class:`_BudgetExceeded`. With
         ``limit``, the search gives up and returns None on its node after
         the first ``limit``.
 
@@ -959,8 +960,6 @@ class _Search:
         deadline = self.deadline
         clock = time.monotonic
         stop = stats.nodes_explored + limit
-        cap = floor + 1 if first else self.n
-        ceiling = self.ceiling
         doll = self.doll
         bounds = self.bound
         merged_from = self.merged_from
@@ -996,16 +995,14 @@ class _Search:
             if limit and stats.nodes_explored > stop:
                 return None
             count = inside.bit_count()
-            if count + open_.bit_count() <= floor or count > cap:
+            if count + open_.bit_count() <= floor:
                 stats.prunes += 1
                 continue
             if count > floor and (hereditary or not open_):
-                if first:
-                    return inside
                 floor = self.best = count
                 self.best_mask = inside
                 if floor >= ceiling:
-                    return 0
+                    return floor
                 if not open_:
                     continue
             if bounds:
@@ -1035,7 +1032,7 @@ class _Search:
                 elif maps:
                     maps = tuple(s for s in maps if s[v] == v)
                 stack.append((*child, maps, -1))
-        return 0
+        return floor
 
     def _stabiliser(self, fixed: int,
                     setwise: int) -> tuple[tuple[int, ...], ...]:
@@ -1063,15 +1060,16 @@ class _Search:
 
     def lex_least_witness(self, target: int) -> int:
         """The lexicographically least solution of size ``target``: the
-        first hit of the decision query from the root (see the module
-        docstring). A solve asks it only when the doll table, not
-        :meth:`run_value`'s DFS, found the value."""
+        first set that the value search from the root records with floor
+        target - 1 and ceiling ``target`` (see the module docstring). A
+        solve asks it only when the doll table, not :meth:`run_value`'s
+        DFS, found the value; ``best`` stays ``target`` and ``best_mask``
+        a maximum set throughout."""
         if target == 0:
             return 0
-        found = self._dfs(*self.root, target - 1, True)
-        if found.bit_count() != target:
+        if self._dfs(*self.root, target - 1, target) != target:
             raise AssertionError("lex witness reconstruction failed")
-        return found
+        return self.best_mask
 
 
 # --------------------------------------------------------------------------

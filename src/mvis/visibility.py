@@ -39,9 +39,12 @@ from .graphs import (
 #: The four set variants, in the canonical reporting order.
 VARIANTS = ("mutual", "total", "outer", "dual")
 
-#: The largest sum of d(u, v) over pairs u < v, a lower bound on the
-#: table's entries, for which a :class:`PairVisibility` is built. It admits
-#: ``star:1100`` and ``grid:20x20``, not ``path:600`` or ``grid:25x24``.
+#: The most entries a :class:`PairVisibility` may hold: one per pair
+#: u < v and one per interior vertex of its interval, about 170 bytes each.
+#: The pair count and the sum of d(u, v) over the pairs are lower bounds on
+#: it, checked before the build; the build counts the entries it makes and
+#: stops past the limit. It admits ``star:1100`` (1.21M entries) and
+#: ``grid:16x16`` (1.27M), not ``grid:20x20`` (4.60M) or ``path:600``.
 PAIR_TABLE_LIMIT = 2_000_000
 
 #: The most sweep results a :class:`PairVisibility` keeps in its ``memo``;
@@ -202,6 +205,12 @@ def is_bypass_candidate(g: Graph, v: int) -> bool:
     return True
 
 
+def _too_large(n: int, size: int) -> GraphError:
+    """The error for a pair table of at least ``size`` entries."""
+    return GraphError(f"graph on {n} vertices: pair table of at least "
+                      f"{size} entries, limit {PAIR_TABLE_LIMIT}")
+
+
 class PairVisibility:
     """Precomputed geodesic DAGs with a cached witness geodesic per pair.
 
@@ -234,8 +243,9 @@ class PairVisibility:
     BFS over its row of ``layers`` that expands no vertex of X.
 
     Memory grows with n^2 times the mean interval size, so a graph whose
-    distance sum is above :data:`PAIR_TABLE_LIMIT` raises
-    :class:`GraphError` before the build.
+    pair count or distance sum is above :data:`PAIR_TABLE_LIMIT` raises
+    :class:`GraphError` before the build, and one whose pairs and interior
+    vertices pass it raises it during the build.
     """
 
     __slots__ = (
@@ -260,8 +270,7 @@ class PairVisibility:
             d = all_pairs_distances(g)
             size = sum(map(sum, d)) // 2
         if size > PAIR_TABLE_LIMIT:
-            raise GraphError(f"graph on {n} vertices: pair table of at least "
-                             f"{size} entries, limit {PAIR_TABLE_LIMIT}")
+            raise _too_large(n, size)
         self.n = n
         adj = self.adj = g.adjacency_masks()
         # layers[u][k] is the mask of the vertices at distance k from u.
@@ -277,6 +286,7 @@ class PairVisibility:
         self.entries: list[tuple[tuple[int, int], ...]] = [()] * (n * n)
         self.pair_mask: list[int] = [0] * (n * n)
         through: list[list[int]] = [[] for _ in range(n)]
+        built = 0
         for u in range(n):
             lu = layers[u]
             for v in range(u + 1, n):
@@ -303,6 +313,9 @@ class PairVisibility:
                 self.interior[pid] = imask
                 self.entries[pid] = tuple(entries)
                 self.pair_mask[pid] = (1 << u) | (1 << v)
+                built += len(entries) + 1
+                if built > PAIR_TABLE_LIMIT:
+                    raise _too_large(n, built)
         self.pairs_through = [tuple(p) for p in through]
         # pair_ids[v][u] is the pid of the pair {u, v} (unused for u = v).
         self.pair_ids = [

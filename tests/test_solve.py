@@ -596,7 +596,12 @@ class TestDualRegressionPin:
 
     def test_overfull_forcing_graph(self):
         # In this graph's witness search, the forcing of an include puts
-        # more vertices in than the value, and the cap cuts those states.
+        # more vertices in than the value. That query is the value search
+        # with floor 1 and ceiling 2, with no size cap: those states hold
+        # no dual set, as none is larger than the value, so the query
+        # still stops at the lex-least set, in 23 nodes where a size cap
+        # took 22. A solve runs no such query, as the value search finds
+        # every dual value above 0 itself.
         # 18 nodes when the rebuild queried each vertex, refusing such a
         # prefix without a node; 33 when the value search branched in
         # descending degree; 53 when every solve ran the witness search,
@@ -792,10 +797,14 @@ class TestLexLeastWitness:
 
 class TestDecisionQuery:
     def test_every_size_up_to_n(self):
-        # The witness phase asks only for the value, so ask the one DFS
-        # for every size from the root instead. The dual sets of C5,
-        # C6 and G_2 have sizes 0 and 2 only: a query for 1 must answer
-        # no, not with a larger set.
+        # A decision query is the value search with a ceiling of floor + 1,
+        # so ask the one DFS for every size t from the root, with floor
+        # t - 1 and ceiling t. A hereditary kind answers with exactly t
+        # vertices whenever a solution of size t exists, the lex-least one,
+        # and leaves the floor at t - 1 otherwise. A dual query stops at
+        # its first dual set above the floor, which may be larger: the
+        # dual sets of C5, C6 and G_2 have sizes 0 and 2 only, so a query
+        # for 1 answers with 2.
         rng = random.Random(111)
         graphs = [generate(spec) for spec in ("cycle:5", "cycle:6", "gn:2")]
         graphs += [
@@ -803,28 +812,57 @@ class TestDecisionQuery:
                                    p=rng.choice((0.2, 0.3, 0.4)))
             for _ in range(40)
         ]
-        gaps = 0
+        gaps = larger = 0
         for g in graphs:
-            sizes = {kind: set() for kind in VARIANTS}
+            sets = {kind: [] for kind in VARIANTS}
             for mask in range(1 << g.n):
                 rep = classify_set(g, mask)
                 for kind in VARIANTS:
                     if rep.holds(kind):
-                        sizes[kind].add(mask.bit_count())
+                        sets[kind].append(mask)
             for kind in VARIANTS:
+                sizes = {x.bit_count() for x in sets[kind]}
                 search = _search(g, kind)
-                gaps += max(sizes[kind]) + 1 - len(sizes[kind])
+                gaps += max(sizes) + 1 - len(sizes)
                 for t in range(1, g.n + 1):
-                    found = search._dfs(*search.root, t - 1, True)
-                    assert bool(found) == (t in sizes[kind]), (
-                        kind, t, g.edges(),
-                    )
-                    if found:
-                        assert found.bit_count() == t, (kind, t, g.edges())
-                        assert classify_set(g, found).holds(kind), (
-                            kind, t, g.edges(),
-                        )
-        assert gaps >= 3
+                    search.best_mask = 0
+                    got = search._dfs(*search.root, t - 1, t)
+                    found = search.best_mask
+                    why = (kind, t, g.edges())
+                    if got == t - 1:
+                        assert not found, why
+                        assert max(sizes) < t, why
+                        continue
+                    assert got == found.bit_count() == search.best, why
+                    assert found in sets[kind], why
+                    if kind == "dual":
+                        assert got >= t, why
+                        larger += got > t
+                    else:
+                        assert got == t, why
+                        assert found == min(
+                            (x for x in sets[kind] if x.bit_count() == t),
+                            key=lambda x: [v for v in range(g.n)
+                                           if x >> v & 1]), why
+        assert gaps >= 3 and larger >= 3
+
+    def test_dfs_returns_the_floor_it_ends_at(self):
+        # The one DFS returns its floor: the ceiling once it reaches it,
+        # else the floor it has when the stack empties, the value if it
+        # started below it; and None on the node past its limit.
+        g = generate("grid:4x4")
+        value = solve(g, "mutual").value
+        search = _search(g, "mutual")
+        root = search.root
+        assert search._dfs(*root, 0, g.n) == value == search.best
+        assert search._dfs(*root, 0, 3) == 3 == search.best
+        assert search.best_mask.bit_count() == 3
+        search.best = -1
+        assert search._dfs(*root, value, g.n) == value
+        assert search.best == -1  # nothing above the floor was recorded
+        before = search.stats.nodes_explored
+        assert search._dfs(*root, 0, g.n, limit=5) is None
+        assert search.stats.nodes_explored == before + 6
 
 
 def plain_lex_rebuild(search, target):
@@ -836,7 +874,8 @@ def plain_lex_rebuild(search, target):
         if count == target:
             break
         child = search.include(state[0], state[1], v)
-        if child is not None and search._dfs(*child, target - 1, True):
+        if child is not None and search._dfs(*child, target - 1,
+                                             target) == target:
             chosen |= 1 << v
             count += 1
         else:
@@ -880,12 +919,13 @@ class TestWitnessReuse:
         found = []
         dfs = _Search._dfs
 
-        def recording_dfs(self, inside, open_, floor, first, limit=0):
-            mask = dfs(self, inside, open_, floor, first, limit)
-            if first and mask:
-                found.append((self.g, self.kind, inside, open_, floor + 1,
-                              mask, limit))
-            return mask
+        def recording_dfs(self, inside, open_, floor, ceiling, limit=0):
+            # A decision query is a search whose ceiling is floor + 1.
+            got = dfs(self, inside, open_, floor, ceiling, limit)
+            if ceiling == floor + 1 and got == ceiling:
+                found.append((self.g, self.kind, inside, open_, ceiling,
+                              self.best_mask, limit))
+            return got
 
         monkeypatch.setattr(_Search, "_dfs", recording_dfs)
         rng = random.Random(78)
@@ -1389,6 +1429,25 @@ class TestDeepGraphs:
         err = capsys.readouterr().err
         assert "at least 35999900 entries" in err
         assert f"limit {PAIR_TABLE_LIMIT}" in err
+
+    def test_cli_refuses_a_table_that_builds_past_the_limit(
+            self, capsys, monkeypatch):
+        # grid:6x6 has 630 pairs and distance sum 2,520, but 4,970 pairs
+        # and interior vertices: under a limit of 3,000 both checks before
+        # the build pass, and the build stops once its count passes the
+        # limit. At the real limit grid:20x20 (4,601,800) stops the same
+        # way, after about 2,000,000 entries.
+        monkeypatch.setattr(mvis.visibility, "PAIR_TABLE_LIMIT", 3000)
+        g = generate("grid:6x6")
+        with pytest.raises(GraphError, match="at least 30.. entries"):
+            pair_visibility(g)
+        assert g._pairvis is None
+        assert main(["solve", "grid:6x6", "--variant", "mutual"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "limit 3000" in err
+        assert "Traceback" not in err
+        monkeypatch.setattr(mvis.visibility, "PAIR_TABLE_LIMIT", 4970)
+        assert pair_visibility(g).n == 36
 
     def test_too_many_pairs_refused_before_any_distance(self):
         # star:2000 has 2,001 vertices and so 2,001,000 pairs: refused

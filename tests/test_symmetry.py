@@ -429,8 +429,9 @@ class TestOrbitalBranching:
         # witness queries included. The cap of 8n binds on K7, K1,12,
         # Petersen, K3,3 and G'. The hook reads the node from the exclude
         # call that precedes each drop, and whether the innermost search
-        # running is a decision query (``first``) from a wrapped _dfs; a
-        # partition bound's capacity search runs inside another search.
+        # running is a decision query (its ceiling is floor + 1) from a
+        # wrapped _dfs; a partition bound's capacity search runs inside
+        # another search.
         module = sys.modules[_Search.__module__]
         node = []
         counts = {}
@@ -438,10 +439,10 @@ class TestOrbitalBranching:
         firsts = []
         dfs = _Search._dfs
 
-        def tracking_dfs(self, inside, open_, floor, first, limit=0):
-            firsts.append(first)
+        def tracking_dfs(self, inside, open_, floor, ceiling, limit=0):
+            firsts.append(ceiling == floor + 1)
             try:
-                return dfs(self, inside, open_, floor, first, limit)
+                return dfs(self, inside, open_, floor, ceiling, limit)
             finally:
                 firsts.pop()
 

@@ -9,7 +9,9 @@ end-to-end metric of the change's ``BENCHMARK.json``, the median and
 quartiles (inclusive method) of each side, the relative change of the
 median, the metric's bound and how many pairs the change won and lost;
 ``failed_ops`` and ``attempted_ops`` summed over the runs, and whether
-every run was correct. Standard library only::
+every run was correct. Each pair prints one line to standard error: each
+side's ``pass_s``, ``peak_rss_mb`` and operations attempted. Standard
+library only::
 
     python3 tools/pairs.py PARENT CHANGE --out BENCH_18.json \\
         --description "..."
@@ -49,6 +51,18 @@ def run_once(checkout: Path, workload: str, seed: int,
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def progress(parent: dict, change: dict) -> str:
+    """One pair's progress line: each side's ``pass_s``, ``peak_rss_mb``
+    and operations attempted, so that a memory rise that follows the
+    number of passes shows."""
+    fields = []
+    for name, fmt in (("pass_s", ".4f"), ("peak_rss_mb", ".1f")):
+        p, c = (r["metrics"][name]["value"] for r in (parent, change))
+        fields.append(f"{name} {p:{fmt}} -> {c:{fmt}}")
+    fields.append(f"attempted {parent['attempted']} -> {change['attempted']}")
+    return ", ".join(fields)
 
 
 def summary(values: list[float]) -> dict:
@@ -120,8 +134,7 @@ def main() -> None:
                     pair[side] = run_once(checkouts[side], workload, i + 1,
                                           envs[side])
                 runs.append(tuple(pair))
-                p, c = (r["metrics"]["pass_s"]["value"] for r in runs[-1])
-                print(f"{workload} pair {i + 1}: pass_s {p:.4f} -> {c:.4f}",
+                print(f"{workload} pair {i + 1}: {progress(*runs[-1])}",
                       file=sys.stderr)
             doc["workloads"][workload] = compare(runs, spec["end_to_end"])
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
